@@ -21,6 +21,7 @@ from cmonrw.decompose import (
 from cmonrw.dpo import (
     RewriteRule,
     enumerate_convex_matches,
+    iter_rewrites,
     normalize,
     parse_rules,
     rewrite_all,
@@ -65,6 +66,7 @@ __all__ = [
     "identity_cospan",
     "is_right_monogamous",
     "iso_equal",
+    "iter_rewrites",
     "normalize",
     "parse_rules",
     "parse_signature",

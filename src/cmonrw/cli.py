@@ -269,7 +269,7 @@ def _cmd_oracle_compare(args) -> int:
 
     dpo_reps: dict[tuple, Cospan] = {}
     for step in rewrite_all(rules, host):
-        dpo_reps.setdefault(cospan_key(step.result), step.result)
+        dpo_reps.setdefault(step.key, step.result)
 
     only_oracle = sorted(oracle_reps.keys() - dpo_reps.keys())
     only_dpo = sorted(dpo_reps.keys() - oracle_reps.keys())
@@ -310,6 +310,13 @@ def _cmd_export(args) -> int:
     c = _load_cospan(args.cospan)
     _atomic_write(args.dot, cospan_to_dot(c))
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig", required=True)
     p.add_argument("--host", required=True, help=".csp path, term path, or term text")
     p.add_argument("--strategy", choices=["leftmost", "bfs"], default="leftmost")
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--max-steps", type=_non_negative_int, default=100)
     p.add_argument(
         "--all",
         action="store_true",

@@ -83,18 +83,6 @@ def in_connections(c: Cospan, v: int) -> tuple[Connection, ...]:
     return tuple(sorted(conns))
 
 
-def out_connections(c: Cospan, v: int) -> tuple[Connection, ...]:
-    """Output-boundary positions plus edge source slots using v."""
-    if v not in c.carrier.nodes:
-        raise UnknownNode(f"node {v} not in carrier")
-    conns = [iface_conn(p) for p, u in enumerate(c.right) if u == v]
-    for eid in sorted(c.carrier.edges):
-        for i, s in enumerate(c.carrier.edges[eid].sources):
-            if s == v:
-                conns.append(edge_conn(eid, i))
-    return tuple(sorted(conns))
-
-
 def left_amonogamous_nodes(c: Cospan) -> frozenset[int]:
     """Nodes whose input connection count differs from exactly one."""
     if not is_right_monogamous(c):
@@ -120,13 +108,6 @@ def node_orders(c: Cospan) -> dict[int, int]:
     return order
 
 
-def node_order(c: Cospan, v: int) -> int:
-    orders = node_orders(c)
-    if v not in orders:
-        raise UnknownNode(f"node {v} not in carrier")
-    return orders[v]
-
-
 def edge_levels(c: Cospan) -> dict[int, int]:
     """Max count of merge-witnessing nodes on any path ending in each edge."""
     orders = node_orders(c)
@@ -134,13 +115,6 @@ def edge_levels(c: Cospan) -> dict[int, int]:
         eid: max((orders[u] for u in e.sources), default=0)
         for eid, e in c.carrier.edges.items()
     }
-
-
-def edge_level(c: Cospan, e: int) -> int:
-    levels = edge_levels(c)
-    if e not in levels:
-        raise UnknownNode(f"edge {e} not in carrier")
-    return levels[e]
 
 
 @dataclass(frozen=True)

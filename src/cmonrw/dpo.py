@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cospan import (
@@ -91,6 +92,7 @@ class RewriteStep:
     match: Match
     complement: Complement
     result: Cospan
+    key: tuple  # cospan_key(result), the key steps are deduplicated by
 
 
 def enumerate_convex_matches(rule: RewriteRule, host: Cospan) -> list[Match]:
@@ -126,7 +128,13 @@ def complement_is_valid(
     match: Match, host: Cospan, comp: Complement
 ) -> bool:
     """Injective c1, disjoint c1/c2 images, right-monogamous rearrangement,
-    and gluing the lhs back must recompose the host."""
+    and gluing the lhs back must recompose the host.
+
+    The last condition is first tried on the match's own map from the
+    glued cospan back to the host (see _glue_witnesses_host); for every
+    candidate that boundary_complement builds that map is an isomorphism,
+    so the general isomorphism test only runs on complements built some
+    other way, such as hand-made or mutated ones."""
     rule = match.rule
     if len(comp.c1) != rule.lhs.arity or len(comp.c2) != rule.lhs.coarity:
         return False
@@ -144,8 +152,57 @@ def complement_is_valid(
         return False
     if not is_right_monogamous(rearranged):
         return False
-    glued = _glue_cospan_into_complement(rule.lhs, comp)
+    glued, rename = _glue_cospan_into_complement(rule.lhs, comp)
+    if _glue_witnesses_host(match, host, comp, glued, rename):
+        return True
     return iso_equal(glued, host)
+
+
+def _glue_witnesses_host(
+    match: Match, host: Cospan, comp: Complement, glued: Cospan, rename: dict
+) -> bool:
+    """Is the match's own map an isomorphism from glued onto host?
+
+    lhs nodes and edges go where match.hom sends them; complement nodes
+    and edges that exist in the host go to themselves; a fresh c1/c2 copy
+    goes wherever the lhs node glued onto it goes. True only when that map
+    is well defined, bijective on nodes and edges, preserves labels and
+    endpoint positions and sends d1/d2 onto host.left/host.right, so a
+    True answer proves iso_equal(glued, host); False proves nothing."""
+    hom = match.hom
+    g = host.carrier
+    phi: dict[int, int] = {}
+    for (side, v), w in rename.items():
+        if side == 0:
+            img = hom.node_map[v]
+        elif v in g.nodes:
+            img = v
+        else:
+            continue
+        if phi.setdefault(w, img) != img:
+            return False
+    n = len(glued.carrier.nodes)
+    if len(phi) != n or n != len(g.nodes) or len(set(phi.values())) != n:
+        return False
+    lhs_edges = sorted(match.rule.lhs.carrier.edges)
+    images = [hom.edge_map[eid] for eid in lhs_edges]
+    images += sorted(comp.carrier.edges)
+    if len(images) != len(g.edges) or len(set(images)) != len(images):
+        return False
+    for gid, hid in enumerate(images):
+        he = g.edges.get(hid)
+        e = glued.carrier.edges[gid]
+        if (
+            he is None
+            or he.label != e.label
+            or tuple(phi[u] for u in e.sources) != he.sources
+            or tuple(phi[u] for u in e.targets) != he.targets
+        ):
+            return False
+    return (
+        tuple(phi[u] for u in glued.left) == host.left
+        and tuple(phi[u] for u in glued.right) == host.right
+    )
 
 
 def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
@@ -155,7 +212,14 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     copies (one c1 copy per lhs input position, one shared c2 copy per
     output-image node). Surviving out-connections must land on the c2 copy;
     each surviving in-connection picks any copy, and every combination that
-    passes validation is kept."""
+    passes validation is kept.
+
+    Each candidate glues back onto the host by the match's own map (lhs
+    nodes through match.hom, copies onto the node they copy, every other
+    node to itself), a bijection on edges that fixes both interfaces, so
+    complement_is_valid accepts or rejects it on the cheap structural
+    checks and never needs a general isomorphism test. Candidates are
+    keyed by complement_key and sorted only when more than one is valid."""
     rule = match.rule
     g = host.carrier
     a1_img = [match.hom.node_map[v] for v in rule.lhs.left]
@@ -215,7 +279,7 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
         | frozenset(c1)
         | frozenset(c2_of.values())
     )
-    found: dict[tuple, Complement] = {}
+    valid: list[Complement] = []
     for picks in itertools.product(*(copies(s[3]) for s in in_slots)):
         slot_to: dict[tuple, int] = {
             (kind, i, si): node
@@ -241,13 +305,24 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
             Hypergraph(carrier_nodes, edges), c1, c2, d1, d2
         )
         if complement_is_valid(match, host, comp):
-            found.setdefault(complement_key(comp), comp)
+            valid.append(comp)
+    if len(valid) <= 1:
+        return valid
+    found: dict[tuple, Complement] = {}
+    for comp in valid:
+        found.setdefault(complement_key(comp), comp)
     return [found[k] for k in sorted(found)]
 
 
-def _glue_cospan_into_complement(cos: Cospan, comp: Complement) -> Cospan:
+def _glue_cospan_into_complement(
+    cos: Cospan, comp: Complement
+) -> tuple[Cospan, dict]:
     """Pushout gluing of one rule side into a complement: cos's interfaces
-    are merged onto c1/c2 positionwise; the result keeps d1/d2 as its own."""
+    are merged onto c1/c2 positionwise; the result keeps d1/d2 as its own.
+
+    Also returns the renaming of (0, cos node) and (1, complement node)
+    onto the glued nodes. Glued edges are cos's edges in id order, then the
+    complement's."""
     uf = UnionFind()
     for z, v in enumerate(cos.left):
         uf.union((0, v), (1, comp.c1[z]))
@@ -279,19 +354,19 @@ def _glue_cospan_into_complement(cos: Cospan, comp: Complement) -> Cospan:
             tuple(rename[(1, v)] for v in e.targets),
         )
     g = Hypergraph(frozenset(range(len(rep_rank))), edges)
-    return Cospan(
+    glued = Cospan(
         g,
         tuple(rename[(1, v)] for v in comp.d1),
         tuple(rename[(1, v)] for v in comp.d2),
     )
+    return glued, rename
 
 
 def apply_rewrite(
-    rule: RewriteRule, match: Match, complement: Complement, host: Cospan
+    rule: RewriteRule, match: Match, complement: Complement
 ) -> Cospan:
-    """Glue the rhs into a validated complement; the caller's host is only
-    documentation here, the complement already determines the result."""
-    result = _glue_cospan_into_complement(rule.rhs, complement)
+    """Glue the rhs into a validated complement."""
+    result, _ = _glue_cospan_into_complement(rule.rhs, complement)
     if not is_right_monogamous(result):
         raise ResultNotRightMonogamous(
             f"rule {rule.name!r} produced a non-right-monogamous result"
@@ -301,12 +376,13 @@ def apply_rewrite(
     return result
 
 
-def rewrite_all(
+def iter_rewrites(
     rules: list[RewriteRule], host: Cospan
-) -> list[RewriteStep]:
-    """Every one-step rewrite from every rule, iso-deduplicated by result."""
+) -> Iterator[RewriteStep]:
+    """Every one-step rewrite from every rule, iso-deduplicated by result,
+    yielded lazily in rewrite_all's order: each step is built only when it
+    is asked for, and the host is validated when iteration starts."""
     validate_right_monogamous_acyclic(host)
-    steps: list[RewriteStep] = []
     seen: set[tuple] = set()
     for rule in rules:
         for match in enumerate_convex_matches(rule, host):
@@ -315,12 +391,18 @@ def rewrite_all(
             except DanglingEdge:
                 continue
             for comp in comps:
-                result = apply_rewrite(rule, match, comp, host)
+                result = apply_rewrite(rule, match, comp)
                 key = cospan_key(result)
                 if key not in seen:
                     seen.add(key)
-                    steps.append(RewriteStep(rule, match, comp, result))
-    return steps
+                    yield RewriteStep(rule, match, comp, result, key)
+
+
+def rewrite_all(
+    rules: list[RewriteRule], host: Cospan
+) -> list[RewriteStep]:
+    """Every one-step rewrite from every rule, iso-deduplicated by result."""
+    return list(iter_rewrites(rules, host))
 
 
 def normalize(
@@ -329,18 +411,20 @@ def normalize(
     strategy: str = "exhaustive-bfs",
     max_steps: int = 100,
 ) -> list[Cospan]:
-    """Rewrite to normal forms within a step budget.
+    """Rewrite to normal forms within a step budget (max_steps >= 0).
 
     leftmost follows the first available step and returns one endpoint;
     bfs/exhaustive-bfs returns all iso-distinct normal forms reachable in at
     most max_steps steps. StepBudgetExhausted reports leftover work."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     validate_right_monogamous_acyclic(host)
     if strategy == "leftmost":
         trace = [host]
         cur = host
         while True:
-            steps = rewrite_all(rules, cur)
-            if not steps:
+            step = next(iter_rewrites(rules, cur), None)
+            if step is None:
                 return [cur]
             if len(trace) - 1 == max_steps:
                 raise StepBudgetExhausted(
@@ -348,27 +432,27 @@ def normalize(
                     f"{max_steps} steps",
                     trace=trace,
                 )
-            cur = steps[0].result
+            cur = step.result
             trace.append(cur)
     if strategy in ("bfs", "exhaustive-bfs"):
-        seen = {cospan_key(host)}
-        layer = [host]
+        host_key = cospan_key(host)
+        seen = {host_key}
+        layer = [(host_key, host)]
         normals: dict[tuple, Cospan] = {}
         for depth in range(max_steps + 1):
-            nxt: list[Cospan] = []
+            nxt: list[tuple[tuple, Cospan]] = []
             overflow: list[Cospan] = []
-            for c in layer:
+            for key, c in layer:
                 steps = rewrite_all(rules, c)
                 if not steps:
-                    normals.setdefault(cospan_key(c), c)
+                    normals.setdefault(key, c)
                 elif depth == max_steps:
                     overflow.append(c)
                 else:
                     for s in steps:
-                        k = cospan_key(s.result)
-                        if k not in seen:
-                            seen.add(k)
-                            nxt.append(s.result)
+                        if s.key not in seen:
+                            seen.add(s.key)
+                            nxt.append((s.key, s.result))
             if overflow:
                 raise StepBudgetExhausted(
                     f"{len(overflow)} reducible cospans left at depth "

@@ -48,12 +48,6 @@ class Hypergraph:
                 if v not in self.nodes:
                     raise UnknownNode(f"edge {eid} touches missing node {v}")
 
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
-
-    def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edges))
-
     def restrict(self, sub: "SubHypergraph") -> "Hypergraph":
         """The sub-hypergraph as a standalone graph (ids preserved)."""
         sub.validate_in(self)
@@ -120,17 +114,6 @@ class Homomorphism:
                 raise NotASubhypergraph(
                     f"edge {eid} does not commute with its image"
                 )
-
-    def is_injective(self) -> bool:
-        return len(set(self.node_map.values())) == len(self.node_map) and len(
-            set(self.edge_map.values())
-        ) == len(self.edge_map)
-
-    def image_nodes(self) -> frozenset[int]:
-        return frozenset(self.node_map.values())
-
-    def image_edges(self) -> frozenset[int]:
-        return frozenset(self.edge_map.values())
 
 
 class UnionFind:
@@ -229,14 +212,6 @@ def is_acyclic(g: Hypergraph) -> bool:
     return True
 
 
-def has_edge_repeating_path(g: Hypergraph) -> bool:
-    """True iff some directed path visits the same hyperedge twice."""
-    for e in g.edges.values():
-        if set(e.sources) & reachable(g, e.targets, forward=True):
-            return True
-    return False
-
-
 def edge_topological_order(g: Hypergraph) -> tuple[int, ...] | None:
     """Edges ordered so producers precede consumers; None when impossible."""
     after: dict[int, set[int]] = {eid: set() for eid in g.edges}
@@ -275,19 +250,6 @@ def _is_convex_image(g: Hypergraph, img_nodes, img_edges) -> bool:
         if (set(e.sources) & fwd) and (set(e.targets) & bwd):
             return False
     return True
-
-
-def is_convex_subhypergraph(
-    h: Hypergraph, g: Hypergraph, embedding: Homomorphism
-) -> bool:
-    """Is the embedded copy of h closed under paths between its nodes?"""
-    if embedding.source is not h or embedding.target is not g:
-        # allow structurally identical graphs passed by value
-        if embedding.source.nodes != h.nodes or embedding.target.nodes != g.nodes:
-            raise NotASubhypergraph("embedding does not relate h and g")
-    if not embedding.is_injective():
-        raise NotASubhypergraph("embedding must be injective")
-    return _is_convex_image(g, embedding.image_nodes(), embedding.image_edges())
 
 
 def find_homomorphisms(

@@ -218,6 +218,55 @@ def test_usage_error_exits_two(ws):
     assert exc.value.code == 2
 
 
+def test_negative_max_steps_is_usage_error(ws, capsys):
+    _, sig, rules = ws
+    with pytest.raises(SystemExit) as exc:
+        run([
+            "rewrite", "--sig", sig, "--rules", rules, "--host", "f",
+            "--strategy", "bfs", "--max-steps", "-1",
+        ])
+    assert exc.value.code == 2
+    assert "--max-steps" in capsys.readouterr().err
+
+
+PINNED = os.path.join(
+    os.path.dirname(__file__), "data", "rewrite_outputs.json"
+)
+PINNED_RULES = {
+    "fg": "rule fg : f => g\n",
+    "mufh": "rule mufh : mu ; f => h\n",
+}
+PINNED_MODES = {
+    "all": ["--all"],
+    "leftmost": ["--strategy", "leftmost"],
+    "bfs": ["--strategy", "bfs"],
+}
+
+
+def _pinned_cases():
+    with open(PINNED, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "case", _pinned_cases(), ids=lambda c: f"{c['mode']}:{c['host']}"
+)
+def test_rewrite_output_matches_pinned_bytes(tmp_path, capsys, case):
+    # outputs recorded before complements were checked by the match's own
+    # map and leftmost stopped at the first step; both must not show
+    sig = tmp_path / "sig.txt"
+    sig.write_text(SIG_TEXT)
+    rules = tmp_path / "rules.txt"
+    rules.write_text(PINNED_RULES[case["rules"]])
+    argv = [
+        "rewrite", "--sig", str(sig), "--rules", str(rules),
+        "--host", case["host"], *PINNED_MODES[case["mode"]],
+        "--format", "structured",
+    ]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
 def test_unknown_generator_is_domain_error(ws, capsys):
     _, sig, _ = ws
     assert run(["translate", "--sig", sig, "--term", "zz"]) == 1

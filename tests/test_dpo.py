@@ -3,30 +3,44 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmonrw.corpus import SIG3, complement_mutations, random_term
-from cmonrw.cospan import cospan_key, iso_equal
+from cmonrw import dpo
+from cmonrw.cospan import (
+    Cospan,
+    cospan_key,
+    cospan_to_document,
+    is_right_monogamous,
+    iso_equal,
+)
 from cmonrw.dpo import (
+    Complement,
     RewriteRule,
+    apply_rewrite,
     boundary_complement,
     complement_is_valid,
     enumerate_convex_matches,
+    iter_rewrites,
     normalize,
     parse_rule_terms,
     parse_rules,
     rewrite_all,
 )
 from cmonrw.errors import (
+    Cyclic,
     DanglingEdge,
     InterfaceMismatch,
+    ResultNotRightMonogamous,
     StepBudgetExhausted,
     TermSyntaxError,
     TypeMismatch,
+    UnknownNode,
 )
-from cmonrw.hypergraph import find_homomorphisms
+from cmonrw.hypergraph import Edge, Hypergraph, find_homomorphisms
 from cmonrw.sigterm import Mu, Seq, Sym, parse_term
 from cmonrw.translate import eval_term
 
@@ -180,6 +194,14 @@ def test_zero_budget_semantics(ev):
     assert exc.value.normal_forms == ()
 
 
+@pytest.mark.parametrize("strategy", ["leftmost", "bfs"])
+def test_negative_budget_rejected(ev, strategy):
+    # f => f ; f never normalises, so leftmost would run forever on -1
+    rule = RewriteRule(ev("f"), ev("f ; f"), "dup")
+    with pytest.raises(ValueError):
+        normalize([rule], ev("f"), strategy=strategy, max_steps=-1)
+
+
 def test_unknown_strategy_rejected(ev):
     rule = RewriteRule(ev("f"), ev("g"), "fg")
     with pytest.raises(ValueError):
@@ -266,3 +288,173 @@ def test_rewrite_all_is_deterministic(seed):
     first = [cospan_key(s.result) for s in rewrite_all([rule], host)]
     second = [cospan_key(s.result) for s in rewrite_all([rule], host)]
     assert first == second
+
+
+def _sig3(text: str):
+    return eval_term(parse_term(text, SIG3), SIG3)
+
+
+def reference_complement_is_valid(match, host, comp) -> bool:
+    """The validity check by isomorphism alone: the same structural checks,
+    then a canonical-form comparison of the re-glued lhs with the host."""
+    rule = match.rule
+    if len(comp.c1) != rule.lhs.arity or len(comp.c2) != rule.lhs.coarity:
+        return False
+    if len(comp.d1) != host.arity or len(comp.d2) != host.coarity:
+        return False
+    if len(set(comp.c1)) != len(comp.c1) or set(comp.c1) & set(comp.c2):
+        return False
+    try:
+        rearranged = Cospan(
+            comp.carrier, comp.d1 + comp.c2, comp.d2 + comp.c1
+        )
+    except UnknownNode:
+        return False
+    if not is_right_monogamous(rearranged):
+        return False
+    # gluing a rule's rhs is the same pushout; a malformed result cannot
+    # be isomorphic to the well-formed host
+    try:
+        glued = apply_rewrite(RewriteRule(rule.lhs, rule.lhs), match, comp)
+    except (ResultNotRightMonogamous, Cyclic):
+        return False
+    return iso_equal(glued, host)
+
+
+FAST_PATH_LHS = [
+    "a",
+    "b",
+    "c",
+    "mu",
+    "id_1",
+    "a ; a",
+    "c ; b",
+    "b ; a",
+    "a ; c",
+    "mu ; a",
+    "eta ; a",
+    "(a + id_1) ; mu",
+    "(a + a) ; b",
+    "(a + a) ; mu",
+    "sym_1_1 ; b",
+]
+
+
+def test_complement_check_agrees_with_isomorphism_reference(monkeypatch):
+    checked = []
+    fallbacks = []
+
+    def recording(match, host, comp):
+        verdict = complement_is_valid(match, host, comp)
+        checked.append((match, host, comp, verdict))
+        return verdict
+
+    def counting_iso_equal(a, b):
+        fallbacks.append((a, b))
+        return iso_equal(a, b)
+
+    monkeypatch.setattr(dpo, "complement_is_valid", recording)
+    monkeypatch.setattr(dpo, "iso_equal", counting_iso_equal)
+    rng = random.Random(20261018)
+    hosts = [
+        eval_term(random_term(rng, SIG3, max_generators=4), SIG3)
+        for _ in range(25)
+    ]
+    rules = [
+        RewriteRule(_sig3(text), _sig3(text), text) for text in FAST_PATH_LHS
+    ]
+    valid = []
+    for host in hosts:
+        for rule in rules:
+            for match in enumerate_convex_matches(rule, host):
+                try:
+                    valid += [
+                        (match, host, c)
+                        for c in boundary_complement(match, host)
+                    ]
+                except DanglingEdge:
+                    pass
+    # built candidates never need the general isomorphism test
+    assert fallbacks == []
+    assert len(checked) > 200 and len(valid) > 100
+    for match, host, comp, verdict in checked:
+        assert verdict == reference_complement_is_valid(match, host, comp)
+    # mutants fail the structural checks; renumbered, relabelled and
+    # reordered copies pass them but not the witness map, so the general
+    # test decides
+    verdicts = []
+    for match, host, comp in valid:
+        others = [bad for _, bad in complement_mutations(rng, comp)]
+        others += [
+            _renumbered(comp),
+            _relabelled(comp),
+            replace(comp, d1=comp.d1[::-1]),
+            replace(comp, d2=comp.d2[::-1]),
+        ]
+        for other in others:
+            verdict = complement_is_valid(match, host, other)
+            assert verdict == reference_complement_is_valid(match, host, other)
+            verdicts.append(verdict)
+    assert len(verdicts) > 300 and True in verdicts and False in verdicts
+    assert len(fallbacks) > 100
+
+
+def _renumbered(comp):
+    """The same complement with every node moved to a fresh id."""
+    shift = max(comp.carrier.nodes) + 1
+    edges = {
+        eid: Edge(
+            e.label,
+            tuple(v + shift for v in e.sources),
+            tuple(v + shift for v in e.targets),
+        )
+        for eid, e in comp.carrier.edges.items()
+    }
+    nodes = frozenset(v + shift for v in comp.carrier.nodes)
+    carrier = Hypergraph(nodes, edges)
+    c1, c2, d1, d2 = (
+        tuple(v + shift for v in vs)
+        for vs in (comp.c1, comp.c2, comp.d1, comp.d2)
+    )
+    return Complement(carrier, c1, c2, d1, d2)
+
+
+def _relabelled(comp):
+    """The complement with its first edge relabelled (unchanged if none)."""
+    edges = dict(comp.carrier.edges)
+    for eid in sorted(edges)[:1]:
+        e = edges[eid]
+        edges[eid] = Edge(e.label + "x", e.sources, e.targets)
+    return replace(comp, carrier=Hypergraph(comp.carrier.nodes, edges))
+
+
+def _step_view(step):
+    comp = step.complement
+    return (
+        step.rule.name,
+        sorted(step.match.hom.node_map.items()),
+        sorted(step.match.hom.edge_map.items()),
+        (comp.c1, comp.c2, comp.d1, comp.d2),
+        sorted(comp.carrier.nodes),
+        sorted(comp.carrier.edges.items()),
+        cospan_to_document(step.result),
+        step.key,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_iter_rewrites_starts_with_rewrite_alls_first_step(seed):
+    rng = random.Random(seed)
+    rules = [
+        RewriteRule(_sig3("b"), _sig3("mu ; a"), "bma"),
+        RewriteRule(_sig3("a"), _sig3("c ; b"), "acb"),
+    ]
+    host = eval_term(random_term(rng, SIG3, max_generators=4), SIG3)
+    steps = rewrite_all(rules, host)
+    first = next(iter_rewrites(rules, host), None)
+    if not steps:
+        assert first is None
+        return
+    assert _step_view(first) == _step_view(steps[0])
+    assert all(s.key == cospan_key(s.result) for s in steps)
