@@ -23,6 +23,7 @@ from .cospan import (
 )
 from .decompose import factorise_into_levels, readback_term
 from .dpo import (
+    RewriteRule,
     enumerate_convex_matches,
     normalize,
     parse_rule_terms,
@@ -254,9 +255,11 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_oracle_compare(args) -> int:
     sig = parse_signature(_read_file(args.sig))
-    rule_text = _read_file(args.rules)
-    triples = parse_rule_terms(rule_text, sig)
-    rules = parse_rules(rule_text, sig)
+    triples = parse_rule_terms(_read_file(args.rules), sig)
+    rules = [
+        RewriteRule(eval_term(lhs, sig), eval_term(rhs, sig), name)
+        for name, lhs, rhs in triples
+    ]
     host_term = _load_term(args.host, sig)
     host = eval_term(host_term, sig)
 

@@ -11,20 +11,18 @@ from .cospan import Cospan, FinFunction, is_right_monogamous
 from .decompose import (
     Cut,
     WeakDecomposition,
-    _endpoints,
     fn_to_cmon_term,
     gluing_choice_points,
     in_connections,
+    updown_sides,
 )
 from .dpo import Complement
 from .hypergraph import (
     Edge,
     Hypergraph,
     SubHypergraph,
-    _is_convex_image,
+    bridging_edges,
     is_acyclic,
-    out_degree,
-    reachable,
     terminal_nodes,
 )
 from .sigterm import (
@@ -193,27 +191,16 @@ def random_convex_sub(
     rng: random.Random, g: Hypergraph
 ) -> SubHypergraph:
     """A random edge subset closed up to convexity, with its endpoints."""
-    eids = [e for e in sorted(g.edges) if rng.random() < 0.5]
-    chosen = set(eids)
+    chosen = {e for e in sorted(g.edges) if rng.random() < 0.5}
     while True:
         nodes = set()
         for e in chosen:
             nodes.update(g.edges[e].sources)
             nodes.update(g.edges[e].targets)
-        if _is_convex_image(g, nodes, chosen):
-            break
-        fwd = reachable(g, nodes, forward=True)
-        bwd = reachable(g, nodes, forward=False)
-        for eid in sorted(g.edges.keys() - chosen):
-            e = g.edges[eid]
-            if set(e.sources) & fwd and set(e.targets) & bwd:
-                chosen.add(eid)
-                break
-    nodes = set()
-    for e in chosen:
-        nodes.update(g.edges[e].sources)
-        nodes.update(g.edges[e].targets)
-    return SubHypergraph(frozenset(nodes), frozenset(chosen))
+        bridges = bridging_edges(g, nodes, chosen)
+        if not bridges:
+            return SubHypergraph(frozenset(nodes), frozenset(chosen))
+        chosen.add(bridges[0])
 
 
 def random_partition(
@@ -231,29 +218,12 @@ def random_updown_signature(
     rng: random.Random, g: Cospan, sub: SubHypergraph
 ) -> dict[int, tuple[frozenset, frozenset]]:
     """Random upper/lower split of each shared node's external inputs."""
-    carrier = g.carrier
-    l_nodes = set(sub.nodes)
-    up_edges = {
-        eid
-        for eid in carrier.edges
-        if eid not in sub.edges
-        and reachable(carrier, carrier.edges[eid].targets) & l_nodes
-    }
-    up_nodes = set(g.left) | _endpoints(carrier, up_edges)
-    down_edges = set(carrier.edges) - set(sub.edges) - up_edges
-    down_nodes = set(g.right) | _endpoints(carrier, down_edges)
-    t_shared = up_nodes & down_nodes & l_nodes
-    i_inner = (up_nodes & l_nodes) - down_nodes
+    sides = updown_sides(g, sub)
     out: dict[int, tuple[frozenset, frozenset]] = {}
-    for v in sorted(t_shared | i_inner):
+    for v, external in sides.external.items():
         if rng.random() < 0.5:
             continue
-        external = frozenset(
-            c
-            for c in in_connections(g, v)
-            if c.kind == "interface" or c.index not in sub.edges
-        )
-        if v in i_inner:
+        if v in sides.inner:
             out[v] = (frozenset(), external)
         else:
             upper = frozenset(c for c in external if rng.random() < 0.5)
@@ -266,13 +236,12 @@ def random_in_cuts(
 ) -> list[Cut]:
     """Random input-side cuts; the passthrough outputs stay single-block."""
     protected = set(upstream.right[:passthrough])
+    conns = in_connections(upstream)
     cuts = []
     for v in sorted(terminal_nodes(upstream.carrier)):
         if v in protected or rng.random() < 0.4:
             continue
-        cuts.append(
-            Cut(v, random_partition(rng, in_connections(upstream, v)))
-        )
+        cuts.append(Cut(v, random_partition(rng, conns[v])))
     return cuts
 
 
@@ -280,14 +249,13 @@ def random_out_cuts(
     rng: random.Random, extracted: Cospan
 ) -> list[Cut]:
     """Random output-side cuts over edge connections only."""
+    conns = in_connections(extracted)
     cuts = []
     for v in sorted(terminal_nodes(extracted.carrier)):
         if rng.random() < 0.4:
             continue
-        conns = [
-            c for c in in_connections(extracted, v) if c.kind == "edge"
-        ]
-        cuts.append(Cut(v, random_partition(rng, conns)))
+        edge_conns = [c for c in conns[v] if c.kind == "edge"]
+        cuts.append(Cut(v, random_partition(rng, edge_conns)))
     return cuts
 
 
@@ -470,11 +438,7 @@ def complement_mutations(
                 comp.carrier, comp.c1, comp.c2, comp.d1, tuple(d2)
             ))
         )
-    busy = sorted(
-        v
-        for v in comp.carrier.nodes
-        if out_degree(comp.carrier, v) > 0
-    )
+    busy = sorted(comp.carrier.nodes - terminal_nodes(comp.carrier))
     if busy and comp.d2:
         d2 = list(comp.d2)
         d2[rng.randrange(len(d2))] = rng.choice(busy)

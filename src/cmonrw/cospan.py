@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import (
     Cyclic,
+    DocumentError,
     InterfaceMismatch,
     NotDiscrete,
     NotRightMonogamous,
@@ -22,7 +23,7 @@ from .hypergraph import (
     UnionFind,
     canonical_form,
     graph_dot_lines,
-    in_degree,
+    incidence,
     is_acyclic,
     terminal_nodes,
 )
@@ -106,43 +107,43 @@ def symmetry_cospan(m: int, n: int) -> Cospan:
     return Cospan(g, left, right)
 
 
+def pushout(
+    a: Hypergraph, b: Hypergraph, pairs
+) -> tuple[Hypergraph, dict[tuple[int, int], int]]:
+    """Glue two carriers, identifying each (a node, b node) pair in pairs.
+
+    Nodes are tagged (0, v) for a and (1, v) for b. Each glued class is
+    numbered densely in the order of its smallest tagged key; glued edges
+    are a's in id order, then b's. Returns the glued carrier and the
+    renaming of every tagged node onto it."""
+    uf = UnionFind()
+    for u, v in pairs:
+        uf.union((0, u), (1, v))
+    keys = [(0, v) for v in sorted(a.nodes)]
+    keys += [(1, v) for v in sorted(b.nodes)]
+    rep_rank: dict = {}
+    rename: dict[tuple[int, int], int] = {}
+    for key in keys:
+        rename[key] = rep_rank.setdefault(uf.find(key), len(rep_rank))
+    edges: dict[int, Edge] = {}
+    for side, g in enumerate((a, b)):
+        for eid in sorted(g.edges):
+            e = g.edges[eid]
+            edges[len(edges)] = Edge(
+                e.label,
+                tuple(rename[(side, v)] for v in e.sources),
+                tuple(rename[(side, v)] for v in e.targets),
+            )
+    return Hypergraph(frozenset(range(len(rep_rank))), edges), rename
+
+
 def compose(a: Cospan, b: Cospan) -> Cospan:
     """Glue a's output boundary to b's input boundary positionwise."""
     if a.coarity != b.arity:
         raise InterfaceMismatch(
             f"cannot compose: coarity {a.coarity} != arity {b.arity}"
         )
-    # Tag nodes (0, v) from a and (1, v) from b, then merge along the shared
-    # boundary and renumber densely by smallest tagged key per class.
-    uf = UnionFind()
-    for i in range(a.coarity):
-        uf.union((0, a.right[i]), (1, b.left[i]))
-    keys = [(0, v) for v in sorted(a.carrier.nodes)] + [
-        (1, v) for v in sorted(b.carrier.nodes)
-    ]
-    rep_rank: dict = {}
-    rename: dict = {}
-    for key in keys:
-        r = uf.find(key)
-        if r not in rep_rank:
-            rep_rank[r] = len(rep_rank)
-        rename[key] = rep_rank[r]
-    edges: dict[int, Edge] = {}
-    for eid in sorted(a.carrier.edges):
-        e = a.carrier.edges[eid]
-        edges[len(edges)] = Edge(
-            e.label,
-            tuple(rename[(0, v)] for v in e.sources),
-            tuple(rename[(0, v)] for v in e.targets),
-        )
-    for eid in sorted(b.carrier.edges):
-        e = b.carrier.edges[eid]
-        edges[len(edges)] = Edge(
-            e.label,
-            tuple(rename[(1, v)] for v in e.sources),
-            tuple(rename[(1, v)] for v in e.targets),
-        )
-    g = Hypergraph(frozenset(range(len(rep_rank))), edges)
+    g, rename = pushout(a.carrier, b.carrier, zip(a.right, b.left))
     return Cospan(
         g,
         tuple(rename[(0, v)] for v in a.left),
@@ -218,16 +219,10 @@ def is_monogamous(c: Cospan) -> bool:
         return False
     if len(set(c.left)) != len(c.left):
         return False
-    starts = {v for v in c.carrier.nodes if in_degree(c.carrier, v) == 0}
-    if frozenset(c.left) != starts:
+    ins = incidence(c.carrier).ins
+    if frozenset(c.left) != {v for v, conns in ins.items() if not conns}:
         return False
-    seen: set[int] = set()
-    for e in c.carrier.edges.values():
-        for v in e.targets:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
+    return all(len(conns) <= 1 for conns in ins.values())
 
 
 def cospan_key(c: Cospan) -> tuple:
@@ -269,15 +264,46 @@ def cospan_to_document(c: Cospan) -> dict:
     }
 
 
-def cospan_from_document(doc: dict) -> Cospan:
-    edges = {
-        int(e["id"]): Edge(
-            e["label"], tuple(e["sources"]), tuple(e["targets"])
+def _expect(ok: bool, path: str, what: str) -> None:
+    if not ok:
+        raise DocumentError(f"{path} must be {what}", location=path)
+
+
+def _int_list(value, path: str) -> tuple[int, ...]:
+    _expect(isinstance(value, list), path, "a list")
+    for i, v in enumerate(value):
+        _expect(type(v) is int, f"{path}[{i}]", "an integer")
+    return tuple(value)
+
+
+def _object(value, keys, path: str) -> None:
+    _expect(isinstance(value, dict), path, "an object")
+    for key in keys:
+        _expect(key in value, f"{path}.{key}", "present")
+
+
+def cospan_from_document(doc) -> Cospan:
+    """Inverse of cospan_to_document. A document of the wrong shape raises
+    DocumentError located at the offending JSON path."""
+    _object(doc, ("nodes", "edges", "left", "right"), "$")
+    _expect(isinstance(doc["edges"], list), "$.edges", "a list")
+    edges: dict[int, Edge] = {}
+    for i, e in enumerate(doc["edges"]):
+        path = f"$.edges[{i}]"
+        _object(e, ("id", "label", "sources", "targets"), path)
+        eid = e["id"]
+        _expect(type(eid) is int, f"{path}.id", "an integer")
+        _expect(eid not in edges, f"{path}.id", "unique")
+        _expect(isinstance(e["label"], str), f"{path}.label", "a string")
+        edges[eid] = Edge(
+            e["label"],
+            _int_list(e["sources"], f"{path}.sources"),
+            _int_list(e["targets"], f"{path}.targets"),
         )
-        for e in doc["edges"]
-    }
-    g = Hypergraph(frozenset(int(v) for v in doc["nodes"]), edges)
-    return Cospan(g, tuple(doc["left"]), tuple(doc["right"]))
+    g = Hypergraph(frozenset(_int_list(doc["nodes"], "$.nodes")), edges)
+    return Cospan(
+        g, _int_list(doc["left"], "$.left"), _int_list(doc["right"], "$.right")
+    )
 
 
 def cospan_to_dot(c: Cospan, name: str = "cospan") -> str:

@@ -9,6 +9,7 @@ slice, full factorisation into levels, and term readback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cospan import (
     Cospan,
@@ -39,8 +40,9 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     SubHypergraph,
-    _is_convex_image,
     edge_topological_order,
+    incidence,
+    is_convex,
     reachable,
     terminal_nodes,
 )
@@ -71,16 +73,16 @@ def iface_conn(pos: int) -> Connection:
     return Connection(IFACE, pos, 0)
 
 
-def in_connections(c: Cospan, v: int) -> tuple[Connection, ...]:
-    """Input-boundary positions plus edge target slots pointing at v."""
-    if v not in c.carrier.nodes:
-        raise UnknownNode(f"node {v} not in carrier")
-    conns = [iface_conn(p) for p, u in enumerate(c.left) if u == v]
-    for eid in sorted(c.carrier.edges):
-        for i, t in enumerate(c.carrier.edges[eid].targets):
-            if t == v:
-                conns.append(edge_conn(eid, i))
-    return tuple(sorted(conns))
+def in_connections(c: Cospan) -> dict[int, tuple[Connection, ...]]:
+    """Every node's input connections in sorted order: the edge target
+    slots pointing at it, then the input-boundary positions holding it."""
+    conns = {
+        v: [edge_conn(eid, i) for eid, i in slots]
+        for v, slots in incidence(c.carrier).ins.items()
+    }
+    for p, u in enumerate(c.left):
+        conns[u].append(iface_conn(p))
+    return {v: tuple(cs) for v, cs in conns.items()}
 
 
 def left_amonogamous_nodes(c: Cospan) -> frozenset[int]:
@@ -88,7 +90,7 @@ def left_amonogamous_nodes(c: Cospan) -> frozenset[int]:
     if not is_right_monogamous(c):
         raise NotRightMonogamous("cospan is not right-monogamous")
     return frozenset(
-        v for v in c.carrier.nodes if len(in_connections(c, v)) != 1
+        v for v, conns in in_connections(c).items() if len(conns) != 1
     )
 
 
@@ -130,42 +132,62 @@ class Cut:
         )
 
 
-def apply_cut(c: Cospan, cut: Cut) -> tuple[Cospan, FinFunction]:
-    """Split a terminal node into one copy per partition block.
+def _cuts_by_node(cuts, error) -> dict[int, Cut]:
+    """Index cuts by node; a second cut for one node raises error."""
+    by_node: dict[int, Cut] = {}
+    for cut in cuts:
+        if cut.node in by_node:
+            raise error(f"multiple cuts for node {cut.node}")
+        by_node[cut.node] = cut
+    return by_node
 
-    Returns the new cospan and the map sending new output positions back to
-    the old ones (composing with its merge undoes the cut).
-    """
-    v = cut.node
-    if v not in c.carrier.nodes:
-        raise UnknownNode(f"node {v} not in carrier")
-    if v not in terminal_nodes(c.carrier):
-        raise NotTerminal(f"node {v} has outgoing connections")
-    k = len(cut.partition)
-    if k < 1:
-        raise PartitionMismatch("cut needs at least one block")
-    expected = set(in_connections(c, v))
+
+def _check_partition(cut: Cut, conns, error) -> None:
+    """The cut's blocks must be disjoint and cover exactly conns."""
     seen: set[Connection] = set()
     for block in cut.partition:
         if block & seen:
-            raise PartitionMismatch("partition blocks overlap")
+            raise error("partition blocks overlap")
         seen |= block
-    if seen != expected:
-        raise PartitionMismatch(
-            f"blocks cover {sorted(seen)} but node {v} has {sorted(expected)}"
+    if seen != set(conns):
+        raise error(
+            f"blocks cover {sorted(seen)} but node {cut.node} has "
+            f"{sorted(conns)}"
         )
-    positions = [j for j, u in enumerate(c.right) if u == v]
-    if len(positions) != 1:
-        raise NotRightMonogamous(
-            f"node {v} must appear exactly once in the output boundary"
-        )
-    pos = positions[0]
-    base = max(c.carrier.nodes) + 1
-    copies = tuple(base + i for i in range(k))
+
+
+def _check_in_cut(cut: Cut, conns) -> None:
+    if not cut.partition:
+        raise PartitionMismatch("cut needs at least one block")
+    _check_partition(cut, conns, PartitionMismatch)
+
+
+def _split_terminals(
+    c: Cospan, cuts: dict[int, Cut]
+) -> tuple[Cospan, FinFunction, dict[int, tuple[int, ...]]]:
+    """Split each cut node of c.right into one fresh copy per block.
+
+    Copies are numbered upward from past the largest node, in right order;
+    the connections in block i move to copy i and the copies take the
+    node's place in right. Returns the split cospan, the reconnect map
+    sending new output positions to old ones (composing with its merge
+    undoes the split), and the copies of each cut node."""
+    base = max(c.carrier.nodes, default=-1) + 1
+    copies_of: dict[int, tuple[int, ...]] = {}
     conn_copy: dict[Connection, int] = {}
-    for i, block in enumerate(cut.partition):
-        for conn in block:
-            conn_copy[conn] = copies[i]
+    right: list[int] = []
+    table: list[int] = []
+    for j, v in enumerate(c.right):
+        cut = cuts.get(v)
+        copies = (v,)
+        if cut is not None:
+            copies = tuple(range(base, base + len(cut.partition)))
+            base += len(copies)
+            copies_of[v] = copies
+            for copy, block in zip(copies, cut.partition):
+                conn_copy.update(dict.fromkeys(block, copy))
+        right += copies
+        table += [j] * len(copies)
     edges = {
         eid: Edge(
             e.label,
@@ -180,15 +202,30 @@ def apply_cut(c: Cospan, cut: Cut) -> tuple[Cospan, FinFunction]:
     left = tuple(
         conn_copy.get(iface_conn(p), u) for p, u in enumerate(c.left)
     )
-    right = c.right[:pos] + copies + c.right[pos + 1 :]
-    nodes = (c.carrier.nodes - {v}) | set(copies)
-    n_old = len(c.right)
-    table = tuple(
-        j if j < pos else pos if j < pos + k else j - k + 1
-        for j in range(n_old + k - 1)
-    )
-    recon = FinFunction(n_old + k - 1, n_old, table)
-    return Cospan(Hypergraph(nodes, edges), left, right), recon
+    nodes = c.carrier.nodes - copies_of.keys()
+    nodes |= {w for copies in copies_of.values() for w in copies}
+    recon = FinFunction(len(right), len(c.right), tuple(table))
+    return Cospan(Hypergraph(nodes, edges), left, right), recon, copies_of
+
+
+def apply_cut(c: Cospan, cut: Cut) -> tuple[Cospan, FinFunction]:
+    """Split a terminal node into one copy per partition block.
+
+    Returns the new cospan and the map sending new output positions back to
+    the old ones (composing with its merge undoes the cut).
+    """
+    v = cut.node
+    if v not in c.carrier.nodes:
+        raise UnknownNode(f"node {v} not in carrier")
+    if v not in terminal_nodes(c.carrier):
+        raise NotTerminal(f"node {v} has outgoing connections")
+    _check_in_cut(cut, in_connections(c)[v])
+    if c.right.count(v) != 1:
+        raise NotRightMonogamous(
+            f"node {v} must appear exactly once in the output boundary"
+        )
+    split, recon, _ = _split_terminals(c, {v: cut})
+    return split, recon
 
 
 def complete_cut(
@@ -197,11 +234,7 @@ def complete_cut(
     """Apply one cut per terminal node; reconnect maps compose blockwise."""
     if not is_right_monogamous(c):
         raise NotRightMonogamous("cospan is not right-monogamous")
-    by_node: dict[int, Cut] = {}
-    for cut in cuts:
-        if cut.node in by_node:
-            raise PartitionMismatch(f"multiple cuts for node {cut.node}")
-        by_node[cut.node] = cut
+    by_node = _cuts_by_node(cuts, PartitionMismatch)
     terms = terminal_nodes(c.carrier)
     missing = terms - by_node.keys()
     if missing:
@@ -209,22 +242,19 @@ def complete_cut(
     extra = by_node.keys() - terms
     if extra:
         raise NotTerminal(f"cut names non-terminal nodes {sorted(extra)}")
-    cur = c
-    recon = FinFunction.identity(len(c.right))
+    conns = in_connections(c)
     for v in c.right:
-        if v in by_node:
-            cur, r = apply_cut(cur, by_node[v])
-            recon = r.compose(recon)
-    return cur, recon
+        _check_in_cut(by_node[v], conns[v])
+    split, recon, _ = _split_terminals(c, by_node)
+    return split, recon
 
 
 def one_cut(c: Cospan, v: int) -> Cut:
     """The trivial cut keeping all of v's input connections together."""
-    return Cut(v, (frozenset(in_connections(c, v)),))
+    return Cut(v, (frozenset(in_connections(c)[v]),))
 
 
-@dataclass(frozen=True)
-class WeakDecomposition:
+class WeakDecomposition(NamedTuple):
     """g cut into an upstream context, k passthrough wires beside the
     extracted inner cospan, and a downstream context."""
 
@@ -232,12 +262,6 @@ class WeakDecomposition:
     passthrough: int
     extracted: Cospan
     downstream: Cospan
-
-    def __iter__(self):
-        yield self.upstream
-        yield self.passthrough
-        yield self.extracted
-        yield self.downstream
 
 
 def _endpoints(g: Hypergraph, eids) -> set[int]:
@@ -247,6 +271,60 @@ def _endpoints(g: Hypergraph, eids) -> set[int]:
         out.update(e.sources)
         out.update(e.targets)
     return out
+
+
+class UpDown(NamedTuple):
+    """The sides around a sub-hypergraph: edges outside it with a path into
+    it are up, the rest down. Its boundary nodes are shared (touched by
+    both sides), inner (up only) or outer (down only); bypass nodes touch
+    both sides without belonging to it. ``external`` holds the input
+    connections from outside it of each shared and inner node."""
+
+    up_edges: frozenset[int]
+    up_nodes: frozenset[int]
+    down_edges: frozenset[int]
+    down_nodes: frozenset[int]
+    shared: list[int]
+    inner: list[int]
+    outer: list[int]
+    bypass: list[int]
+    external: dict[int, frozenset[Connection]]
+
+
+def updown_sides(g: Cospan, sub: SubHypergraph) -> UpDown:
+    """Classify the edges and nodes around sub; see UpDown."""
+    carrier = g.carrier
+    into_sub = reachable(carrier, sub.nodes, forward=False)
+    up_edges = frozenset(
+        eid
+        for eid, e in carrier.edges.items()
+        if eid not in sub.edges and into_sub.intersection(e.targets)
+    )
+    up_nodes = frozenset(g.left) | _endpoints(carrier, up_edges)
+    down_edges = frozenset(carrier.edges.keys() - sub.edges - up_edges)
+    down_nodes = frozenset(g.right) | _endpoints(carrier, down_edges)
+    shared = sorted(up_nodes & down_nodes & sub.nodes)
+    inner = sorted((up_nodes & sub.nodes) - down_nodes)
+    conns = in_connections(g)
+    external = {
+        v: frozenset(
+            conn
+            for conn in conns[v]
+            if not (conn.kind == EDGE and conn.index in sub.edges)
+        )
+        for v in sorted(shared + inner)
+    }
+    return UpDown(
+        up_edges,
+        up_nodes,
+        down_edges,
+        down_nodes,
+        shared,
+        inner,
+        sorted((down_nodes & sub.nodes) - up_nodes),
+        sorted((up_nodes & down_nodes) - sub.nodes),
+        external,
+    )
 
 
 def weak_decompose(
@@ -260,34 +338,15 @@ def weak_decompose(
     """
     validate_right_monogamous_acyclic(g)
     sub.validate_in(g.carrier)
-    if not _is_convex_image(g.carrier, sub.nodes, sub.edges):
+    if not is_convex(g.carrier, sub.nodes, sub.edges):
         raise NotConvex("sub-hypergraph is not convex in the carrier")
     carrier = g.carrier
-    l_nodes, l_edges = sub.nodes, sub.edges
-    in_nodes = set(g.left)
-    up_edges = {
-        eid
-        for eid in carrier.edges
-        if eid not in l_edges
-        and reachable(carrier, carrier.edges[eid].targets) & l_nodes
-    }
-    up_nodes = in_nodes | _endpoints(carrier, up_edges)
-    down_edges = set(carrier.edges) - l_edges - up_edges
-    down_nodes = set(g.right) | _endpoints(carrier, down_edges)
-
-    t_shared = sorted(up_nodes & down_nodes & l_nodes)
-    i_inner = sorted((up_nodes & l_nodes) - down_nodes)
-    j_outer = sorted((down_nodes & l_nodes) - up_nodes)
-    k_bypass = sorted((up_nodes & down_nodes) - l_nodes)
+    (
+        up_edges, up_nodes, down_edges, down_nodes,
+        t_shared, i_inner, j_outer, k_bypass, external,
+    ) = updown_sides(g, sub)
     shared = set(t_shared) | set(i_inner)
 
-    external: dict[int, frozenset[Connection]] = {}
-    for v in sorted(shared):
-        external[v] = frozenset(
-            conn
-            for conn in in_connections(g, v)
-            if not (conn.kind == EDGE and conn.index in l_edges)
-        )
     upper: dict[int, frozenset[Connection]] = {}
     lower: dict[int, frozenset[Connection]] = {}
     updown = dict(updown or {})
@@ -385,16 +444,12 @@ def recompose_weak(w: WeakDecomposition) -> Cospan:
 
 
 def _fill_one_cuts(c: Cospan, cuts: list[Cut]) -> list[Cut]:
-    by_node: dict[int, Cut] = {}
-    for cut in cuts:
-        if cut.node in by_node:
-            raise InvalidInOutSignature(
-                f"multiple cuts for node {cut.node}"
-            )
-        by_node[cut.node] = cut
-    filled = []
-    for v in sorted(terminal_nodes(c.carrier)):
-        filled.append(by_node.pop(v, None) or one_cut(c, v))
+    by_node = _cuts_by_node(cuts, InvalidInOutSignature)
+    conns = in_connections(c)
+    filled = [
+        by_node.pop(v, None) or Cut(v, (frozenset(conns[v]),))
+        for v in sorted(terminal_nodes(c.carrier))
+    ]
     if by_node:
         raise InvalidInOutSignature(
             f"cuts name non-terminal nodes {sorted(by_node)}"
@@ -404,83 +459,29 @@ def _fill_one_cuts(c: Cospan, cuts: list[Cut]) -> list[Cut]:
 
 def _apply_edge_cuts(
     ext: Cospan, cuts: list[Cut]
-) -> tuple[Hypergraph, tuple[int, ...], dict[int, tuple[int, ...]], FinFunction]:
-    """Split extracted-part terminals along edge connections only.
+) -> tuple[Cospan, FinFunction, dict[int, tuple[int, ...]]]:
+    """Split every output node of the extracted part along its edge
+    connections only, by its cut or else by one block.
 
     Input-boundary attachments are resolved later by the gluing map, so the
-    returned pieces are a carrier, the expanded output boundary, the copies
-    of each cut node, and the output reconnect map.
-    """
-    by_node: dict[int, Cut] = {}
-    for cut in cuts:
-        if cut.node in by_node:
-            raise InvalidInOutSignature(f"multiple cuts for node {cut.node}")
-        by_node[cut.node] = cut
+    split cospan has an empty input boundary."""
+    by_node = _cuts_by_node(cuts, InvalidInOutSignature)
     terms = terminal_nodes(ext.carrier)
+    edge_conns = {
+        v: frozenset(conn for conn in conns if conn.kind == EDGE)
+        for v, conns in in_connections(ext).items()
+    }
     for v, cut in by_node.items():
         if v not in terms:
             raise InvalidInOutSignature(f"node {v} is not terminal")
-        edge_conns = {
-            conn for conn in in_connections(ext, v) if conn.kind == EDGE
-        }
-        seen: set[Connection] = set()
-        for block in cut.partition:
-            for conn in block:
-                if conn.kind != EDGE:
-                    raise InvalidInOutSignature(
-                        "output-side cuts partition edge connections only"
-                    )
-            if block & seen:
-                raise InvalidInOutSignature("partition blocks overlap")
-            seen |= set(block)
-        if seen != edge_conns:
+        if any(conn.kind != EDGE for block in cut.partition for conn in block):
             raise InvalidInOutSignature(
-                f"blocks cover {sorted(seen)} but node {v} has edge "
-                f"connections {sorted(edge_conns)}"
+                "output-side cuts partition edge connections only"
             )
-    carrier = ext.carrier
-    right = ext.right
-    base = max(carrier.nodes, default=-1) + 1
-    copies_of: dict[int, tuple[int, ...]] = {}
-    recon = FinFunction.identity(len(right))
+        _check_partition(cut, edge_conns[v], InvalidInOutSignature)
     for v in ext.right:
-        cut = by_node.get(v)
-        if cut is None:
-            edge_conns = frozenset(
-                conn for conn in in_connections(ext, v) if conn.kind == EDGE
-            )
-            cut = Cut(v, (edge_conns,))
-        k = len(cut.partition)
-        copies = tuple(base + i for i in range(k))
-        base += k
-        conn_copy = {
-            conn: copies[i]
-            for i, block in enumerate(cut.partition)
-            for conn in block
-        }
-        edges = {
-            eid: Edge(
-                e.label,
-                e.sources,
-                tuple(
-                    conn_copy.get(edge_conn(eid, i), t)
-                    for i, t in enumerate(e.targets)
-                ),
-            )
-            for eid, e in carrier.edges.items()
-        }
-        nodes = (carrier.nodes - {v}) | set(copies)
-        carrier = Hypergraph(nodes, edges)
-        pos = right.index(v)
-        n_old = len(right)
-        right = right[:pos] + copies + right[pos + 1 :]
-        table = tuple(
-            j if j < pos else pos if j < pos + k else j - k + 1
-            for j in range(n_old + k - 1)
-        )
-        recon = FinFunction(n_old + k - 1, n_old, table).compose(recon)
-        copies_of[v] = copies
-    return carrier, right, copies_of, recon
+        by_node.setdefault(v, Cut(v, (edge_conns[v],)))
+    return _split_terminals(Cospan(ext.carrier, (), ext.right), by_node)
 
 
 def _strong_parts(weak, inout):
@@ -494,22 +495,20 @@ def _strong_parts(weak, inout):
                 "split"
             )
     up_cut, recon_in = complete_cut(up, _fill_one_cuts(up, omega_in))
-    cut_carrier, cut_right, copies_of, recon_out = _apply_edge_cuts(
-        ext, omega_out
-    )
+    ext_cut, recon_out, copies_of = _apply_edge_cuts(ext, omega_out)
     for q in range(len(up_cut.right)):
         if (recon_in.table[q] < k) != (q < k):
             raise InvalidInOutSignature(
                 "passthrough wires must stay in the leading positions"
             )
-    return up_cut, recon_in, cut_carrier, cut_right, copies_of, recon_out
+    return up_cut, recon_in, ext_cut, recon_out, copies_of
 
 
 def gluing_choice_points(weak, inout) -> dict[int, int]:
     """Positions in the middle factor's input boundary that need a gluing
     choice, mapped to how many copies they can attach to."""
     up, k, ext, down = weak
-    up_cut, recon_in, _, _, copies_of, _ = _strong_parts(weak, inout)
+    up_cut, recon_in, _, _, copies_of = _strong_parts(weak, inout)
     out = {}
     for q in range(k, len(up_cut.right)):
         lnode = ext.left[recon_in.table[q] - k]
@@ -531,14 +530,14 @@ def strong_decompose(
     """
     up, k, ext, down = weak
     gluing = dict(gluing or {})
-    up_cut, recon_in, cut_carrier, cut_right, copies_of, recon_out = (
-        _strong_parts(weak, inout)
+    up_cut, recon_in, ext_cut, recon_out, copies_of = _strong_parts(
+        weak, inout
     )
     n_mid = len(up_cut.right)
     for key in gluing:
         if not 0 <= key < n_mid - k:
             raise IncompatibleGluing(f"gluing position {key} out of range")
-    wire_base = max(cut_carrier.nodes, default=-1) + 1
+    wire_base = max(ext_cut.carrier.nodes, default=-1) + 1
     wires = tuple(wire_base + i for i in range(k))
     mid_left = list(wires)
     for q in range(k, n_mid):
@@ -569,14 +568,14 @@ def strong_decompose(
                     f"gluing index {idx} at position {pos} out of range"
                 )
             mid_left.append(copies[idx])
-    mid_nodes = cut_carrier.nodes | set(wires)
+    mid_nodes = ext_cut.carrier.nodes | set(wires)
     middle = Cospan(
-        Hypergraph(mid_nodes, cut_carrier.edges),
+        Hypergraph(mid_nodes, ext_cut.carrier.edges),
         tuple(mid_left),
-        wires + cut_right,
+        wires + ext_cut.right,
     )
     down_left = tuple(down.left[p] for p in range(k)) + tuple(
-        down.left[k + recon_out.table[j]] for j in range(len(cut_right))
+        down.left[k + j] for j in recon_out.table
     )
     third = Cospan(down.carrier, down_left, down.right)
     return up_cut, middle, third
@@ -587,8 +586,7 @@ def recompose_strong(parts: tuple[Cospan, Cospan, Cospan]) -> Cospan:
     return compose(compose(a, b), c)
 
 
-@dataclass(frozen=True)
-class LevelSplit:
+class LevelSplit(NamedTuple):
     """One peeled level: a monogamous slice, k passthrough wires, a discrete
     merge layer, and the remainder."""
 
@@ -597,19 +595,11 @@ class LevelSplit:
     merges: Cospan
     remainder: Cospan
 
-    def __iter__(self):
-        yield self.slice
-        yield self.passthrough
-        yield self.merges
-        yield self.remainder
-
 
 def level0_decompose(g: Cospan) -> LevelSplit:
     """Peel off the level-0 edges and order-1 merge nodes."""
-    validate_right_monogamous_acyclic(g)
     orders = node_orders(g)
     la = left_amonogamous_nodes(g)
-    levels = edge_levels(g)
     k = sum(1 for v in g.right if orders[v] == 0)
     if any(orders[v] != 0 for v in g.right[:k]) or any(
         orders[v] == 0 for v in g.right[k:]
@@ -617,14 +607,18 @@ def level0_decompose(g: Cospan) -> LevelSplit:
         raise BadInterfaceOrder(
             "order-0 output nodes must occupy the leading positions"
         )
-    e0 = {eid for eid, lvl in levels.items() if lvl == 0}
-    visible: dict[int, tuple[Connection, ...]] = {}
-    for v in sorted(la):
-        visible[v] = tuple(
-            conn
-            for conn in in_connections(g, v)
-            if conn.kind == IFACE or conn.index in e0
+    e0 = {
+        eid
+        for eid, e in g.carrier.edges.items()
+        if all(orders[u] == 0 for u in e.sources)
+    }
+    conns = in_connections(g)
+    visible = {
+        v: tuple(
+            conn for conn in conns[v] if conn.kind == IFACE or conn.index in e0
         )
+        for v in sorted(la)
+    }
     base = max(g.carrier.nodes, default=-1) + 1
     wire_of: dict[tuple[int, Connection], int] = {}
     wires_in_order: list[tuple[int, Connection]] = []
@@ -648,15 +642,13 @@ def level0_decompose(g: Cospan) -> LevelSplit:
     m_left = tuple(
         wire_of.get((u, iface_conn(p)), u) for p, u in enumerate(g.left)
     )
-    passed = sorted(
+    read_later = {
         u
-        for u in order0
-        if any(
-            u in g.carrier.edges[eid].sources
-            for eid in g.carrier.edges
-            if eid not in e0
-        )
-    )
+        for eid, e in g.carrier.edges.items()
+        if eid not in e0
+        for u in e.sources
+    }
+    passed = sorted(order0 & read_later)
     m_right = (
         g.right[:k]
         + tuple(wire_of[key] for key in wires_in_order)
@@ -724,7 +716,6 @@ class LevelFactorisation:
 
 def factorise_into_levels(g: Cospan) -> LevelFactorisation:
     """Stratify a cospan into levels of increasing merge depth."""
-    validate_right_monogamous_acyclic(g)
     orders = node_orders(g)
     n = len(g.right)
     sorted_pos = sorted(range(n), key=lambda p: (orders[g.right[p]], p))

@@ -13,6 +13,7 @@ from .cospan import (
     cospan_key,
     is_right_monogamous,
     iso_equal,
+    pushout,
     validate_right_monogamous_acyclic,
 )
 from .errors import (
@@ -29,11 +30,10 @@ from .hypergraph import (
     Edge,
     Homomorphism,
     Hypergraph,
-    UnionFind,
-    _is_convex_image,
     canonical_form,
     find_homomorphisms,
     is_acyclic,
+    is_convex,
 )
 from .sigterm import Signature, parse_term, term_type
 from .translate import eval_term
@@ -106,7 +106,7 @@ def enumerate_convex_matches(rule: RewriteRule, host: Cospan) -> list[Match]:
     ):
         img_nodes = set(hom.node_map.values())
         img_edges = set(hom.edge_map.values())
-        if _is_convex_image(host.carrier, img_nodes, img_edges):
+        if is_convex(host.carrier, img_nodes, img_edges):
             out.append(Match(rule, hom))
     return out
 
@@ -152,7 +152,7 @@ def complement_is_valid(
         return False
     if not is_right_monogamous(rearranged):
         return False
-    glued, rename = _glue_cospan_into_complement(rule.lhs, comp)
+    glued, rename = _glue_into_complement(rule.lhs, comp)
     if _glue_witnesses_host(match, host, comp, glued, rename):
         return True
     return iso_equal(glued, host)
@@ -314,46 +314,19 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     return [found[k] for k in sorted(found)]
 
 
-def _glue_cospan_into_complement(
+def _glue_into_complement(
     cos: Cospan, comp: Complement
 ) -> tuple[Cospan, dict]:
-    """Pushout gluing of one rule side into a complement: cos's interfaces
-    are merged onto c1/c2 positionwise; the result keeps d1/d2 as its own.
+    """The pushout of one rule side into a complement: cos's interfaces are
+    glued onto c1/c2 positionwise and the result keeps d1/d2 as its own.
 
-    Also returns the renaming of (0, cos node) and (1, complement node)
-    onto the glued nodes. Glued edges are cos's edges in id order, then the
-    complement's."""
-    uf = UnionFind()
-    for z, v in enumerate(cos.left):
-        uf.union((0, v), (1, comp.c1[z]))
-    for z, v in enumerate(cos.right):
-        uf.union((0, v), (1, comp.c2[z]))
-    keys = [(0, v) for v in sorted(cos.carrier.nodes)] + [
-        (1, v) for v in sorted(comp.carrier.nodes)
-    ]
-    rep_rank: dict = {}
-    rename: dict = {}
-    for key in keys:
-        r = uf.find(key)
-        if r not in rep_rank:
-            rep_rank[r] = len(rep_rank)
-        rename[key] = rep_rank[r]
-    edges: dict[int, Edge] = {}
-    for eid in sorted(cos.carrier.edges):
-        e = cos.carrier.edges[eid]
-        edges[len(edges)] = Edge(
-            e.label,
-            tuple(rename[(0, v)] for v in e.sources),
-            tuple(rename[(0, v)] for v in e.targets),
-        )
-    for eid in sorted(comp.carrier.edges):
-        e = comp.carrier.edges[eid]
-        edges[len(edges)] = Edge(
-            e.label,
-            tuple(rename[(1, v)] for v in e.sources),
-            tuple(rename[(1, v)] for v in e.targets),
-        )
-    g = Hypergraph(frozenset(range(len(rep_rank))), edges)
+    Also returns the pushout's renaming of (0, cos node) and
+    (1, complement node) onto the glued nodes."""
+    pairs = itertools.chain(
+        zip(cos.left, comp.c1, strict=True),
+        zip(cos.right, comp.c2, strict=True),
+    )
+    g, rename = pushout(cos.carrier, comp.carrier, pairs)
     glued = Cospan(
         g,
         tuple(rename[(1, v)] for v in comp.d1),
@@ -366,7 +339,7 @@ def apply_rewrite(
     rule: RewriteRule, match: Match, complement: Complement
 ) -> Cospan:
     """Glue the rhs into a validated complement."""
-    result, _ = _glue_cospan_into_complement(rule.rhs, complement)
+    result, _ = _glue_into_complement(rule.rhs, complement)
     if not is_right_monogamous(result):
         raise ResultNotRightMonogamous(
             f"rule {rule.name!r} produced a non-right-monogamous result"

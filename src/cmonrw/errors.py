@@ -131,5 +131,11 @@ class BoundTooSmall(CmonrwError):
     code = "bound-too-small"
 
 
+class DocumentError(CmonrwError):
+    """A cospan document of the wrong shape; location is its JSON path."""
+
+    code = "document-error"
+
+
 class IoFailure(CmonrwError):
     code = "io-failure"

@@ -1,13 +1,16 @@
 """Directed hypergraphs with labelled, ordered-endpoint edges.
 
-Provides degree and path analysis, acyclicity, convexity of sub-hypergraphs,
-homomorphism search with controlled node merging, and a canonical form that
-decides isomorphism with pinned interface nodes.
+Provides an incidence index that path analysis, acyclicity and convexity of
+sub-hypergraphs are read from, homomorphism search with controlled node
+merging, and a canonical form that decides isomorphism with pinned interface
+nodes.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotASubhypergraph, UnknownNode
 
@@ -136,18 +139,24 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def in_degree(g: Hypergraph, v: int) -> int:
-    """Count of (edge, position) pairs with v as that target position."""
-    if v not in g.nodes:
-        raise UnknownNode(f"node {v} not in graph")
-    return sum(1 for e in g.edges.values() for t in e.targets if t == v)
+class Incidence(NamedTuple):
+    """Per node, the (edge id, slot) pairs where it is a target (``ins``) and
+    where it is a source (``outs``), each in edge id then slot order."""
+
+    ins: dict[int, list[tuple[int, int]]]
+    outs: dict[int, list[tuple[int, int]]]
 
 
-def out_degree(g: Hypergraph, v: int) -> int:
-    """Count of (edge, position) pairs with v as that source position."""
-    if v not in g.nodes:
-        raise UnknownNode(f"node {v} not in graph")
-    return sum(1 for e in g.edges.values() for s in e.sources if s == v)
+def incidence(g: Hypergraph) -> Incidence:
+    """The incidence index of g, built in one pass over the edges."""
+    ins: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
+    outs: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
+    for eid, e in sorted(g.edges.items()):
+        for i, v in enumerate(e.sources):
+            outs[v].append((eid, i))
+        for i, v in enumerate(e.targets):
+            ins[v].append((eid, i))
+    return Incidence(ins, outs)
 
 
 def terminal_nodes(g: Hypergraph) -> frozenset[int]:
@@ -158,98 +167,73 @@ def terminal_nodes(g: Hypergraph) -> frozenset[int]:
     return frozenset(g.nodes - used)
 
 
-def _succ(g: Hypergraph) -> dict[int, set[int]]:
-    succ: dict[int, set[int]] = {v: set() for v in g.nodes}
-    for e in g.edges.values():
-        for s in e.sources:
-            succ[s].update(e.targets)
-    return succ
-
-
-def _pred(g: Hypergraph) -> dict[int, set[int]]:
-    pred: dict[int, set[int]] = {v: set() for v in g.nodes}
-    for e in g.edges.values():
-        for t in e.targets:
-            pred[t].update(e.sources)
-    return pred
+def _reach(g: Hypergraph, inc: Incidence, seeds, forward: bool) -> set[int]:
+    via = inc.outs if forward else inc.ins
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for eid, _ in via[stack.pop()]:
+            e = g.edges[eid]
+            for w in e.targets if forward else e.sources:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen
 
 
 def reachable(g: Hypergraph, seeds, *, forward: bool = True) -> set[int]:
     """Nodes reachable from seeds (seeds included)."""
-    step = _succ(g) if forward else _pred(g)
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for w in step[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def is_acyclic(g: Hypergraph) -> bool:
-    """True iff no directed path repeats a node."""
-    succ = {v: sorted(s) for v, s in _succ(g).items()}
-    state = dict.fromkeys(g.nodes, 0)  # 0 new, 1 open, 2 done
-    for root in sorted(g.nodes):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                state[v] = 2
-                stack.pop()
-                continue
-            if state[w] == 1:
-                return False
-            if state[w] == 0:
-                state[w] = 1
-                stack.append((w, iter(succ[w])))
-    return True
+    return _reach(g, incidence(g), seeds, forward)
 
 
 def edge_topological_order(g: Hypergraph) -> tuple[int, ...] | None:
-    """Edges ordered so producers precede consumers; None when impossible."""
-    after: dict[int, set[int]] = {eid: set() for eid in g.edges}
-    by_source: dict[int, set[int]] = {}
-    for eid, e in g.edges.items():
-        for s in e.sources:
-            by_source.setdefault(s, set()).add(eid)
-    for eid, e in g.edges.items():
+    """Edges ordered so producers precede consumers, the smallest ready id
+    first; None when impossible."""
+    outs = incidence(g).outs
+    # per edge, the producer target slots feeding it not yet in the order
+    waiting = dict.fromkeys(g.edges, 0)
+    for e in g.edges.values():
         for t in e.targets:
-            for consumer in by_source.get(t, ()):
-                after[eid].add(consumer)
-    indeg = dict.fromkeys(g.edges, 0)
-    for eid, outs in after.items():
-        for f in outs:
-            indeg[f] += 1
-    ready = sorted(e for e, d in indeg.items() if d == 0)
+            for f, _ in outs[t]:
+                waiting[f] += 1
+    ready = [eid for eid, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        e = ready.pop(0)
-        order.append(e)
-        for f in sorted(after[e]):
-            indeg[f] -= 1
-            if indeg[f] == 0:
-                ready.append(f)
-        ready.sort()
+        eid = heapq.heappop(ready)
+        order.append(eid)
+        for t in g.edges[eid].targets:
+            for f, _ in outs[t]:
+                waiting[f] -= 1
+                if waiting[f] == 0:
+                    heapq.heappush(ready, f)
     return tuple(order) if len(order) == len(g.edges) else None
 
 
-def _is_convex_image(g: Hypergraph, img_nodes, img_edges) -> bool:
-    """No path between image nodes passes through a non-image edge."""
-    fwd = reachable(g, img_nodes, forward=True)
-    bwd = reachable(g, img_nodes, forward=False)
-    for eid, e in g.edges.items():
-        if eid in img_edges:
-            continue
-        if (set(e.sources) & fwd) and (set(e.targets) & bwd):
-            return False
-    return True
+def is_acyclic(g: Hypergraph) -> bool:
+    """True iff no directed path repeats a node: a node cycle is a cycle of
+    edges each feeding the next, which no edge order can list."""
+    return edge_topological_order(g) is not None
+
+
+def bridging_edges(g: Hypergraph, nodes, edges) -> list[int]:
+    """Edges outside ``edges`` on a directed path between two of ``nodes``,
+    in id order."""
+    inc = incidence(g)
+    fwd = _reach(g, inc, nodes, True)
+    bwd = _reach(g, inc, nodes, False)
+    return [
+        eid
+        for eid in sorted(g.edges.keys() - set(edges))
+        if fwd.intersection(g.edges[eid].sources)
+        and bwd.intersection(g.edges[eid].targets)
+    ]
+
+
+def is_convex(g: Hypergraph, nodes, edges) -> bool:
+    """No path between two of ``nodes`` passes through an edge outside
+    ``edges``."""
+    return not bridging_edges(g, nodes, edges)
 
 
 def find_homomorphisms(

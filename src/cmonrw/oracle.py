@@ -389,13 +389,6 @@ def _rebuild_seq(factors: list[Term]) -> Term:
     return out
 
 
-def _rebuild_par(atoms: list[Term]) -> Term:
-    out = atoms[0]
-    for a in atoms[1:]:
-        out = Par(out, a)
-    return out
-
-
 def enumerate_rewrites_bruteforce(
     rule: tuple[Term, Term], d: Term, bound: int
 ) -> frozenset[Term]:

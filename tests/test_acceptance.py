@@ -58,7 +58,7 @@ from cmonrw.dpo import (
     rewrite_all,
 )
 from cmonrw.errors import StepBudgetExhausted
-from cmonrw.hypergraph import _is_convex_image, find_homomorphisms
+from cmonrw.hypergraph import find_homomorphisms, is_convex
 from cmonrw.oracle import LAWS, enumerate_rewrites_bruteforce
 from cmonrw.sigterm import (
     Mu,
@@ -358,7 +358,7 @@ def test_criterion_7_invalid_complements_and_nonconvex_candidates_rejected():
         for hom in find_homomorphisms(pattern.carrier, host.carrier):
             image_nodes = frozenset(hom.node_map.values())
             image_edges = frozenset(hom.edge_map.values())
-            if _is_convex_image(host.carrier, image_nodes, image_edges):
+            if is_convex(host.carrier, image_nodes, image_edges):
                 continue
             nonconvex += 1
             if tuple(sorted(hom.edge_map.items())) in matched:

@@ -289,3 +289,49 @@ def test_out_files_replace_atomically(ws, tmp_path):
     assert doc["edges"][0]["label"] == "g"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith("tmp")]
     assert leftovers == []
+
+
+def _edge(**fields):
+    return {"id": 0, "label": "f", "sources": [0], "targets": [1], **fields}
+
+
+def _doc(**fields):
+    return {"nodes": [0, 1], "edges": [], "left": [0], "right": [1], **fields}
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ([1, 2], "$"),
+        ({"nodes": [0], "left": [0], "right": [0]}, "$.edges"),
+        (_doc(nodes="ab"), "$.nodes"),
+        (_doc(nodes=[0, "1"]), "$.nodes[1]"),
+        (_doc(right=1), "$.right"),
+        (_doc(edges={}), "$.edges"),
+        (_doc(edges=[_edge(sources=0)]), "$.edges[0].sources"),
+        (_doc(edges=[_edge(targets=[1.0])]), "$.edges[0].targets[0]"),
+        (_doc(edges=[{"id": 0}]), "$.edges[0].label"),
+        (_doc(edges=[_edge(id="0")]), "$.edges[0].id"),
+        (_doc(edges=[_edge(), _edge()]), "$.edges[1].id"),
+    ],
+)
+def test_malformed_host_document_is_document_error(ws, capsys, doc, location):
+    tmp_path, sig, rules = ws
+    host = tmp_path / "x.csp"
+    host.write_text(json.dumps(doc))
+    argv = ["rewrite", "--sig", sig, "--rules", rules, "--host", str(host)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    (record,) = [json.loads(line) for line in captured.err.splitlines()]
+    assert record["code"] == "document-error"
+    assert record["location"] == location
+
+
+def test_well_formed_document_still_loads(ws, capsys):
+    tmp_path, sig, rules = ws
+    host = tmp_path / "ok.csp"
+    host.write_text(json.dumps(_doc(edges=[_edge()])))
+    argv = ["rewrite", "--sig", sig, "--rules", rules, "--host", str(host)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("normal forms: 1\n")

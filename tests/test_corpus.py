@@ -21,7 +21,7 @@ from cmonrw.corpus import (
 )
 from cmonrw.cospan import is_right_monogamous, iso_equal
 from cmonrw.dpo import RewriteRule, boundary_complement, enumerate_convex_matches
-from cmonrw.hypergraph import _is_convex_image, is_acyclic
+from cmonrw.hypergraph import is_acyclic, is_convex
 from cmonrw.oracle import LAWS
 from cmonrw.sigterm import Gen, Par, Seq, Term, term_type
 from cmonrw.translate import eval_term
@@ -68,7 +68,7 @@ def test_random_convex_sub_is_convex(seed):
     c = random_rm_cospan(rng)
     sub = random_convex_sub(rng, c.carrier)
     assert sub.edges <= set(c.carrier.edges)
-    assert _is_convex_image(c.carrier, sub.nodes, sub.edges)
+    assert is_convex(c.carrier, sub.nodes, sub.edges)
 
 
 def test_law_samplers_cover_all_laws():

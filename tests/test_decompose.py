@@ -39,6 +39,7 @@ from cmonrw.decompose import (
     fn_to_cmon_term,
     gluing_choice_points,
     iface_conn,
+    in_connections,
     left_amonogamous_nodes,
     level0_decompose,
     node_orders,
@@ -56,6 +57,7 @@ from cmonrw.errors import BadInterfaceOrder, NotTerminal, PartitionMismatch
 from cmonrw.hypergraph import Edge, Hypergraph, SubHypergraph, terminal_nodes
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
+import naive_scans
 
 SIG_AB = parse_signature(
     "gen a : 1 -> 1\ngen b : 1 -> 1\ngen f : 2 -> 1\ngen g : 1 -> 2\n"
@@ -80,6 +82,21 @@ def test_fixture_orders_and_levels():
     assert sorted(left_amonogamous_nodes(c)) == [2, 3]
     assert node_orders(c) == {0: 0, 1: 0, 2: 1, 3: 2, 4: 0}
     assert edge_levels(c) == {0: 0, 1: 0, 2: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_in_connections_index_agrees_with_per_node_scan(seed):
+    rng = random.Random(seed)
+    term = random_term(rng, SIG3)
+    for c in (random_rm_cospan(rng), eval_term(term, SIG3), merge_fixture()):
+        conns = in_connections(c)
+        assert conns.keys() == c.carrier.nodes
+        for v in c.carrier.nodes:
+            assert conns[v] == naive_scans.in_connections(c, v)
+        assert left_amonogamous_nodes(c) == {
+            v for v in c.carrier.nodes if len(conns[v]) != 1
+        }
 
 
 def test_one_cut_keeps_cospan_intact():

@@ -16,6 +16,7 @@ from cmonrw.cospan import (
     cospan_to_document,
     is_right_monogamous,
     iso_equal,
+    pushout,
 )
 from cmonrw.dpo import (
     Complement,
@@ -458,3 +459,37 @@ def test_iter_rewrites_starts_with_rewrite_alls_first_step(seed):
         return
     assert _step_view(first) == _step_view(steps[0])
     assert all(s.key == cospan_key(s.result) for s in steps)
+
+
+@pytest.mark.parametrize("alteration", ["swap-d1", "relabel-edge"])
+def test_gluing_check_rejects_structurally_sound_complement(
+    ev, monkeypatch, alteration
+):
+    # complement_mutations only builds complements that fail a structural
+    # check; these pass all of them, so only gluing the lhs back into the
+    # complement can tell that they no longer recompose the host
+    host = ev("f + g")
+    rule = RewriteRule(ev("f"), ev("g"), "fg")
+    (match,) = enumerate_convex_matches(rule, host)
+    (comp,) = boundary_complement(match, host)
+    if alteration == "swap-d1":
+        bad = replace(comp, d1=comp.d1[::-1])
+    else:
+        bad = _relabelled(comp)
+    glued, fallbacks = [], []
+
+    def counting_pushout(*args):
+        glued.append(args)
+        return pushout(*args)
+
+    def counting_iso_equal(a, b):
+        fallbacks.append((a, b))
+        return iso_equal(a, b)
+
+    monkeypatch.setattr(dpo, "pushout", counting_pushout)
+    monkeypatch.setattr(dpo, "iso_equal", counting_iso_equal)
+    assert complement_is_valid(match, host, comp)
+    assert len(glued) == 1 and fallbacks == []
+    assert not complement_is_valid(match, host, bad)
+    assert len(glued) == 2 and len(fallbacks) == 1
+    assert not reference_complement_is_valid(match, host, bad)

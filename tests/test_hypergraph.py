@@ -13,16 +13,18 @@ from cmonrw.hypergraph import (
     Edge,
     Homomorphism,
     Hypergraph,
-    _is_convex_image,
     canonical_form,
     edge_topological_order,
     find_homomorphisms,
     graph_dot_lines,
-    in_degree,
+    incidence,
     is_acyclic,
-    out_degree,
+    is_convex,
+    reachable,
     terminal_nodes,
 )
+import naive_scans
+from naive_scans import in_degree, out_degree
 
 
 def chain(*labels: str) -> Hypergraph:
@@ -81,6 +83,30 @@ def random_graph(rng: random.Random) -> Hypergraph:
 def test_acyclic_iff_edge_topological_order_exists(seed):
     g = random_graph(random.Random(seed))
     assert is_acyclic(g) == (edge_topological_order(g) is not None)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_incidence_index_agrees_with_per_node_scans(seed):
+    rng = random.Random(seed)
+    for g in (random_graph(rng), random_rm_cospan(rng).carrier):
+        ins, outs = incidence(g)
+        assert ins.keys() == outs.keys() == g.nodes
+        for v in g.nodes:
+            assert len(ins[v]) == in_degree(g, v)
+            assert len(outs[v]) == out_degree(g, v)
+            assert ins[v] == sorted(ins[v]) and outs[v] == sorted(outs[v])
+            assert all(g.edges[eid].targets[i] == v for eid, i in ins[v])
+            assert all(g.edges[eid].sources[i] == v for eid, i in outs[v])
+        assert terminal_nodes(g) == {
+            v for v in g.nodes if out_degree(g, v) == 0
+        }
+        assert is_acyclic(g) == naive_scans.is_acyclic(g)
+        seeds = {v for v in g.nodes if rng.random() < 0.3}
+        for forward in (True, False):
+            assert reachable(g, seeds, forward=forward) == (
+                naive_scans.reachable(g, seeds, forward=forward)
+            )
 
 
 def test_homomorphism_validates_structure():
@@ -145,8 +171,8 @@ def test_node_injectivity_unless_merge_allowed():
 def test_convexity_rejects_bridged_image():
     host = chain("f", "g", "f")
     # the two f edges with their endpoints, skipping the g bridge
-    assert not _is_convex_image(host, {0, 1, 2, 3}, {0, 2})
-    assert _is_convex_image(host, {0, 1, 2}, {0, 1})
+    assert not is_convex(host, {0, 1, 2, 3}, {0, 2})
+    assert is_convex(host, {0, 1, 2}, {0, 1})
 
 
 def test_canonical_form_invariant_under_relabeling():
