@@ -32,7 +32,7 @@ from .dpo import (
 )
 from .errors import CmonrwError, IoFailure
 from .hypergraph import is_acyclic
-from .oracle import enumerate_rewrites_bruteforce
+from .oracle import enumerate_rewrites_by_rule
 from .sigterm import (
     Signature,
     Term,
@@ -264,8 +264,8 @@ def _cmd_oracle_compare(args) -> int:
     host = eval_term(host_term, sig)
 
     oracle_reps: dict[tuple, Term] = {}
-    for _, lhs, rhs in triples:
-        found = enumerate_rewrites_bruteforce((lhs, rhs), host_term, args.bound)
+    pairs = [(lhs, rhs) for _, lhs, rhs in triples]
+    for found in enumerate_rewrites_by_rule(pairs, host_term, args.bound):
         for t in sorted(found, key=lambda t: (term_size(t), pretty_print(t))):
             key = cospan_key(eval_term(t, sig))
             oracle_reps.setdefault(key, t)

@@ -3,8 +3,9 @@ the merge/unit equations, and brute-force enumeration of term rewrites."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import BoundTooSmall
@@ -131,36 +132,42 @@ def _v_sym_decomposition(t: Term) -> Iterator[Term]:
             yield Sym(a.m, a.n + b.n)
 
 
+# the merge laws' redexes, built once
+_MU = Mu()
+_ID1 = Id(1)
+_MU_SWAPPED = Seq(Sym(1, 1), Mu())
+_MU_ASSOC_LEFT = Seq(Par(Mu(), Id(1)), Mu())
+_MU_ASSOC_RIGHT = Seq(Par(Id(1), Mu()), Mu())
+_MU_UNIT_LEFT = Seq(Par(Eta(), Id(1)), Mu())
+_MU_UNIT_RIGHT = Seq(Par(Id(1), Eta()), Mu())
+
+
 def _v_merge_commutativity(t: Term) -> Iterator[Term]:
-    if t == Mu():
-        yield Seq(Sym(1, 1), Mu())
-    if t == Seq(Sym(1, 1), Mu()):
-        yield Mu()
+    if t == _MU:
+        yield _MU_SWAPPED
+    if t == _MU_SWAPPED:
+        yield _MU
 
 
 def _v_merge_associativity(t: Term) -> Iterator[Term]:
-    left = Seq(Par(Mu(), Id(1)), Mu())
-    right = Seq(Par(Id(1), Mu()), Mu())
-    if t == left:
-        yield right
-    if t == right:
-        yield left
+    if t == _MU_ASSOC_LEFT:
+        yield _MU_ASSOC_RIGHT
+    if t == _MU_ASSOC_RIGHT:
+        yield _MU_ASSOC_LEFT
 
 
 def _v_merge_unit_left(t: Term) -> Iterator[Term]:
-    redex = Seq(Par(Eta(), Id(1)), Mu())
-    if t == redex:
-        yield Id(1)
-    if t == Id(1):
-        yield redex
+    if t == _MU_UNIT_LEFT:
+        yield _ID1
+    if t == _ID1:
+        yield _MU_UNIT_LEFT
 
 
 def _v_merge_unit_right(t: Term) -> Iterator[Term]:
-    redex = Seq(Par(Id(1), Eta()), Mu())
-    if t == redex:
-        yield Id(1)
-    if t == Id(1):
-        yield redex
+    if t == _MU_UNIT_RIGHT:
+        yield _ID1
+    if t == _ID1:
+        yield _MU_UNIT_RIGHT
 
 
 def _v_sym_unit(t: Term) -> Iterator[Term]:
@@ -208,28 +215,22 @@ def one_step_variants(t: Term) -> Iterator[Term]:
             yield Par(t.fst, b)
 
 
-@dataclass(frozen=True)
-class AxiomClosure:
-    """All terms reachable from the seed within the size bound."""
-
-    seed: Term
-    bound: int
-    members: frozenset[Term]
-    truncated: bool
-
-
 class _TermPool:
-    """Hash-consed term store: integer keys for structurally distinct terms,
-    with sizes and per-key root-law variants memoised so the closure search
-    never rehashes whole subtrees."""
+    """Hash-consed term store for one closure search: integer keys for
+    structurally distinct terms, with sizes, per-key root-law variants and
+    per-slack subterm variant lists memoised, so the search never rehashes
+    whole subtrees and works out each subterm's variants once. Root
+    variants above the bound are counted as dropped and never interned."""
 
-    def __init__(self) -> None:
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
         self._key_by_shape: dict[tuple, int] = {}
         self._key_by_id: dict[int, int] = {}
         self._shapes: list[tuple] = []
         self._sizes: list[int] = []
         self._terms: list[Term | None] = []
-        self._root_variants: dict[int, tuple[int, ...]] = {}
+        self._root_variants: dict[int, tuple[tuple[int, ...], bool]] = {}
+        self._within: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
 
     def _key_of_shape(self, shape: tuple) -> int:
         key = self._key_by_shape.get(shape)
@@ -272,9 +273,6 @@ class _TermPool:
             self._key_by_id[id(t)] = key
         return key
 
-    def size(self, key: int) -> int:
-        return self._sizes[key]
-
     def term(self, key: int) -> Term:
         t = self._terms[key]
         if t is None:
@@ -298,28 +296,115 @@ class _TermPool:
             self._key_by_id[id(t)] = key
         return t
 
-    def _root_variant_keys(self, key: int) -> tuple[int, ...]:
+    def _intern_within(self, t: Term) -> int | None:
+        """intern(t), or None when t exceeds the bound; t's children are
+        interned either way."""
+        if isinstance(t, (Seq, Par)) and id(t) not in self._key_by_id:
+            sizes = self._sizes
+            size = 1 + sizes[self.intern(t.fst)] + sizes[self.intern(t.snd)]
+            if size > self.bound:
+                return None
+        return self.intern(t)
+
+    def _root_variant_keys(self, key: int) -> tuple[tuple[int, ...], bool]:
+        """Keys of the root-law variants of key that fit the bound, in LAWS
+        order, and whether any variant exceeds it."""
         got = self._root_variants.get(key)
         if got is None:
             t = self.term(key)
-            got = tuple(
-                self.intern(v) for law in LAWS for v in law.variants(t)
-            )
-            self._root_variants[key] = got
+            keys = []
+            over = False
+            for law in LAWS:
+                for v in law.variants(t):
+                    k = self._intern_within(v)
+                    if k is None:
+                        over = True
+                    else:
+                        keys.append(k)
+            got = (tuple(keys), over)
+            # a term within two nodes of the bound is a proper subterm of no
+            # member, so only the member itself asks for its variants
+            if self._sizes[key] + 2 <= self.bound:
+                self._root_variants[key] = got
         return got
 
-    def variant_keys(self, key: int) -> list[int]:
-        """Keys of every one-step variant, mirroring one_step_variants."""
-        out = list(self._root_variant_keys(key))
+    def member_variants(self, key: int) -> tuple[list[int], bool]:
+        """Keys of the one-step variants of key that fit the bound, in
+        one_step_variants order, and whether any variant was dropped for
+        exceeding it."""
+        return self._variants(key, self.bound - self._sizes[key])
+
+    def _variants(self, key: int, slack: int) -> tuple[list[int], bool]:
+        # the variants of key at most slack nodes larger than key; those
+        # that are larger are dropped before they are wrapped into parents
+        roots, dropped = self._root_variant_keys(key)
+        sizes = self._sizes
+        limit = sizes[key] + slack
+        out = []
+        for v in roots:
+            if sizes[v] > limit:
+                dropped = True
+            else:
+                out.append(v)
         shape = self._shapes[key]
-        tag = shape[0]
-        if tag < 2:
-            _, fst, snd = shape
-            for v in self.variant_keys(fst):
-                out.append(self._key_of_shape((tag, v, snd)))
-            for v in self.variant_keys(snd):
-                out.append(self._key_of_shape((tag, fst, v)))
+        if shape[0] < 2:
+            tag, fst, snd = shape
+            of_shape = self._key_of_shape
+            sub, cut_fst = self._subterm_variants(fst, slack)
+            out += [of_shape((tag, v, snd)) for v in sub]
+            sub, cut_snd = self._subterm_variants(snd, slack)
+            out += [of_shape((tag, fst, v)) for v in sub]
+            dropped = dropped or cut_fst or cut_snd
+        return out, dropped
+
+    def _subterm_variants(
+        self, key: int, slack: int
+    ) -> tuple[tuple[int, ...], bool]:
+        # memoised for proper subterms only: they recur across members of
+        # one size, while the closure expands each member itself once
+        got = self._within.get((key, slack))
+        if got is None:
+            out, dropped = self._variants(key, slack)
+            got = self._within[key, slack] = (tuple(out), dropped)
+        return got
+
+    def factors(self, key: int, tag: int) -> list[int]:
+        """Keys of the maximal subterms that are not Seq (tag 0) or not Par
+        (tag 1), left to right: the flattened chain or row."""
+        out = []
+        stack = [key]
+        shapes = self._shapes
+        while stack:
+            k = stack.pop()
+            shape = shapes[k]
+            if shape[0] == tag:
+                stack.append(shape[2])
+                stack.append(shape[1])
+            else:
+                out.append(k)
         return out
+
+
+@dataclass(frozen=True)
+class AxiomClosure:
+    """All terms reachable from the seed within the size bound.
+
+    `keys` are the members' keys in `pool`; `members` builds their Terms on
+    first use. `truncated` says that some member has a one-step variant
+    above the bound, and it is True for every closure: `Seq(t, id_n)` is
+    two nodes larger than t, so from the seed the search reaches a member
+    within one node of the bound, and that member's unit variant exceeds
+    it. `truncated` therefore cannot show that a bound saturates."""
+
+    seed: Term
+    bound: int
+    keys: frozenset[int]
+    truncated: bool
+    pool: _TermPool = field(repr=False, compare=False)
+
+    @cached_property
+    def members(self) -> frozenset[Term]:
+        return frozenset(self.pool.term(k) for k in self.keys)
 
 
 def axiom_closure(t: Term, bound: int) -> AxiomClosure:
@@ -329,7 +414,7 @@ def axiom_closure(t: Term, bound: int) -> AxiomClosure:
         raise BoundTooSmall(
             f"seed has size {term_size(t)}, above bound {bound}"
         )
-    pool = _TermPool()
+    pool = _TermPool(bound)
     seed = pool.intern(t)
     seen: set[int] = {seed}
     frontier: list[int] = [seed]
@@ -337,16 +422,14 @@ def axiom_closure(t: Term, bound: int) -> AxiomClosure:
     while frontier:
         nxt: list[int] = []
         for key in frontier:
-            for v in pool.variant_keys(key):
-                if pool.size(v) > bound:
-                    truncated = True
-                elif v not in seen:
+            variants, dropped = pool.member_variants(key)
+            truncated = truncated or dropped
+            for v in variants:
+                if v not in seen:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return AxiomClosure(
-        t, bound, frozenset(pool.term(k) for k in seen), truncated
-    )
+    return AxiomClosure(t, bound, frozenset(seen), truncated, pool)
 
 
 class EqResult(Enum):
@@ -356,7 +439,12 @@ class EqResult(Enum):
 
 
 def terms_equal_mod_axioms(t1: Term, t2: Term, bound: int) -> EqResult:
-    """Bounded tri-state equality modulo all laws."""
+    """Bounded tri-state equality modulo all laws.
+
+    Terms of different types are DISTINCT_WITHIN_BOUND. Terms of one type
+    are EQUAL when their closures meet and UNKNOWN otherwise: distinctness
+    would need a closure that is not truncated, and every closure is (see
+    AxiomClosure)."""
     if term_type(t1) != term_type(t2):
         return EqResult.DISTINCT_WITHIN_BOUND
     c1 = axiom_closure(t1, bound)
@@ -370,23 +458,60 @@ def terms_equal_mod_axioms(t1: Term, t2: Term, bound: int) -> EqResult:
     return EqResult.UNKNOWN
 
 
-def _flatten_seq(t: Term) -> list[Term]:
-    if isinstance(t, Seq):
-        return _flatten_seq(t.fst) + _flatten_seq(t.snd)
-    return [t]
+def enumerate_rewrites_by_rule(
+    rules: list[tuple[Term, Term]], d: Term, bound: int
+) -> list[frozenset[Term]]:
+    """The rewrites enumerate_rewrites_bruteforce finds for each rule, in
+    rule order, all matched against one closure of d. Matching works on
+    pool keys; only the rewritten terms are built as Terms."""
+    for lhs, rhs in rules:
+        term_type(lhs)
+        term_type(rhs)
+    if not rules:
+        # no closure to build, so an empty rule file cannot fail the bound
+        return []
+    closure = axiom_closure(d, bound)
+    pool = closure.pool
+    patterns = [pool.factors(pool.intern(lhs), 1) for lhs, _ in rules]
+    rhs_keys = [pool.intern(rhs) for _, rhs in rules]
+    of_shape = pool._key_of_shape
+    shapes = pool._shapes
 
+    def hits_in(factor: int) -> list[tuple[int, int]]:
+        # (rule index, replacement key) for each rule whose pattern ends
+        # the factor's row after a head of identities only
+        atoms = pool.factors(factor, 1)
+        out = []
+        for r, pattern in enumerate(patterns):
+            j = len(atoms) - len(pattern)
+            if j < 0 or atoms[j:] != pattern:
+                continue
+            head = [shapes[a] for a in atoms[:j]]
+            if any(shape[0] != 3 for shape in head):
+                continue
+            k = sum(shape[1] for shape in head)
+            replacement = rhs_keys[r]
+            if k > 0:
+                replacement = of_shape((1, of_shape((3, k)), replacement))
+            out.append((r, replacement))
+        return out
 
-def _flatten_par(t: Term) -> list[Term]:
-    if isinstance(t, Par):
-        return _flatten_par(t.fst) + _flatten_par(t.snd)
-    return [t]
-
-
-def _rebuild_seq(factors: list[Term]) -> Term:
-    out = factors[0]
-    for f in factors[1:]:
-        out = Seq(out, f)
-    return out
+    hits_by_factor: dict[int, list[tuple[int, int]]] = {}
+    found: list[set[int]] = [set() for _ in rules]
+    for member in closure.keys:
+        chain = pool.factors(member, 0)
+        for i, factor in enumerate(chain):
+            hits = hits_by_factor.get(factor)
+            if hits is None:
+                hits = hits_by_factor[factor] = hits_in(factor)
+            for r, replacement in hits:
+                rebuilt = replacement if i == 0 else chain[0]
+                for j in range(1, len(chain)):
+                    rebuilt = of_shape(
+                        (0, rebuilt, replacement if j == i else chain[j])
+                    )
+                found[r].add(rebuilt)
+    return [frozenset(pool.term(k) for k in keys) for keys in found]
 
 
 def enumerate_rewrites_bruteforce(
@@ -395,28 +520,4 @@ def enumerate_rewrites_bruteforce(
     """All one-step rewrites of d by the rule, found by exhaustively
     rearranging d within the bound until the pattern sits beside an identity
     block inside one sequential factor."""
-    lhs, rhs = rule
-    term_type(lhs)
-    term_type(rhs)
-    pattern = _flatten_par(lhs)
-    closure = axiom_closure(d, bound)
-    results: set[Term] = set()
-    for member in closure.members:
-        chain = _flatten_seq(member)
-        for i, factor in enumerate(chain):
-            atoms = _flatten_par(factor)
-            for j in range(len(atoms) + 1):
-                head = atoms[:j]
-                if head and not isinstance(head[-1], Id):
-                    break
-                if atoms[j:] != pattern:
-                    continue
-                k = sum(a.n for a in head)
-                replacement = (
-                    Par(Id(k), rhs) if k > 0 else rhs
-                )
-                rebuilt = _rebuild_seq(
-                    chain[:i] + [replacement] + chain[i + 1 :]
-                )
-                results.add(rebuilt)
-    return frozenset(results)
+    return enumerate_rewrites_by_rule([rule], d, bound)[0]

@@ -7,8 +7,10 @@ import os
 
 import pytest
 
+from cmonrw import oracle
 from cmonrw.cli import run
 from cmonrw.cospan import cospan_from_document, iso_equal
+from cmonrw.oracle import axiom_closure
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 
@@ -243,8 +245,8 @@ PINNED_MODES = {
 }
 
 
-def _pinned_cases():
-    with open(PINNED, encoding="utf-8") as fh:
+def _pinned_cases(path=PINNED):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -265,6 +267,57 @@ def test_rewrite_output_matches_pinned_bytes(tmp_path, capsys, case):
     ]
     assert run(argv) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+ORACLE_PINNED = os.path.join(
+    os.path.dirname(__file__), "data", "oracle_outputs.json"
+)
+ORACLE_RULES = {
+    "fg": "rule fg : f => g\n",
+    "sf": "rule sf : s => s ; f\n",
+    "hsplit": "rule hsplit : h => (g + g) ; h\n",
+    "fswap": "rule fswap : f ; g => g ; f\n",
+    "feta": "rule feta : f => (s + f) ; mu\n",
+    "hcomm": "rule hcomm : h => sym_1_1 ; h\n",
+    "smerge": "rule smerge : (s + s) ; mu => s\n",
+    "fg-fdup-fswap": (
+        "rule fg : f => g\n"
+        "rule fdup : f => f ; f\n"
+        "rule fswap : f ; g => g ; f\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    _pinned_cases(ORACLE_PINNED),
+    ids=lambda c: f"{c['rules']}:{c['host']}:{c['format']}",
+)
+def test_oracle_compare_output_matches_pinned_bytes(
+    tmp_path, capsys, monkeypatch, case
+):
+    # outputs recorded with one closure per rule and matching on Terms; one
+    # closure per file must not change a byte. `fg` on `(f + f) ; mu` is
+    # the pair the bound truncates (exit 1)
+    closures = []
+
+    def counting_closure(t, bound):
+        closures.append(t)
+        return axiom_closure(t, bound)
+
+    monkeypatch.setattr(oracle, "axiom_closure", counting_closure)
+    sig = tmp_path / "sig.txt"
+    sig.write_text(SIG_TEXT)
+    rules = tmp_path / "rules.txt"
+    rules.write_text(ORACLE_RULES[case["rules"]])
+    argv = [
+        "oracle-compare", "--sig", str(sig), "--rules", str(rules),
+        "--host", case["host"], "--bound", str(case["bound"]),
+        "--format", case["format"],
+    ]
+    assert run(argv) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+    assert len(closures) == 1
 
 
 def test_unknown_generator_is_domain_error(ws, capsys):

@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 from cmonrw.corpus import SIG3, random_term
 from cmonrw.cospan import iso_equal
 from cmonrw.errors import BoundTooSmall
+from cmonrw import oracle
 from cmonrw.oracle import (
     LAWS,
     EqResult,
+    Law,
     axiom_closure,
     enumerate_rewrites_bruteforce,
+    enumerate_rewrites_by_rule,
     one_step_variants,
     terms_equal_mod_axioms,
 )
@@ -27,10 +30,12 @@ from cmonrw.sigterm import (
     Par,
     Seq,
     Sym,
+    parse_term,
     term_size,
     term_type,
 )
 from cmonrw.translate import eval_term
+from naive_oracle import bruteforce_rewrites, pool_closure
 
 F = Gen("f", 1, 1)
 G = Gen("g", 1, 1)
@@ -193,3 +198,131 @@ def test_laws_cover_the_expected_names():
     names = [law.name for law in LAWS]
     assert len(names) == len(set(names)) == 14
     assert sum(law.derived for law in LAWS) == 1
+
+
+# The 16 distinct hosts of the benchmark's oracle-compare pairs, each with
+# the rules it is paired with there.
+BENCH_HOSTS = {
+    "f": ("f => g", "f => f ; f", "f => (s + f) ; mu"),
+    "g": ("f => g", "g => f"),
+    "s": ("s => s ; f",),
+    "h": ("h => mu", "h => (g + g) ; h", "h => sym_1_1 ; h"),
+    "f ; f": ("f => g", "f => f ; f", "f => (s + f) ; mu"),
+    "f ; g": ("f => g", "f ; g => g ; f", "f => f ; f"),
+    "g ; f": ("g => f",),
+    "s ; f": ("s => s ; f", "f => (s + f) ; mu"),
+    "(f + f) ; mu": ("f => g",),
+    "(f + f) ; h": ("h => mu", "h => sym_1_1 ; h", "h => (g + g) ; h"),
+    "(g + g) ; h": ("h => mu",),
+    "(f ; g) ; f": ("f ; g => g ; f",),
+    "(s + s) ; mu": ("(s + s) ; mu => s", "s => s ; f"),
+    "(f ; f) ; f": ("f => g",),
+    "(f ; g) ; g": ("f => g",),
+    "(g ; g) ; g": ("g => f",),
+}
+
+
+def assert_matches_reference(seed, bound, rules):
+    cl = axiom_closure(seed, bound)
+    members, truncated = pool_closure(seed, bound)
+    assert cl.members == members
+    assert cl.truncated == truncated
+    found = enumerate_rewrites_by_rule(rules, seed, bound)
+    assert found == [bruteforce_rewrites(rule, members) for rule in rules]
+    assert enumerate_rewrites_bruteforce(rules[0], seed, bound) == found[0]
+
+
+@pytest.mark.parametrize("host", sorted(BENCH_HOSTS))
+def test_closure_and_rewrites_match_reference_on_benchmark_hosts(
+    host, unary_sig
+):
+    t = parse_term(host, unary_sig)
+    rules = [
+        tuple(parse_term(side, unary_sig) for side in rule.split("=>"))
+        for rule in BENCH_HOSTS[host]
+    ]
+    assert_matches_reference(t, term_size(t) + 4, rules)
+
+
+@pytest.mark.parametrize(
+    "seed,bound,rules",
+    [
+        (Mu(), 6, [(Mu(), Seq(Sym(1, 1), Mu()))]),
+        (Eta(), 5, [(Eta(), Eta())]),
+        (Id(1), 5, [(Id(1), G), (Id(1), Id(1))]),
+        (Sym(1, 1), 5, [(Sym(1, 1), Sym(1, 1)), (Id(1), G)]),
+        (F, 7, [(F, G), (Id(1), G), (F, Seq(F, F))]),
+    ],
+)
+def test_closure_and_rewrites_match_reference_on_small_seeds(
+    seed, bound, rules
+):
+    assert_matches_reference(seed, bound, rules)
+
+
+def subterms(t):
+    yield t
+    if isinstance(t, (Seq, Par)):
+        yield from subterms(t.fst)
+        yield from subterms(t.snd)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_closure_and_rewrites_match_reference_on_random_terms(seed):
+    rng = random.Random(seed)
+    t = random_term(rng, SIG3, max_generators=2, max_width=2)
+    if term_size(t) > 6:
+        return
+    parts = list(subterms(t))
+    a, b = rng.choice(parts), rng.choice(parts)
+    assert_matches_reference(t, term_size(t) + 2, [(a, a), (b, Par(Id(0), b))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_every_closure_is_truncated(seed, extra):
+    # Seq(t, id_n) is two nodes larger than t, so the search reaches a
+    # member within one node of the bound whose unit variant exceeds it
+    t = random_term(random.Random(seed), SIG3, max_generators=1, max_width=2)
+    if term_size(t) > 5:
+        return
+    bound = term_size(t) + extra
+    assert axiom_closure(t, bound).truncated
+    # so two terms of one type are never certified distinct, not even when
+    # their generators differ
+    u = renamed(t)
+    expected = EqResult.EQUAL if u == t else EqResult.UNKNOWN
+    assert terms_equal_mod_axioms(t, u, bound) == expected
+
+
+def renamed(t):
+    """t with every generator g replaced by a fresh g2 of the same type."""
+    if isinstance(t, Gen):
+        return Gen(t.name + "2", t.dom, t.cod)
+    if isinstance(t, (Seq, Par)):
+        return type(t)(renamed(t.fst), renamed(t.snd))
+    return t
+
+
+@pytest.mark.parametrize("seed", [Id(0), Eta(), Mu(), Sym(0, 0)])
+def test_closure_at_the_seeds_own_size_is_truncated(seed):
+    assert axiom_closure(seed, term_size(seed)).truncated
+
+
+def test_root_laws_run_once_per_distinct_subterm(monkeypatch):
+    applied = {law.name: [] for law in LAWS}
+
+    def counting(law):
+        def variants(t):
+            applied[law.name].append(t)
+            return law.variants(t)
+
+        return Law(law.name, law.derived, variants)
+
+    monkeypatch.setattr(oracle, "LAWS", tuple(counting(law) for law in LAWS))
+    cl = axiom_closure(Seq(Seq(F, F), F), 9)
+    everywhere = {s for m in cl.members for s in subterms(m)}
+    for name, terms in applied.items():
+        assert len(terms) == len(set(terms)), name
+        assert set(terms) == everywhere, name
