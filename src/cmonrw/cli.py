@@ -83,7 +83,7 @@ def _doc_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(args, text: str, out_path: str | None = None) -> None:
+def _emit(text: str, out_path: str | None = None) -> None:
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -95,10 +95,9 @@ def _cmd_check(args) -> int:
     rm = is_right_monogamous(c)
     ac = is_acyclic(c.carrier)
     if args.format == "structured":
-        _emit(args, _doc_json({"right-monogamous": rm, "acyclic": ac}))
+        _emit(_doc_json({"right-monogamous": rm, "acyclic": ac}))
     else:
         _emit(
-            args,
             "right-monogamous: %s, acyclic: %s\n"
             % (str(rm).lower(), str(ac).lower()),
         )
@@ -110,7 +109,7 @@ def _cmd_translate(args) -> int:
     t = _load_term(args.term, sig)
     c = eval_term(t, sig)
     # the cospan document is already the text interchange format
-    _emit(args, _doc_json(cospan_to_document(c)), args.out)
+    _emit(_doc_json(cospan_to_document(c)), args.out)
     if args.dot:
         _atomic_write(args.dot, cospan_to_dot(c))
     return 0
@@ -131,7 +130,7 @@ def _cmd_factorize(args) -> int:
         "perm": list(lf.perm.table),
     }
     if args.format == "structured":
-        _emit(args, _doc_json(payload), args.out)
+        _emit(_doc_json(payload), args.out)
     else:
         lines = []
         for i, f in enumerate(lf.factors):
@@ -141,7 +140,7 @@ def _cmd_factorize(args) -> int:
                 "  merges: " + json.dumps(cospan_to_document(f.merges))
             )
         lines.append("perm: " + json.dumps(list(lf.perm.table)))
-        _emit(args, "\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -150,9 +149,9 @@ def _cmd_readback(args) -> int:
     c = _load_cospan(args.cospan)
     t = readback_term(c, sig)
     if args.format == "structured":
-        _emit(args, _doc_json({"term": pretty_print(t)}), args.out)
+        _emit(_doc_json({"term": pretty_print(t)}), args.out)
     else:
-        _emit(args, pretty_print(t) + "\n", args.out)
+        _emit(pretty_print(t) + "\n", args.out)
     return 0
 
 
@@ -176,7 +175,7 @@ def _cmd_match(args) -> int:
                 }
             )
     if args.format == "structured":
-        _emit(args, _doc_json({"matches": records}))
+        _emit(_doc_json({"matches": records}))
     else:
         lines = [f"matches: {len(records)}"]
         for r in records:
@@ -189,7 +188,7 @@ def _cmd_match(args) -> int:
                     json.dumps(r["edges"]),
                 )
             )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n")
     return 0
 
 
@@ -227,7 +226,7 @@ def _cmd_rewrite(args) -> int:
                     for s in steps
                 ]
             }
-            _emit(args, _doc_json(payload))
+            _emit(_doc_json(payload))
         else:
             lines = [f"steps: {len(steps)}"]
             for s in steps:
@@ -235,7 +234,7 @@ def _cmd_rewrite(args) -> int:
                     "rule %s -> %s"
                     % (s.rule.name, json.dumps(cospan_to_document(s.result)))
                 )
-            _emit(args, "\n".join(lines) + "\n")
+            _emit("\n".join(lines) + "\n")
         return 0
     outcome = normalize(
         rules, host, strategy=args.strategy, max_steps=args.max_steps
@@ -244,12 +243,12 @@ def _cmd_rewrite(args) -> int:
         _write_dot_series(args.dot_dir, list(outcome), "normal")
     docs = [cospan_to_document(c) for c in outcome]
     if args.format == "structured":
-        _emit(args, _doc_json({"normal-forms": docs}))
+        _emit(_doc_json({"normal-forms": docs}))
     else:
         lines = [f"normal forms: {len(docs)}"]
         for d in docs:
             lines.append(json.dumps(d))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n")
     return 0
 
 
@@ -288,7 +287,7 @@ def _cmd_oracle_compare(args) -> int:
             "only-dpo": [cospan_to_document(dpo_reps[k]) for k in only_dpo],
             "agree": ok,
         }
-        _emit(args, _doc_json(payload))
+        _emit(_doc_json(payload))
     else:
         lines = [f"oracle classes: {len(okeys)}"]
         for k in okeys:
@@ -305,7 +304,7 @@ def _cmd_oracle_compare(args) -> int:
             lines.append(
                 "  only dpo: " + json.dumps(cospan_to_document(dpo_reps[k]))
             )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import random
 
-from .cospan import Cospan, FinFunction, is_right_monogamous
+from .cospan import EDGE, Cospan, FinFunction, is_right_monogamous
 from .decompose import (
     Cut,
     WeakDecomposition,
@@ -254,7 +254,7 @@ def random_out_cuts(
     for v in sorted(terminal_nodes(extracted.carrier)):
         if rng.random() < 0.4:
             continue
-        edge_conns = [c for c in conns[v] if c.kind == "edge"]
+        edge_conns = [c for c in conns[v] if c.kind == EDGE]
         cuts.append(Cut(v, random_partition(rng, edge_conns)))
     return cuts
 

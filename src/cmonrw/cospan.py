@@ -8,6 +8,7 @@ Composition glues output boundary to input boundary node-by-node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     Cyclic,
@@ -52,9 +53,6 @@ class FinFunction:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
-    def is_mono(self) -> bool:
-        return len(set(self.table)) == self.dom
-
     def compose(self, other: "FinFunction") -> "FinFunction":
         """self ; other (apply self first)."""
         if self.cod != other.dom:
@@ -64,10 +62,6 @@ class FinFunction:
         return FinFunction(
             self.dom, other.cod, tuple(other.table[j] for j in self.table)
         )
-
-    @staticmethod
-    def identity(n: int) -> "FinFunction":
-        return FinFunction(n, n, tuple(range(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +86,50 @@ class Cospan:
     @property
     def coarity(self) -> int:
         return len(self.right)
+
+
+EDGE = "edge"
+IFACE = "interface"
+
+
+class Connection(NamedTuple):
+    """One input attachment point of a node.
+
+    kind "edge": index is the edge id, slot the target position.
+    kind "interface": index is the left-leg position, slot always 0.
+    """
+
+    kind: str
+    index: int
+    slot: int = 0
+
+
+def edge_conn(eid: int, slot: int) -> Connection:
+    return Connection(EDGE, eid, slot)
+
+
+def iface_conn(pos: int) -> Connection:
+    return Connection(IFACE, pos, 0)
+
+
+def reattach(
+    edges: dict[int, Edge], left: tuple[int, ...], to: dict[Connection, int]
+) -> tuple[dict[int, Edge], tuple[int, ...]]:
+    """Re-point the input connections named in to onto the nodes they map
+    to: each edge target slot and left position there moves, every other
+    endpoint stays. Returns new edges (same ids, same order) and left."""
+    edges = dict(edges)
+    new_left = list(left)
+    targets: dict[int, list[int]] = {}
+    for (kind, index, slot), node in to.items():
+        if kind == IFACE:
+            new_left[index] = node
+        else:
+            targets.setdefault(index, list(edges[index].targets))[slot] = node
+    for eid, ts in targets.items():
+        e = edges[eid]
+        edges[eid] = Edge(e.label, e.sources, tuple(ts))
+    return edges, tuple(new_left)
 
 
 def identity_cospan(n: int) -> Cospan:
@@ -306,9 +344,9 @@ def cospan_from_document(doc) -> Cospan:
     )
 
 
-def cospan_to_dot(c: Cospan, name: str = "cospan") -> str:
+def cospan_to_dot(c: Cospan) -> str:
     """DOT rendering with the two interfaces drawn as labelled rails."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph cospan {", "  rankdir=LR;"]
     lines.append("  subgraph cluster_left {")
     lines.append('    label="left"; color=blue;')
     for i in range(len(c.left)):

@@ -12,14 +12,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cospan import (
+    EDGE,
+    IFACE,
+    Connection,
     Cospan,
     FinFunction,
     compose,
     cospan_to_function,
+    edge_conn,
     function_to_cospan,
+    iface_conn,
     identity_cospan,
     is_monogamous,
     is_right_monogamous,
+    reattach,
     tensor,
     validate_right_monogamous_acyclic,
 )
@@ -37,7 +43,6 @@ from .errors import (
     UnknownNode,
 )
 from .hypergraph import (
-    Edge,
     Hypergraph,
     SubHypergraph,
     edge_topological_order,
@@ -47,30 +52,6 @@ from .hypergraph import (
     terminal_nodes,
 )
 from .sigterm import Gen, Id, Mu, Eta, Par, Seq, Signature, Sym, Term
-
-EDGE = "edge"
-IFACE = "interface"
-
-
-@dataclass(frozen=True, order=True)
-class Connection:
-    """One attachment point of a node.
-
-    kind "edge": index is the edge id, slot the endpoint position.
-    kind "interface": index is the leg position, slot always 0.
-    """
-
-    kind: str
-    index: int
-    slot: int = 0
-
-
-def edge_conn(eid: int, slot: int) -> Connection:
-    return Connection(EDGE, eid, slot)
-
-
-def iface_conn(pos: int) -> Connection:
-    return Connection(IFACE, pos, 0)
 
 
 def in_connections(c: Cospan) -> dict[int, tuple[Connection, ...]]:
@@ -98,10 +79,16 @@ def node_orders(c: Cospan) -> dict[int, int]:
     """Max count of merge-witnessing nodes on any path into each node,
     counting the node itself."""
     validate_right_monogamous_acyclic(c)
-    la = left_amonogamous_nodes(c)
-    topo = edge_topological_order(c.carrier)
+    return _orders(c, in_connections(c))
+
+
+def _orders(
+    c: Cospan, conns: dict[int, tuple[Connection, ...]]
+) -> dict[int, int]:
+    # node_orders of a validated c whose in_connections are conns
+    la = {v for v, cs in conns.items() if len(cs) != 1}
     order = {v: (1 if v in la else 0) for v in c.carrier.nodes}
-    for eid in topo:
+    for eid in edge_topological_order(c.carrier):
         e = c.carrier.edges[eid]
         lvl = max((order[u] for u in e.sources), default=0)
         for t in e.targets:
@@ -188,20 +175,7 @@ def _split_terminals(
                 conn_copy.update(dict.fromkeys(block, copy))
         right += copies
         table += [j] * len(copies)
-    edges = {
-        eid: Edge(
-            e.label,
-            e.sources,
-            tuple(
-                conn_copy.get(edge_conn(eid, i), t)
-                for i, t in enumerate(e.targets)
-            ),
-        )
-        for eid, e in c.carrier.edges.items()
-    }
-    left = tuple(
-        conn_copy.get(iface_conn(p), u) for p, u in enumerate(c.left)
-    )
+    edges, left = reattach(c.carrier.edges, c.left, conn_copy)
     nodes = c.carrier.nodes - copies_of.keys()
     nodes |= {w for copies in copies_of.values() for w in copies}
     recon = FinFunction(len(right), len(c.right), tuple(table))
@@ -397,19 +371,8 @@ def weak_decompose(
         | set(upper_copy.values())
         | set(lower_copy.values())
     )
-    up_carrier_edges = {}
-    for eid in sorted(up_edges):
-        e = carrier.edges[eid]
-        up_carrier_edges[eid] = Edge(
-            e.label,
-            e.sources,
-            tuple(
-                redirect.get(edge_conn(eid, i), t)
-                for i, t in enumerate(e.targets)
-            ),
-        )
-    up_left = tuple(
-        redirect.get(iface_conn(p), u) for p, u in enumerate(g.left)
+    up_carrier_edges, up_left = reattach(
+        {eid: carrier.edges[eid] for eid in sorted(up_edges)}, g.left, redirect
     )
     k_block = list(k_bypass) + [upper_copy[v] for v in t_shared]
     low_block = list(i_inner) + [
@@ -598,8 +561,16 @@ class LevelSplit(NamedTuple):
 
 def level0_decompose(g: Cospan) -> LevelSplit:
     """Peel off the level-0 edges and order-1 merge nodes."""
-    orders = node_orders(g)
-    la = left_amonogamous_nodes(g)
+    validate_right_monogamous_acyclic(g)
+    conns = in_connections(g)
+    return _peel(g, _orders(g, conns), conns)
+
+
+def _peel(
+    g: Cospan, orders: dict[int, int], conns: dict[int, tuple[Connection, ...]]
+) -> LevelSplit:
+    # level0_decompose of a validated g with the given node_orders and
+    # in_connections
     k = sum(1 for v in g.right if orders[v] == 0)
     if any(orders[v] != 0 for v in g.right[:k]) or any(
         orders[v] == 0 for v in g.right[k:]
@@ -612,36 +583,20 @@ def level0_decompose(g: Cospan) -> LevelSplit:
         for eid, e in g.carrier.edges.items()
         if all(orders[u] == 0 for u in e.sources)
     }
-    conns = in_connections(g)
-    visible = {
-        v: tuple(
-            conn for conn in conns[v] if conn.kind == IFACE or conn.index in e0
-        )
-        for v in sorted(la)
-    }
+    la = sorted(v for v, cs in conns.items() if len(cs) != 1)
+    # one fresh wire per merge input that level 0 produces, in node order
     base = max(g.carrier.nodes, default=-1) + 1
-    wire_of: dict[tuple[int, Connection], int] = {}
-    wires_in_order: list[tuple[int, Connection]] = []
-    for v in sorted(la):
-        for conn in visible[v]:
-            wire_of[(v, conn)] = base
-            wires_in_order.append((v, conn))
-            base += 1
-    order0 = {v for v in g.carrier.nodes if orders[v] == 0}
-    m_edges = {}
-    for eid in sorted(e0):
-        e = g.carrier.edges[eid]
-        m_edges[eid] = Edge(
-            e.label,
-            e.sources,
-            tuple(
-                wire_of.get((t, edge_conn(eid, i)), t)
-                for i, t in enumerate(e.targets)
-            ),
-        )
-    m_left = tuple(
-        wire_of.get((u, iface_conn(p)), u) for p, u in enumerate(g.left)
+    wire_of: dict[Connection, int] = {}
+    fed: list[int] = []
+    for v in la:
+        for conn in conns[v]:
+            if conn.kind == IFACE or conn.index in e0:
+                wire_of[conn] = base + len(fed)
+                fed.append(v)
+    m_edges, m_left = reattach(
+        {eid: g.carrier.edges[eid] for eid in sorted(e0)}, g.left, wire_of
     )
+    order0 = {v for v in g.carrier.nodes if orders[v] == 0}
     read_later = {
         u
         for eid, e in g.carrier.edges.items()
@@ -649,21 +604,17 @@ def level0_decompose(g: Cospan) -> LevelSplit:
         for u in e.sources
     }
     passed = sorted(order0 & read_later)
-    m_right = (
-        g.right[:k]
-        + tuple(wire_of[key] for key in wires_in_order)
-        + tuple(passed)
-    )
+    m_right = g.right[:k] + tuple(wire_of.values()) + tuple(passed)
     m_nodes = order0 | set(wire_of.values())
     slice_ = Cospan(Hypergraph(m_nodes, m_edges), m_left, m_right)
 
-    order1 = [v for v in sorted(la) if orders[v] == 1]
+    order1 = [v for v in la if orders[v] == 1]
     merge_id = {v: i for i, v in enumerate(order1)}
     nid = len(order1)
     d_left: list[int] = []
     d_right_passes: list[int] = []
     gp_left_passes: list[int] = []
-    for v, conn in wires_in_order:
+    for v in fed:
         if orders[v] == 1:
             d_left.append(merge_id[v])
         else:
@@ -724,13 +675,16 @@ def factorise_into_levels(g: Cospan) -> LevelFactorisation:
     max_order = max(orders.values(), default=0)
     factors: list[LevelFactor] = []
     for _ in range(max_order + 2):
-        split = level0_decompose(cur)
+        split = _peel(cur, orders, in_connections(cur))
         factors.append(
             LevelFactor(split.slice, split.passthrough, split.merges)
         )
         cur = split.remainder
         if not cur.carrier.nodes:
             return LevelFactorisation(tuple(factors), perm)
+        # peeling one level lowers every remaining order by one, and the
+        # order-0 nodes passed on stay at 0
+        orders = {v: max(orders[v] - 1, 0) for v in cur.carrier.nodes}
     raise RuntimeError("level factorisation did not terminate")
 
 
@@ -843,12 +797,11 @@ def _monogamous_readback(m: Cospan, sig: Signature) -> Term:
             idx -= 1
 
     while remaining:
-        ready = [
+        eid = next(
             eid
             for eid in sorted(remaining)
             if all(s in wires for s in m.carrier.edges[eid].sources)
-        ]
-        eid = ready[0]
+        )
         e = m.carrier.edges[eid]
         if e.label not in sig:
             raise UnknownGenerator(f"generator '{e.label}' not declared")

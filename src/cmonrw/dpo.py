@@ -9,11 +9,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cospan import (
+    Connection,
     Cospan,
     cospan_key,
+    edge_conn,
+    iface_conn,
     is_right_monogamous,
     iso_equal,
     pushout,
+    reattach,
     validate_right_monogamous_acyclic,
 )
 from .errors import (
@@ -265,42 +269,33 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
             opts.append(c2_of[v])
         return opts
 
-    in_slots: list[tuple] = []
+    # each surviving in-connection at a boundary node, with that node
+    in_slots: dict[Connection, int] = {}
     for eid in sorted(remaining):
         for si, v in enumerate(remaining[eid].targets):
             if v in boundary:
-                in_slots.append(("edge", eid, si, v))
+                in_slots[edge_conn(eid, si)] = v
     for p, v in enumerate(host.left):
         if v in boundary:
-            in_slots.append(("left", p, None, v))
+            in_slots[iface_conn(p)] = v
 
     carrier_nodes = (
         frozenset(g.nodes - img_nodes)
         | frozenset(c1)
         | frozenset(c2_of.values())
     )
-    valid: list[Complement] = []
-    for picks in itertools.product(*(copies(s[3]) for s in in_slots)):
-        slot_to: dict[tuple, int] = {
-            (kind, i, si): node
-            for (kind, i, si, _), node in zip(in_slots, picks)
-        }
-        edges: dict[int, Edge] = {}
-        for eid in sorted(remaining):
-            e = remaining[eid]
-            sources = tuple(
-                c2_of[v] if v in boundary else v for v in e.sources
-            )
-            targets = tuple(
-                slot_to.get(("edge", eid, si), v)
-                for si, v in enumerate(e.targets)
-            )
-            edges[eid] = Edge(e.label, sources, targets)
-        d1 = tuple(
-            slot_to.get(("left", p, None), v)
-            for p, v in enumerate(host.left)
+    out_edges = {
+        eid: Edge(
+            e.label,
+            tuple(c2_of[v] if v in boundary else v for v in e.sources),
+            e.targets,
         )
-        d2 = tuple(c2_of[v] if v in boundary else v for v in host.right)
+        for eid, e in sorted(remaining.items())
+    }
+    d2 = tuple(c2_of[v] if v in boundary else v for v in host.right)
+    valid: list[Complement] = []
+    for picks in itertools.product(*map(copies, in_slots.values())):
+        edges, d1 = reattach(out_edges, host.left, dict(zip(in_slots, picks)))
         comp = Complement(
             Hypergraph(carrier_nodes, edges), c1, c2, d1, d2
         )

@@ -375,16 +375,16 @@ def canonical_form(g: Hypergraph, pins=()) -> tuple:
     return _canon(g, init, pins)
 
 
-def graph_dot_lines(g: Hypergraph, indent: str = "  ") -> list[str]:
+def graph_dot_lines(g: Hypergraph) -> list[str]:
     """DOT body: nodes as points, hyperedges as labelled boxes whose
     tentacles carry the endpoint position on the arrowhead."""
     lines = []
     for v in sorted(g.nodes):
-        lines.append(f'{indent}n{v} [shape=point, xlabel="{v}"];')
+        lines.append(f'  n{v} [shape=point, xlabel="{v}"];')
     for eid, e in sorted(g.edges.items()):
-        lines.append(f'{indent}e{eid} [shape=box, label="{e.label}"];')
+        lines.append(f'  e{eid} [shape=box, label="{e.label}"];')
         for i, v in enumerate(e.sources):
-            lines.append(f'{indent}n{v} -> e{eid} [headlabel="{i}"];')
+            lines.append(f'  n{v} -> e{eid} [headlabel="{i}"];')
         for i, v in enumerate(e.targets):
-            lines.append(f'{indent}e{eid} -> n{v} [headlabel="{i}"];')
+            lines.append(f'  e{eid} -> n{v} [headlabel="{i}"];')
     return lines

@@ -220,7 +220,7 @@ class _TermPool:
     structurally distinct terms, with sizes, per-key root-law variants and
     per-slack subterm variant lists memoised, so the search never rehashes
     whole subtrees and works out each subterm's variants once. Root
-    variants above the bound are counted as dropped and never interned."""
+    variants above the bound are never interned."""
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
@@ -229,8 +229,8 @@ class _TermPool:
         self._shapes: list[tuple] = []
         self._sizes: list[int] = []
         self._terms: list[Term | None] = []
-        self._root_variants: dict[int, tuple[tuple[int, ...], bool]] = {}
-        self._within: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
+        self._root_variants: dict[int, tuple[int, ...]] = {}
+        self._within: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _key_of_shape(self, shape: tuple) -> int:
         key = self._key_by_shape.get(shape)
@@ -306,66 +306,56 @@ class _TermPool:
                 return None
         return self.intern(t)
 
-    def _root_variant_keys(self, key: int) -> tuple[tuple[int, ...], bool]:
+    def _root_variant_keys(self, key: int) -> tuple[int, ...]:
         """Keys of the root-law variants of key that fit the bound, in LAWS
-        order, and whether any variant exceeds it."""
+        order."""
         got = self._root_variants.get(key)
         if got is None:
             t = self.term(key)
             keys = []
-            over = False
             for law in LAWS:
                 for v in law.variants(t):
                     k = self._intern_within(v)
-                    if k is None:
-                        over = True
-                    else:
+                    if k is not None:
                         keys.append(k)
-            got = (tuple(keys), over)
+            got = tuple(keys)
             # a term within two nodes of the bound is a proper subterm of no
             # member, so only the member itself asks for its variants
             if self._sizes[key] + 2 <= self.bound:
                 self._root_variants[key] = got
         return got
 
-    def member_variants(self, key: int) -> tuple[list[int], bool]:
+    def member_variants(self, key: int) -> list[int]:
         """Keys of the one-step variants of key that fit the bound, in
-        one_step_variants order, and whether any variant was dropped for
-        exceeding it."""
+        one_step_variants order."""
         return self._variants(key, self.bound - self._sizes[key])
 
-    def _variants(self, key: int, slack: int) -> tuple[list[int], bool]:
+    def _variants(self, key: int, slack: int) -> list[int]:
         # the variants of key at most slack nodes larger than key; those
         # that are larger are dropped before they are wrapped into parents
-        roots, dropped = self._root_variant_keys(key)
         sizes = self._sizes
         limit = sizes[key] + slack
-        out = []
-        for v in roots:
-            if sizes[v] > limit:
-                dropped = True
-            else:
-                out.append(v)
+        out = [v for v in self._root_variant_keys(key) if sizes[v] <= limit]
         shape = self._shapes[key]
         if shape[0] < 2:
             tag, fst, snd = shape
             of_shape = self._key_of_shape
-            sub, cut_fst = self._subterm_variants(fst, slack)
-            out += [of_shape((tag, v, snd)) for v in sub]
-            sub, cut_snd = self._subterm_variants(snd, slack)
-            out += [of_shape((tag, fst, v)) for v in sub]
-            dropped = dropped or cut_fst or cut_snd
-        return out, dropped
+            out += [
+                of_shape((tag, v, snd))
+                for v in self._subterm_variants(fst, slack)
+            ]
+            out += [
+                of_shape((tag, fst, v))
+                for v in self._subterm_variants(snd, slack)
+            ]
+        return out
 
-    def _subterm_variants(
-        self, key: int, slack: int
-    ) -> tuple[tuple[int, ...], bool]:
+    def _subterm_variants(self, key: int, slack: int) -> tuple[int, ...]:
         # memoised for proper subterms only: they recur across members of
         # one size, while the closure expands each member itself once
         got = self._within.get((key, slack))
         if got is None:
-            out, dropped = self._variants(key, slack)
-            got = self._within[key, slack] = (tuple(out), dropped)
+            got = self._within[key, slack] = tuple(self._variants(key, slack))
         return got
 
     def factors(self, key: int, tag: int) -> list[int]:
@@ -399,8 +389,8 @@ class AxiomClosure:
     seed: Term
     bound: int
     keys: frozenset[int]
-    truncated: bool
     pool: _TermPool = field(repr=False, compare=False)
+    truncated = True
 
     @cached_property
     def members(self) -> frozenset[Term]:
@@ -418,18 +408,15 @@ def axiom_closure(t: Term, bound: int) -> AxiomClosure:
     seed = pool.intern(t)
     seen: set[int] = {seed}
     frontier: list[int] = [seed]
-    truncated = False
     while frontier:
         nxt: list[int] = []
         for key in frontier:
-            variants, dropped = pool.member_variants(key)
-            truncated = truncated or dropped
-            for v in variants:
+            for v in pool.member_variants(key):
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return AxiomClosure(t, bound, frozenset(seen), truncated, pool)
+    return AxiomClosure(t, bound, frozenset(seen), pool)
 
 
 class EqResult(Enum):
@@ -453,8 +440,6 @@ def terms_equal_mod_axioms(t1: Term, t2: Term, bound: int) -> EqResult:
     c2 = axiom_closure(t2, bound)
     if c1.members & c2.members:
         return EqResult.EQUAL
-    if not c1.truncated and not c2.truncated:
-        return EqResult.DISTINCT_WITHIN_BOUND
     return EqResult.UNKNOWN
 
 

@@ -64,9 +64,6 @@ class Signature:
                 return m, n
         raise UnknownGenerator(f"generator {name!r} not declared")
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(g[0] for g in self.generators)
-
 
 def parse_signature(text: str) -> Signature:
     """Parse a line-based signature file body."""

@@ -4,10 +4,23 @@ about one node."""
 
 from __future__ import annotations
 
-from cmonrw.cospan import Cospan
-from cmonrw.decompose import Connection, edge_conn, iface_conn
+from dataclasses import field, make_dataclass
+
+from cmonrw.cospan import (
+    Connection,
+    Cospan,
+    FinFunction,
+    edge_conn,
+    iface_conn,
+)
+from cmonrw.decompose import (
+    LevelFactor,
+    LevelFactorisation,
+    level0_decompose,
+    node_orders,
+)
 from cmonrw.errors import UnknownNode
-from cmonrw.hypergraph import Hypergraph
+from cmonrw.hypergraph import Edge, Hypergraph
 
 
 def in_degree(g: Hypergraph, v: int) -> int:
@@ -82,3 +95,56 @@ def is_acyclic(g: Hypergraph) -> bool:
                 state[w] = 1
                 stack.append((w, iter(sorted(succ[w]))))
     return True
+
+
+# References for reattach and the one-pass level stratification.
+
+# Connection as the frozen dataclass it was before it became a NamedTuple.
+# The corpus draws iterate frozensets of connections, so the NamedTuple
+# must keep this hash, order and repr.
+DataclassConnection = make_dataclass(
+    "Connection",
+    [("kind", str), ("index", int), ("slot", int, field(default=0))],
+    frozen=True,
+    order=True,
+)
+
+
+def rebuild(
+    edges: dict[int, Edge], left: tuple[int, ...], to: dict
+) -> tuple[dict[int, Edge], tuple[int, ...]]:
+    """Every edge target slot and left position looked up in to, the way
+    each copy-and-reconnect rebuilt them before reattach."""
+    new_edges = {
+        eid: Edge(
+            e.label,
+            e.sources,
+            tuple(
+                to.get(edge_conn(eid, i), t) for i, t in enumerate(e.targets)
+            ),
+        )
+        for eid, e in edges.items()
+    }
+    new_left = tuple(to.get(iface_conn(p), u) for p, u in enumerate(left))
+    return new_edges, new_left
+
+
+def factorise_into_levels(g: Cospan) -> LevelFactorisation:
+    """One level0_decompose per level, each validating its remainder and
+    computing its orders afresh."""
+    orders = node_orders(g)
+    n = len(g.right)
+    sorted_pos = sorted(range(n), key=lambda p: (orders[g.right[p]], p))
+    perm = FinFunction(n, n, tuple(sorted_pos))
+    cur = Cospan(g.carrier, g.left, tuple(g.right[p] for p in sorted_pos))
+    max_order = max(orders.values(), default=0)
+    factors: list[LevelFactor] = []
+    for _ in range(max_order + 2):
+        split = level0_decompose(cur)
+        factors.append(
+            LevelFactor(split.slice, split.passthrough, split.merges)
+        )
+        cur = split.remainder
+        if not cur.carrier.nodes:
+            return LevelFactorisation(tuple(factors), perm)
+    raise RuntimeError("level factorisation did not terminate")

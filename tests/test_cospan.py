@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cmonrw.corpus import random_rm_cospan
+from cmonrw.corpus import SIG3, random_rm_cospan, random_term
 from cmonrw.cospan import (
+    EDGE,
+    IFACE,
+    Connection,
     Cospan,
     FinFunction,
     compose,
@@ -23,12 +27,16 @@ from cmonrw.cospan import (
     is_monogamous,
     is_right_monogamous,
     iso_equal,
+    reattach,
     symmetry_cospan,
     tensor,
     validate_right_monogamous_acyclic,
 )
+from cmonrw.decompose import in_connections
 from cmonrw.errors import InterfaceMismatch, NotDiscrete, UnknownNode
 from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic
+from cmonrw.translate import eval_term
+import naive_scans
 
 
 def rand_fn(rng: random.Random, dom: int, cod: int) -> FinFunction:
@@ -185,3 +193,53 @@ def test_monogamy_predicates():
     assert is_right_monogamous(mu)
     assert not is_monogamous(mu)
     assert is_monogamous(identity_cospan(2))
+
+
+def _connections(c: Cospan) -> list[Connection]:
+    return [conn for conns in in_connections(c).values() for conn in conns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reattach_matches_the_per_slot_rebuild(seed):
+    rng = random.Random(seed)
+    for c in (random_rm_cospan(rng), eval_term(random_term(rng, SIG3), SIG3)):
+        conns = _connections(c)
+        fresh = max(c.carrier.nodes, default=-1) + 1
+        picked = {
+            conn: rng.randrange(fresh + 3)
+            for conn in conns
+            if rng.random() < 0.5
+        }
+        ifaces = {conn: fresh for conn in conns if conn.kind == IFACE}
+        before = list(c.carrier.edges.items())
+        for to in (picked, {}, ifaces):
+            edges, left = reattach(c.carrier.edges, c.left, to)
+            want_edges, want_left = naive_scans.rebuild(
+                c.carrier.edges, c.left, to
+            )
+            assert list(edges.items()) == list(want_edges.items())
+            assert left == want_left
+        assert list(c.carrier.edges.items()) == before
+
+
+def test_connection_tuple_keeps_the_dataclass_hash_order_and_repr():
+    rng = random.Random(11)
+    conns = [Connection(EDGE, 0), Connection(IFACE, 3), Connection(EDGE, 2, 1)]
+    for _ in range(60):
+        conns += _connections(random_rm_cospan(rng))
+    old = [naive_scans.DataclassConnection(*conn) for conn in conns]
+    for new, ref in zip(conns, old):
+        assert hash(new) == hash(ref)
+        assert repr(new) == repr(ref)
+        assert tuple(new) == dataclasses.astuple(ref)
+    assert [naive_scans.DataclassConnection(*c) for c in sorted(conns)] == (
+        sorted(old)
+    )
+    for _ in range(50):
+        picks = rng.sample(range(len(conns)), rng.randint(0, 12))
+        new_set = frozenset(conns[i] for i in picks)
+        old_set = frozenset(old[i] for i in picks)
+        assert [tuple(c) for c in new_set] == [
+            dataclasses.astuple(c) for c in old_set
+        ]

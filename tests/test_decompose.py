@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import reduce
 from itertools import product
 
@@ -19,6 +20,7 @@ from cmonrw.corpus import (
     random_term,
     random_updown_signature,
 )
+from cmonrw import decompose
 from cmonrw.cospan import (
     Cospan,
     FinFunction,
@@ -329,3 +331,64 @@ def test_readback_roundtrip_random_terms(seed):
     c = eval_term(t, SIG3)
     rb = readback_term(c, SIG3)
     assert iso_equal(eval_term(rb, SIG3), c)
+
+
+def _raw(c: Cospan) -> tuple:
+    g = c.carrier
+    return (sorted(g.nodes), list(g.edges.items()), c.left, c.right)
+
+
+def _factors_raw(lf) -> tuple:
+    return lf.perm, [
+        (_raw(f.slice), f.passthrough, _raw(f.merges)) for f in lf.factors
+    ]
+
+
+def test_factorisation_matches_the_per_level_reference():
+    rng = random.Random(2024)
+    hosts = [merge_fixture()]
+    hosts += [random_rm_cospan(rng) for _ in range(300)]
+    hosts += [eval_term(random_term(rng, SIG3), SIG3) for _ in range(150)]
+    peeled = 0
+    for c in hosts:
+        assert _factors_raw(factorise_into_levels(c)) == _factors_raw(
+            naive_scans.factorise_into_levels(c)
+        )
+        # each remainder's orders are its parent's, lowered by one
+        orders = node_orders(c)
+        right = tuple(sorted(c.right, key=lambda v: orders[v]))
+        cur = Cospan(c.carrier, c.left, right)
+        while cur.carrier.nodes:
+            cur = level0_decompose(cur).remainder
+            shifted = {v: max(orders[v] - 1, 0) for v in cur.carrier.nodes}
+            assert node_orders(cur) == shifted
+            orders = shifted
+            peeled += 1
+    assert peeled >= 600
+
+
+def test_factorisation_validates_and_orders_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(decompose, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("validate_right_monogamous_acyclic", "node_orders"):
+        monkeypatch.setattr(decompose, name, counted(name))
+    deep = eval_term(
+        parse_term("((g ; mu) + a) ; f ; g ; mu ; g ; mu", SIG_AB), SIG_AB
+    )
+    for c in (merge_fixture(), deep):
+        calls.clear()
+        lf = factorise_into_levels(c)
+        assert len(lf.factors) >= 3
+        assert calls == {
+            "validate_right_monogamous_acyclic": 1,
+            "node_orders": 1,
+        }

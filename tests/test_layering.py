@@ -10,6 +10,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cmonrw"
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parent.parent
 
 
 def private_imports(source: str) -> list[str]:
@@ -45,3 +46,68 @@ def test_the_check_sees_private_imports():
 def test_no_private_names_cross_modules(path):
     assert MODULES, "package sources not found"
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of the public top-level functions and of the public methods
+    of top-level classes."""
+    tree = ast.parse(source)
+    defs = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += node.body
+    return [
+        node.name
+        for node in defs
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the source uses: plain names, attributes and imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_the_check_sees_unreferenced_definitions():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "class K:\n"
+        "    def method(self): pass\n"
+        "    def spare(self): pass\n"
+        "    def __len__(self): return 0\n"
+    )
+    user = "from m import used\nK().method()\n"
+    names = referenced_names(source) | referenced_names(user)
+    assert [d for d in public_definitions(source) if d not in names] == [
+        "unused",
+        "spare",
+    ]
+
+
+def test_every_public_function_is_referenced():
+    sources = [
+        path
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    names = set()
+    for path in sources:
+        names |= referenced_names(path.read_text(encoding="utf-8"))
+    unreferenced = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in public_definitions(path.read_text(encoding="utf-8"))
+        if name not in names
+    ]
+    assert unreferenced == []
