@@ -144,10 +144,7 @@ def term_type(t: Term) -> tuple[int, int]:
     if isinstance(t, Seq):
         a, b = term_type(t.fst), term_type(t.snd)
         if a[1] != b[0]:
-            raise TypeMismatch(
-                f"cannot chain {pretty_print(t.fst)} : {a[0]}->{a[1]} "
-                f"with {pretty_print(t.snd)} : {b[0]}->{b[1]}"
-            )
+            raise chain_mismatch(t, a, b)
         return a[0], b[1]
     if isinstance(t, Par):
         a, b = term_type(t.fst), term_type(t.snd)
@@ -163,22 +160,46 @@ def term_size(t: Term) -> int:
     return 1
 
 
+def chain_mismatch(t: Seq, a: tuple[int, int], b: tuple[int, int]):
+    """The error for t = fst ; snd with fst : a and snd : b, a[1] != b[0]."""
+    return TypeMismatch(
+        f"cannot chain {pretty_print(t.fst)} : {a[0]}->{a[1]} "
+        f"with {pretty_print(t.snd)} : {b[0]}->{b[1]}"
+    )
+
+
+class _Text(str):
+    """Literal output text on pretty_print's stack, never a term."""
+
+
+_CLOSE, _SEMI, _PLUS = _Text(")"), _Text(" ; "), _Text(" + ")
+
+
 def pretty_print(t: Term) -> str:
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Id):
-        return f"id_{t.n}"
-    if isinstance(t, Sym):
-        return f"sym_{t.m}_{t.n}"
-    if isinstance(t, Mu):
-        return "mu"
-    if isinstance(t, Eta):
-        return "eta"
-    if isinstance(t, Seq):
-        return f"({pretty_print(t.fst)} ; {pretty_print(t.snd)})"
-    if isinstance(t, Par):
-        return f"({pretty_print(t.fst)} + {pretty_print(t.snd)})"
-    raise TypeMismatch(f"not a term: {t!r}")
+    """Fully parenthesised text of t, built without recursion."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is _Text:
+            out.append(t)
+        elif isinstance(t, Gen):
+            out.append(t.name)
+        elif isinstance(t, Id):
+            out.append(f"id_{t.n}")
+        elif isinstance(t, Sym):
+            out.append(f"sym_{t.m}_{t.n}")
+        elif isinstance(t, Mu):
+            out.append("mu")
+        elif isinstance(t, Eta):
+            out.append("eta")
+        elif isinstance(t, (Seq, Par)):
+            out.append("(")
+            op = _SEMI if isinstance(t, Seq) else _PLUS
+            stack += (_CLOSE, t.snd, op, t.fst)
+        else:
+            raise TypeMismatch(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -225,9 +246,14 @@ def _atom(name: str, pos: int, sig: Signature) -> Term:
 
 
 def parse_term(src: str, sig: Signature) -> Term:
-    """Parse and typecheck a term expression."""
+    """Parse and typecheck a term expression.
+
+    Types are recorded as each Seq/Par is built, so no pass over the whole
+    term follows. The first ill-typed Seq in post-order is reported, and
+    only once the input has parsed: syntax errors win."""
     tokens = _tokenize(src)
     idx = 0
+    mismatch: TypeMismatch | None = None
 
     def peek() -> tuple[str, str, int] | None:
         return tokens[idx] if idx < len(tokens) else None
@@ -242,39 +268,48 @@ def parse_term(src: str, sig: Signature) -> Term:
         idx += 1
         return tok
 
-    def factor() -> Term:
+    def factor() -> tuple[Term, tuple[int, int]]:
         tok = peek()
         if tok is None:
             raise TermSyntaxError("unexpected end of input")
         if tok[0] == "(":
             take("(")
-            t = chain()
+            typed = chain()
             take(")")
-            return t
+            return typed
         kind, text, pos = take("name")
-        return _atom(text, pos, sig)
+        atom = _atom(text, pos, sig)
+        return atom, term_type(atom)
 
-    def chain() -> Term:
-        t = factor()
+    def chain() -> tuple[Term, tuple[int, int]]:
+        nonlocal mismatch
+        t, a = factor()
         tok = peek()
         if tok is None or tok[0] not in ";+":
-            return t
+            return t, a
         op = tok[0]
         while True:
             tok = peek()
             if tok is None or tok[0] in ")":
-                return t
+                return t, a
             if tok[0] != op:
                 raise TermSyntaxError(
                     "mixing ';' and '+' needs parentheses", location=tok[2]
                 )
             take(op)
-            rhs = factor()
-            t = Seq(t, rhs) if op == ";" else Par(t, rhs)
+            rhs, b = factor()
+            if op == "+":
+                t, a = Par(t, rhs), (a[0] + b[0], a[1] + b[1])
+                continue
+            t = Seq(t, rhs)
+            if a[1] != b[0] and mismatch is None:
+                mismatch = chain_mismatch(t, a, b)
+            a = (a[0], b[1])
 
-    term = chain()
+    term, _ = chain()
     if peek() is not None:
         raise TermSyntaxError(f"trailing input at {peek()[1]!r}",
                               location=peek()[2])
-    term_type(term)
+    if mismatch is not None:
+        raise mismatch
     return term

@@ -2,63 +2,124 @@
 
 from __future__ import annotations
 
-from .cospan import (
-    Cospan,
-    FinFunction,
-    compose,
-    cospan_to_function,
-    function_to_cospan,
-    identity_cospan,
-    symmetry_cospan,
-    tensor,
-)
+from .cospan import Cospan, FinFunction, cospan_to_function
 from .errors import ContainsGenerator, TypeMismatch, UnknownGenerator
-from .hypergraph import Edge, Hypergraph
-from .sigterm import Eta, Gen, Id, Mu, Par, Seq, Signature, Sym, Term, term_type
+from .hypergraph import Edge, Hypergraph, UnionFind
+from .sigterm import (
+    Eta,
+    Gen,
+    Id,
+    Mu,
+    Par,
+    Seq,
+    Signature,
+    Sym,
+    Term,
+    chain_mismatch,
+)
 
-MERGE = FinFunction(2, 1, (0, 0))
-EMPTY = FinFunction(0, 1, ())
-
-
-def generator_cospan(name: str, sig: Signature) -> Cospan:
-    """One hyperedge wired straight from fresh inputs to fresh outputs."""
-    m, n = sig.arity(name)
-    g = Hypergraph(
-        frozenset(range(m + n)),
-        {0: Edge(name, tuple(range(m)), tuple(range(m, m + n)))},
-    )
-    return Cospan(g, tuple(range(m)), tuple(range(m, m + n)))
+_JOIN = object()  # stack marker: join the two subterms done last
 
 
 def eval_term(t: Term, sig: Signature) -> Cospan:
-    """Interpret a term as a cospan, bottom-up."""
-    term_type(t)  # reject ill-typed input before building anything
-    return _eval(t, sig)
+    """Interpret a term as a cospan in one pass over its leaves.
 
+    Each leaf allocates fresh wire instances: a generator its inputs, then
+    its outputs; ``id_n`` n instances, shared by both sides; ``sym_m_n``
+    m+n, the right side rotated by m; ``mu`` one instance x with left
+    (x, x); ``eta`` one with no left. ``;`` identifies its first factor's
+    right with its second's left in one union-find, and ``+`` puts the
+    boundaries side by side. Nodes are the classes, numbered by their first
+    instance in leaf order, and edges are listed in leaf order: exactly the
+    carrier that nested ``compose``/``tensor`` pushouts build.
 
-def _eval(t: Term, sig: Signature) -> Cospan:
-    if isinstance(t, Gen):
-        if t.name not in sig:
-            raise UnknownGenerator(f"generator '{t.name}' not declared")
-        if sig.arity(t.name) != (t.dom, t.cod):
-            raise TypeMismatch(
-                f"generator '{t.name}' used at {t.dom}->{t.cod} but declared "
-                f"{sig.arity(t.name)[0]}->{sig.arity(t.name)[1]}"
+    The first ill-typed ``;`` in post-order raises; a well-typed term then
+    raises for its leftmost undeclared or mistyped generator."""
+    arities = {name: (m, n) for name, m, n in sig.generators}
+    uf = UnionFind()
+    count = 0  # wire instances allocated so far
+    edges: list[tuple[str, range, range]] = []
+    bad_generator: Exception | None = None
+    done: list[tuple[list[int], list[int]]] = []  # boundaries of subterms
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if node is _JOIN:  # both operands of the next entry are done
+            op = stack.pop()
+            left2, right2 = done.pop()
+            left1, right1 = done.pop()
+            if isinstance(op, Seq):
+                if len(right1) != len(left2):
+                    a, b = (len(left1), len(right1)), (len(left2), len(right2))
+                    raise chain_mismatch(op, a, b)
+                for x, y in zip(right1, left2):
+                    uf.union(x, y)
+                done.append((left1, right2))
+            else:  # every boundary list has one owner: extend in place
+                left1 += left2
+                right1 += right2
+                done.append((left1, right1))
+        elif isinstance(node, (Seq, Par)):
+            stack += (node, _JOIN, node.snd, node.fst)
+        elif isinstance(node, Gen):
+            ins = range(count, count + node.dom)
+            outs = range(count + node.dom, count + node.dom + node.cod)
+            count += node.dom + node.cod
+            edges.append((node.name, ins, outs))
+            done.append((list(ins), list(outs)))
+            if bad_generator is None:
+                bad_generator = _generator_error(node, arities)
+        elif isinstance(node, Id):
+            wires = range(count, count + node.n)
+            count += node.n
+            done.append((list(wires), list(wires)))
+        elif isinstance(node, Sym):
+            wires = list(range(count, count + node.m + node.n))
+            count += node.m + node.n
+            done.append((wires, wires[node.m:] + wires[:node.m]))
+        elif isinstance(node, Mu):
+            done.append(([count, count], [count]))
+            count += 1
+        elif isinstance(node, Eta):
+            done.append(([], [count]))
+            count += 1
+        else:
+            raise TypeMismatch(f"not a term: {node!r}")
+    if bad_generator is not None:
+        raise bad_generator
+    [(left, right)] = done
+    number: dict[int, int] = {}
+    node_of = [
+        number.setdefault(uf.find(i), len(number)) for i in range(count)
+    ]
+    carrier = Hypergraph(
+        frozenset(range(len(number))),
+        {
+            eid: Edge(
+                label,
+                tuple(node_of[i] for i in ins),
+                tuple(node_of[i] for i in outs),
             )
-        return generator_cospan(t.name, sig)
-    if isinstance(t, Id):
-        return identity_cospan(t.n)
-    if isinstance(t, Sym):
-        return symmetry_cospan(t.m, t.n)
-    if isinstance(t, Mu):
-        return function_to_cospan(MERGE)
-    if isinstance(t, Eta):
-        return function_to_cospan(EMPTY)
-    if isinstance(t, Seq):
-        return compose(_eval(t.fst, sig), _eval(t.snd, sig))
-    if isinstance(t, Par):
-        return tensor(_eval(t.fst, sig), _eval(t.snd, sig))
-    raise TypeError(f"not a term: {t!r}")
+            for eid, (label, ins, outs) in enumerate(edges)
+        },
+    )
+    return Cospan(
+        carrier,
+        tuple(node_of[i] for i in left),
+        tuple(node_of[i] for i in right),
+    )
+
+
+def _generator_error(g: Gen, arities: dict) -> Exception | None:
+    if g.name not in arities:
+        return UnknownGenerator(f"generator '{g.name}' not declared")
+    m, n = arities[g.name]
+    if (m, n) != (g.dom, g.cod):
+        return TypeMismatch(
+            f"generator '{g.name}' used at {g.dom}->{g.cod} but declared "
+            f"{m}->{n}"
+        )
+    return None
 
 
 def cmon_term_to_function(t: Term) -> FinFunction:
@@ -68,8 +129,11 @@ def cmon_term_to_function(t: Term) -> FinFunction:
 
 
 def _reject_generators(t: Term) -> None:
-    if isinstance(t, Gen):
-        raise ContainsGenerator(f"term contains generator '{t.name}'")
-    if isinstance(t, (Seq, Par)):
-        _reject_generators(t.fst)
-        _reject_generators(t.snd)
+    """Raise for the leftmost generator in t."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Gen):
+            raise ContainsGenerator(f"term contains generator '{node.name}'")
+        if isinstance(node, (Seq, Par)):
+            stack += (node.snd, node.fst)

@@ -388,3 +388,18 @@ def test_well_formed_document_still_loads(ws, capsys):
     argv = ["rewrite", "--sig", sig, "--rules", rules, "--host", str(host)]
     assert run(argv) == 0
     assert capsys.readouterr().out.startswith("normal forms: 1\n")
+
+
+def test_translate_of_a_3000_factor_chain(ws, tmp_path, capsys):
+    _, sig, _ = ws
+    term = tmp_path / "chain.term"
+    term.write_text(" ; ".join(["f"] * 3000))
+    out = tmp_path / "chain.csp"
+    assert (
+        run(["translate", "--sig", sig, "--term", str(term), "--out", str(out)])
+        == 0
+    )
+    doc = json.loads(out.read_text())
+    assert len(doc["edges"]) == 3000
+    assert doc["left"] == [0] and doc["right"] == [3000]
+    assert capsys.readouterr().err == ""

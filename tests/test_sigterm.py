@@ -110,3 +110,45 @@ def test_pretty_print_examples():
     assert pretty_print(Id(3)) == "id_3"
     assert pretty_print(Sym(1, 1)) == "sym_1_1"
     assert pretty_print(Seq(Mu(), Gen("a", 1, 1))) == "(mu ; a)"
+
+
+A, F = Gen("a", 1, 1), Gen("f", 2, 1)
+
+
+@pytest.mark.parametrize(
+    "text,built",
+    [
+        ("a ; f", Seq(A, F)),
+        ("(a ; f) ; (f ; a)", Seq(Seq(A, F), Seq(F, A))),
+        (
+            "((a ; f) + a) ; (mu ; mu)",
+            Seq(Par(Seq(A, F), A), Seq(Mu(), Mu())),
+        ),
+        ("a ; (mu ; mu) ; f", Seq(Seq(A, Seq(Mu(), Mu())), F)),
+    ],
+)
+def test_parse_term_reports_term_types_first_mismatch(text, built, sig):
+    with pytest.raises(TypeMismatch) as expected:
+        term_type(built)
+    with pytest.raises(TypeMismatch) as got:
+        parse_term(text, sig)
+    assert str(got.value) == str(expected.value)
+
+
+def test_parse_term_holds_type_errors_until_the_input_parsed(sig):
+    with pytest.raises(TermSyntaxError):
+        parse_term("a ; f ; )", sig)
+    with pytest.raises(TermSyntaxError):
+        parse_term("(a ; f) + a ; a", sig)
+    with pytest.raises(UnknownGenerator):
+        parse_term("a ; f ; zz", sig)
+
+
+def test_deep_chains_parse_and_print_without_recursion(sig):
+    text = " ; ".join(["a"] * 3000)
+    t = parse_term(text, sig)
+    printed = pretty_print(t)
+    assert printed == "(" * 2999 + "a" + " ; a)" * 2999
+    with pytest.raises(TypeMismatch) as got:
+        parse_term(text + " ; f", sig)
+    assert str(got.value) == f"cannot chain {printed} : 1->1 with f : 2->1"
