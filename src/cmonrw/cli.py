@@ -30,7 +30,7 @@ from .dpo import (
     parse_rules,
     rewrite_all,
 )
-from .errors import CmonrwError, IoFailure
+from .errors import CmonrwError, IoFailure, StepBudgetExhausted
 from .hypergraph import is_acyclic
 from .oracle import enumerate_rewrites_by_rule
 from .sigterm import (
@@ -262,12 +262,18 @@ def _cmd_oracle_compare(args) -> int:
     host_term = _load_term(args.host, sig)
     host = eval_term(host_term, sig)
 
+    # many oracle terms evaluate to the same cospan: key each one once
+    keys: dict[tuple, tuple] = {}
     oracle_reps: dict[tuple, Term] = {}
     pairs = [(lhs, rhs) for _, lhs, rhs in triples]
     for found in enumerate_rewrites_by_rule(pairs, host_term, args.bound):
         for t in sorted(found, key=lambda t: (term_size(t), pretty_print(t))):
-            key = cospan_key(eval_term(t, sig))
-            oracle_reps.setdefault(key, t)
+            c = eval_term(t, sig)
+            g = c.carrier
+            data = (g.nodes, tuple(g.edges.items()), c.left, c.right)
+            if data not in keys:
+                keys[data] = cospan_key(c)
+            oracle_reps.setdefault(keys[data], t)
 
     dpo_reps: dict[tuple, Cospan] = {}
     for step in rewrite_all(rules, host):
@@ -407,12 +413,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_record(exc: CmonrwError) -> dict:
+    """exc's record; an exhausted step budget also carries what the
+    search had: its frontier size, trace length and the normal forms
+    found so far, as cospan documents in normalize's order."""
+    rec = exc.record()
+    if isinstance(exc, StepBudgetExhausted):
+        rec["frontier-size"] = len(exc.frontier)
+        rec["trace-length"] = len(exc.trace)
+        rec["normal-forms"] = [
+            cospan_to_document(c) for c in exc.normal_forms
+        ]
+    return rec
+
+
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except CmonrwError as exc:
-        sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")
+        sys.stderr.write(json.dumps(_error_record(exc), sort_keys=True) + "\n")
         return 1
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         record = {"code": "io-failure", "message": f"{type(exc).__name__}: {exc}"}

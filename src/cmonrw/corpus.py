@@ -226,7 +226,10 @@ def random_updown_signature(
         if v in sides.inner:
             out[v] = (frozenset(), external)
         else:
-            upper = frozenset(c for c in external if rng.random() < 0.5)
+            # sorted, so the draws do not depend on the hash seed
+            upper = frozenset(
+                c for c in sorted(external) if rng.random() < 0.5
+            )
             out[v] = (upper, external - upper)
     return out
 

@@ -218,6 +218,19 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     each surviving in-connection picks any copy, and every combination that
     passes validation is kept.
 
+    Combinations are built once per symmetry class of twin producers:
+    remaining edges with equal label, sources and targets. Swapping two
+    twins fixes every node, so it is an automorphism of the host that
+    fixes both interfaces and the match, and candidates that differ only
+    by permuting the twins' per-edge picks are isomorphic, equally valid
+    and equally keyed. Each class contributes one candidate per multiset
+    of per-edge picks, laid out in non-decreasing order along the twins'
+    edge ids: the lexicographically first pick vector of its orbit. The
+    candidates are validated in lexicographic order of their pick
+    vectors, so each key keeps the representative the full product of
+    picks would keep: n+1 candidates instead of 2^n where n twins feed a
+    node with two copies.
+
     Each candidate glues back onto the host by the match's own map (lhs
     nodes through match.hom, copies onto the node they copy, every other
     node to itself), a bijection on edges that fixes both interfaces, so
@@ -269,15 +282,47 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
             opts.append(c2_of[v])
         return opts
 
-    # each surviving in-connection at a boundary node, with that node
+    # each surviving in-connection at a boundary node, with that node, and
+    # the per-producer blocks of those in-slots: twins share one entry,
+    # each left-interface slot is an entry of its own
     in_slots: dict[Connection, int] = {}
+    producers: dict[Edge | Connection, list[list[Connection]]] = {}
     for eid in sorted(remaining):
-        for si, v in enumerate(remaining[eid].targets):
-            if v in boundary:
-                in_slots[edge_conn(eid, si)] = v
+        e = remaining[eid]
+        block = [
+            edge_conn(eid, si)
+            for si, v in enumerate(e.targets)
+            if v in boundary
+        ]
+        for conn in block:
+            in_slots[conn] = e.targets[conn.slot]
+        if block:
+            producers.setdefault(e, []).append(block)
     for p, v in enumerate(host.left):
         if v in boundary:
             in_slots[iface_conn(p)] = v
+            producers[iface_conn(p)] = [[iface_conn(p)]]
+
+    def orbit_picks(blocks: list[list[Connection]]) -> list[list[tuple]]:
+        """One list of (in-slot, copy) pairs per multiset of per-block
+        picks, the picks in non-decreasing order along the blocks."""
+        nodes = [in_slots[c] for c in blocks[0]]
+        options = itertools.product(*map(copies, nodes))
+        return [
+            [pair for b, pick in zip(blocks, ms) for pair in zip(b, pick)]
+            for ms in itertools.combinations_with_replacement(
+                options, len(blocks)
+            )
+        ]
+
+    classes = map(orbit_picks, producers.values())
+    assignments = sorted(
+        (
+            dict(itertools.chain.from_iterable(parts))
+            for parts in itertools.product(*classes)
+        ),
+        key=lambda to: [to[c] for c in in_slots],
+    )
 
     carrier_nodes = (
         frozenset(g.nodes - img_nodes)
@@ -294,8 +339,8 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     }
     d2 = tuple(c2_of[v] if v in boundary else v for v in host.right)
     valid: list[Complement] = []
-    for picks in itertools.product(*map(copies, in_slots.values())):
-        edges, d1 = reattach(out_edges, host.left, dict(zip(in_slots, picks)))
+    for to in assignments:
+        edges, d1 = reattach(out_edges, host.left, to)
         comp = Complement(
             Hypergraph(carrier_nodes, edges), c1, c2, d1, d2
         )

@@ -250,7 +250,9 @@ def parse_term(src: str, sig: Signature) -> Term:
 
     Types are recorded as each Seq/Par is built, so no pass over the whole
     term follows. The first ill-typed Seq in post-order is reported, and
-    only once the input has parsed: syntax errors win."""
+    only once the input has parsed: syntax errors win. Parentheses open
+    chains on an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit."""
     tokens = _tokenize(src)
     idx = 0
     mismatch: TypeMismatch | None = None
@@ -268,48 +270,54 @@ def parse_term(src: str, sig: Signature) -> Term:
         idx += 1
         return tok
 
-    def factor() -> tuple[Term, tuple[int, int]]:
+    # the innermost open chain is (t, a, op): its term so far (None before
+    # its first factor), that term's type and its operator (None until
+    # one follows the first factor); the chains around it wait on stack
+    stack: list[tuple] = []
+    t = a = op = None
+    while True:
         tok = peek()
         if tok is None:
             raise TermSyntaxError("unexpected end of input")
         if tok[0] == "(":
             take("(")
-            typed = chain()
-            take(")")
-            return typed
+            stack.append((t, a, op))
+            t = a = op = None
+            continue
         kind, text, pos = take("name")
-        atom = _atom(text, pos, sig)
-        return atom, term_type(atom)
-
-    def chain() -> tuple[Term, tuple[int, int]]:
-        nonlocal mismatch
-        t, a = factor()
-        tok = peek()
-        if tok is None or tok[0] not in ";+":
-            return t, a
-        op = tok[0]
+        f = _atom(text, pos, sig)
+        b = term_type(f)
         while True:
+            # f : b is the next finished factor of the innermost chain
+            if t is None:
+                t, a = f, b
+                tok = peek()
+                if tok is not None and tok[0] in ";+":
+                    op = tok[0]
+            elif op == "+":
+                t, a = Par(t, f), (a[0] + b[0], a[1] + b[1])
+            else:
+                t = Seq(t, f)
+                if a[1] != b[0] and mismatch is None:
+                    mismatch = chain_mismatch(t, a, b)
+                a = (a[0], b[1])
             tok = peek()
-            if tok is None or tok[0] in ")":
-                return t, a
-            if tok[0] != op:
-                raise TermSyntaxError(
-                    "mixing ';' and '+' needs parentheses", location=tok[2]
-                )
-            take(op)
-            rhs, b = factor()
-            if op == "+":
-                t, a = Par(t, rhs), (a[0] + b[0], a[1] + b[1])
-                continue
-            t = Seq(t, rhs)
-            if a[1] != b[0] and mismatch is None:
-                mismatch = chain_mismatch(t, a, b)
-            a = (a[0], b[1])
-
-    term, _ = chain()
-    if peek() is not None:
-        raise TermSyntaxError(f"trailing input at {peek()[1]!r}",
-                              location=peek()[2])
-    if mismatch is not None:
-        raise mismatch
-    return term
+            if op is not None and tok is not None and tok[0] != ")":
+                if tok[0] != op:
+                    raise TermSyntaxError(
+                        "mixing ';' and '+' needs parentheses",
+                        location=tok[2],
+                    )
+                take(op)
+                break
+            if not stack:
+                if tok is not None:
+                    raise TermSyntaxError(f"trailing input at {tok[1]!r}",
+                                          location=tok[2])
+                if mismatch is not None:
+                    raise mismatch
+                return t
+            # the chain ends at its closing parenthesis and is a factor
+            take(")")
+            f, b = t, a
+            t, a, op = stack.pop()

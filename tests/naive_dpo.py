@@ -1,0 +1,102 @@
+"""The full product of in-slot picks that boundary_complement replaced,
+kept as the reference it is tested against: every surviving in-connection
+at a boundary node picks any copy of that node, independently, so n twin
+producers feeding a node with two copies give 2^n candidates, each one
+built, validated and keyed."""
+
+from __future__ import annotations
+
+import itertools
+
+from cmonrw import dpo
+from cmonrw.cospan import Connection, Cospan, edge_conn, iface_conn, reattach
+from cmonrw.dpo import Complement, Match, complement_key
+from cmonrw.errors import DanglingEdge
+from cmonrw.hypergraph import Edge, Hypergraph
+
+
+def full_product_complements(match: Match, host: Cospan) -> list[Complement]:
+    """boundary_complement as it was before twin producers were grouped.
+    Validity goes through dpo.complement_is_valid, so a test that wraps
+    that name counts the calls made here too."""
+    rule = match.rule
+    g = host.carrier
+    a1_img = [match.hom.node_map[v] for v in rule.lhs.left]
+    a2_img = [match.hom.node_map[v] for v in rule.lhs.right]
+    boundary = set(a1_img) | set(a2_img)
+    img_nodes = set(match.hom.node_map.values())
+    img_edges = set(match.hom.edge_map.values())
+    deleted = img_nodes - boundary
+
+    remaining = {
+        eid: e for eid, e in g.edges.items() if eid not in img_edges
+    }
+    for eid in sorted(remaining):
+        e = remaining[eid]
+        for v in e.sources + e.targets:
+            if v in deleted:
+                raise DanglingEdge(
+                    f"edge {eid} touches deleted node {v}"
+                )
+    for v in host.left + host.right:
+        if v in deleted:
+            raise DanglingEdge(f"host interface touches deleted node {v}")
+
+    base = max(g.nodes) + 1 if g.nodes else 0
+    c1 = tuple(range(base, base + len(a1_img)))
+    c2_of: dict[int, int] = {}
+    for w in sorted(set(a2_img)):
+        c2_of[w] = base + len(a1_img) + len(c2_of)
+    c2 = tuple(c2_of[w] for w in a2_img)
+
+    for eid in sorted(remaining):
+        for v in remaining[eid].sources:
+            if v in boundary and v not in c2_of:
+                return []
+    for v in host.right:
+        if v in boundary and v not in c2_of:
+            return []
+
+    def copies(v: int) -> list[int]:
+        opts = [c1[z] for z, w in enumerate(a1_img) if w == v]
+        if v in c2_of:
+            opts.append(c2_of[v])
+        return opts
+
+    in_slots: dict[Connection, int] = {}
+    for eid in sorted(remaining):
+        for si, v in enumerate(remaining[eid].targets):
+            if v in boundary:
+                in_slots[edge_conn(eid, si)] = v
+    for p, v in enumerate(host.left):
+        if v in boundary:
+            in_slots[iface_conn(p)] = v
+
+    carrier_nodes = (
+        frozenset(g.nodes - img_nodes)
+        | frozenset(c1)
+        | frozenset(c2_of.values())
+    )
+    out_edges = {
+        eid: Edge(
+            e.label,
+            tuple(c2_of[v] if v in boundary else v for v in e.sources),
+            e.targets,
+        )
+        for eid, e in sorted(remaining.items())
+    }
+    d2 = tuple(c2_of[v] if v in boundary else v for v in host.right)
+    valid: list[Complement] = []
+    for picks in itertools.product(*map(copies, in_slots.values())):
+        edges, d1 = reattach(out_edges, host.left, dict(zip(in_slots, picks)))
+        comp = Complement(
+            Hypergraph(carrier_nodes, edges), c1, c2, d1, d2
+        )
+        if dpo.complement_is_valid(match, host, comp):
+            valid.append(comp)
+    if len(valid) <= 1:
+        return valid
+    found: dict[tuple, Complement] = {}
+    for comp in valid:
+        found.setdefault(complement_key(comp), comp)
+    return [found[k] for k in sorted(found)]

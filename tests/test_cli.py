@@ -7,9 +7,9 @@ import os
 
 import pytest
 
-from cmonrw import oracle
+from cmonrw import cli, oracle
 from cmonrw.cli import run
-from cmonrw.cospan import cospan_from_document, iso_equal
+from cmonrw.cospan import cospan_from_document, cospan_key, iso_equal
 from cmonrw.oracle import axiom_closure
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
@@ -158,6 +158,61 @@ def test_rewrite_budget_exhaustion_is_machine_readable(ws, tmp_path, capsys):
     assert err["code"] == "step-budget-exhausted"
 
 
+def test_leftmost_budget_record_carries_the_trace_length(
+    ws, tmp_path, capsys
+):
+    _, sig, _ = ws
+    comm = tmp_path / "comm.txt"
+    comm.write_text("rule comm : mu => sym_1_1 ; mu\n")
+    argv = [
+        "rewrite", "--rules", str(comm), "--sig", sig,
+        "--host", "mu", "--strategy", "leftmost", "--max-steps", "3",
+    ]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "code": "step-budget-exhausted",
+        "message": "leftmost rewriting still reducible after 3 steps",
+        "frontier-size": 0,
+        "trace-length": 4,
+        "normal-forms": [],
+    }
+
+
+def test_bfs_budget_record_carries_frontier_and_normal_forms(
+    ws, tmp_path, capsys
+):
+    # f rewrites to the normal form g or grows to f ; f, whose three
+    # successors are all still reducible at depth 2
+    _, sig, _ = ws
+    grow = tmp_path / "grow.txt"
+    grow.write_text("rule fg : f => g\nrule ff : f => f ; f\n")
+    argv = [
+        "rewrite", "--rules", str(grow), "--sig", sig,
+        "--host", "f", "--strategy", "bfs", "--max-steps", "2",
+    ]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "code": "step-budget-exhausted",
+        "message": "3 reducible cospans left at depth 2",
+        "frontier-size": 3,
+        "trace-length": 0,
+        "normal-forms": [
+            {
+                "nodes": [0, 1],
+                "edges": [
+                    {"id": 0, "label": "g", "sources": [0], "targets": [1]}
+                ],
+                "left": [0],
+                "right": [1],
+            }
+        ],
+    }
+
+
 def test_rewrite_dot_dir_writes_series(ws, tmp_path, capsys):
     _, sig, rules = ws
     dots = tmp_path / "dots"
@@ -185,6 +240,49 @@ def test_oracle_compare_agreement(ws, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "symmetric difference: 0" in out
+
+
+def test_oracle_compare_keys_each_distinct_cospan_once(
+    ws, capsys, monkeypatch
+):
+    _, sig, rules = ws
+    signature = parse_signature(SIG_TEXT)
+    host = parse_term("f ; f", signature)
+    terms = [
+        t
+        for found in oracle.enumerate_rewrites_by_rule(
+            [(parse_term("f", signature), parse_term("g", signature))],
+            host,
+            8,
+        )
+        for t in found
+    ]
+    distinct = set()
+    for t in terms:
+        c = eval_term(t, signature)
+        distinct.add(
+            (
+                c.carrier.nodes,
+                tuple(c.carrier.edges.items()),
+                c.left,
+                c.right,
+            )
+        )
+    keyed = []
+
+    def counting_key(c):
+        keyed.append(c)
+        return cospan_key(c)
+
+    # the DPO side keys its steps through dpo's own binding
+    monkeypatch.setattr(cli, "cospan_key", counting_key)
+    argv = [
+        "oracle-compare", "--rules", rules, "--sig", sig,
+        "--host", "f ; f", "--bound", "8",
+    ]
+    assert run(argv) == 0
+    assert "symmetric difference: 0" in capsys.readouterr().out
+    assert len(keyed) == len(distinct) < len(terms)
 
 
 def test_oracle_compare_reports_undercount(ws, tmp_path, capsys):
@@ -403,3 +501,22 @@ def test_translate_of_a_3000_factor_chain(ws, tmp_path, capsys):
     assert len(doc["edges"]) == 3000
     assert doc["left"] == [0] and doc["right"] == [3000]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_translate_of_f_inside_deep_parentheses(ws, tmp_path, capsys, depth):
+    _, sig, _ = ws
+    assert run(["translate", "--sig", sig, "--term", "f"]) == 0
+    flat = capsys.readouterr().out
+    term = tmp_path / "nested.term"
+    term.write_text("(" * depth + "f" + ")" * depth)
+    assert run(["translate", "--sig", sig, "--term", str(term)]) == 0
+    assert capsys.readouterr() == (flat, "")
+    term.write_text("(" * depth + "f" + ")" * (depth - 1))
+    assert run(["translate", "--sig", sig, "--term", str(term)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "code": "syntax-error",
+        "message": "expected ')', got end of input",
+    }

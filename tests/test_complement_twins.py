@@ -1,0 +1,210 @@
+"""boundary_complement up to twin producers, against the full product of
+in-slot picks kept in naive_dpo: the same complements, in the same order,
+field for field, from far fewer candidates where twins feed a boundary
+node."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from cmonrw import dpo
+from cmonrw.corpus import SIG3, random_rm_cospan, random_term
+from cmonrw.cospan import Cospan
+from cmonrw.dpo import (
+    RewriteRule,
+    boundary_complement,
+    enumerate_convex_matches,
+)
+from cmonrw.errors import DanglingEdge
+from cmonrw.sigterm import parse_signature, parse_term
+from cmonrw.translate import eval_term
+from naive_dpo import full_product_complements
+
+SIG = parse_signature(
+    "gen f : 1 -> 1\ngen g : 1 -> 1\ngen h : 2 -> 1\n"
+    "gen s : 0 -> 1\ngen t : 0 -> 1\ngen p : 0 -> 2\n"
+)
+# the labels of corpus.random_rm_cospan, whose hosts can have twin s edges
+RM_SIG = parse_signature(
+    "gen p : 1 -> 1\ngen q : 2 -> 1\ngen r : 1 -> 2\ngen s : 0 -> 1\n"
+)
+
+
+def _ev(text: str, sig=SIG) -> Cospan:
+    return eval_term(parse_term(text, sig), sig)
+
+
+def merge_all(n: int) -> str:
+    """A term merging n wires into one: n-1 mu, each on the first two."""
+    layers = [f"(mu + id_{k})" if k else "mu" for k in range(n - 2, -1, -1)]
+    return " ; ".join(layers) if layers else "id_1"
+
+
+def _view(comp) -> tuple:
+    """Every field of a complement, edges in their dict order."""
+    return (
+        sorted(comp.carrier.nodes),
+        list(comp.carrier.edges.items()),
+        comp.c1,
+        comp.c2,
+        comp.d1,
+        comp.d2,
+    )
+
+
+def _outcome(build, match, host):
+    try:
+        return [_view(c) for c in build(match, host)]
+    except DanglingEdge:
+        return "dangling"
+
+
+def assert_same_complements(lhs: Cospan, host: Cospan) -> int:
+    """Compare both builders on every convex match of lhs in host; return
+    the number of complements found."""
+    rule = RewriteRule(lhs, lhs, "self")
+    found = 0
+    for match in enumerate_convex_matches(rule, host):
+        new = _outcome(boundary_complement, match, host)
+        assert new == _outcome(full_product_complements, match, host)
+        found += len(new) if new != "dangling" else 0
+    return found
+
+
+def has_twins(host: Cospan) -> bool:
+    edges = list(host.carrier.edges.values())
+    return len(set(edges)) < len(edges)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mu_f_on_n_way_merge_of_s(n):
+    host = _ev(f"({' + '.join(['s'] * n)}) ; {merge_all(n)} ; f")
+    assert assert_same_complements(_ev("mu ; f"), host) >= 1
+
+
+def test_ten_way_merge_validates_one_candidate_per_class(monkeypatch):
+    calls = []
+    check = dpo.complement_is_valid
+
+    def counting(match, host, comp):
+        calls.append(comp)
+        return check(match, host, comp)
+
+    monkeypatch.setattr(dpo, "complement_is_valid", counting)
+    host = _ev(f"({' + '.join(['s'] * 10)}) ; {merge_all(10)} ; f")
+    (match,) = enumerate_convex_matches(
+        RewriteRule(_ev("mu ; f"), _ev("h"), "mufh"), host
+    )
+    comps = boundary_complement(match, host)
+    assert len(calls) == 11
+    calls.clear()
+    assert [_view(c) for c in full_product_complements(match, host)] == [
+        _view(c) for c in comps
+    ]
+    assert len(calls) == 1024
+    # k of the ten s edges on the first copy, k = 0..10
+    assert len(comps) == 11
+
+
+def test_twins_with_two_in_slots_each():
+    # three p : 0 -> 2; every first output merges into one node, every
+    # second output into another, and h reads both
+    host = _ev(
+        "(p + p + p) ; (id_1 + sym_1_1 + id_3) ; (id_2 + sym_2_1 + id_1)"
+        f" ; (({merge_all(3)}) + ({merge_all(3)})) ; h"
+    )
+    assert has_twins(host)
+    assert assert_same_complements(_ev("(mu + mu) ; h"), host) >= 2
+    assert assert_same_complements(_ev("mu + mu"), host) >= 2
+
+
+@pytest.mark.parametrize(
+    "host_text",
+    [
+        f"(id_1 + f + f + s + t + s) ; {merge_all(6)} ; f",
+        f"(s + id_1 + s + g + s) ; {merge_all(5)} ; f",
+        f"(id_2 + s + s + p) ; {merge_all(6)} ; f",
+    ],
+)
+@pytest.mark.parametrize(
+    "lhs_text", ["mu ; f", "mu", "f", "(mu + id_1) ; mu"]
+)
+def test_twins_mixed_with_other_producers_and_left_slots(host_text, lhs_text):
+    host = _ev(host_text)
+    assert has_twins(host) and host.left
+    assert_same_complements(_ev(lhs_text), host)
+
+
+@pytest.mark.parametrize(
+    "host_text, lhs_text",
+    [
+        # the f output and the twins meet in the output-image node: its
+        # only copy is the c2 one
+        (f"(f + s + s + s) ; {merge_all(4)}", "f"),
+        (f"(f + s + s + s) ; {merge_all(4)} ; g", "f"),
+        # mu's node is in both images: two c1 copies and one c2 copy
+        (f"(s + s + s + s) ; {merge_all(4)} ; f", "mu"),
+        (f"(s + s + s + s) ; {merge_all(4)}", "mu"),
+    ],
+)
+def test_twins_into_an_output_image_node(host_text, lhs_text):
+    host = _ev(host_text)
+    assert has_twins(host)
+    assert assert_same_complements(_ev(lhs_text), host) >= 1
+
+
+LHS_SIG3 = [
+    "a",
+    "b",
+    "c",
+    "mu",
+    "id_1",
+    "a ; a",
+    "c ; b",
+    "mu ; a",
+    "eta ; a",
+    "(a + id_1) ; mu",
+    "(a + a) ; b",
+    "(a + a) ; mu",
+    "sym_1_1 ; b",
+]
+
+
+def test_random_sig3_hosts():
+    rng = random.Random(20261018)
+    rules = [_ev(text, SIG3) for text in LHS_SIG3]
+    found = 0
+    for _ in range(25):
+        host = eval_term(random_term(rng, SIG3, max_generators=4), SIG3)
+        for lhs in rules:
+            found += assert_same_complements(lhs, host)
+    assert found > 100
+
+
+def test_criterion_7_hosts():
+    lhs = _ev("b", SIG3)
+    for text in [
+        "(a + a) ; b",
+        "((a + a) ; b) ; a",
+        "(c ; b) ; a",
+        "((a + a) ; b) ; c",
+        "(b + a) ; b",
+    ]:
+        assert assert_same_complements(lhs, _ev(text, SIG3)) >= 1
+
+
+def test_random_rm_cospans_some_with_twins():
+    rng = random.Random(7)
+    rules = [
+        _ev(text, RM_SIG)
+        for text in ["p", "q", "r", "s", "mu", "mu ; p", "r ; q", "id_1"]
+    ]
+    twins = found = 0
+    for _ in range(300):
+        host = random_rm_cospan(rng)
+        twins += has_twins(host)
+        for lhs in rules:
+            found += assert_same_complements(lhs, host)
+    assert twins >= 5 and found > 300

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -122,3 +124,38 @@ def test_rng_from_env_reads_seed(monkeypatch):
 
 def test_default_seed_is_stable():
     assert DEFAULT_SEED == 20250817
+
+
+UPDOWN_DIGEST = """
+import hashlib, random
+from cmonrw.corpus import (
+    random_convex_sub, random_rm_cospan, random_updown_signature,
+)
+lines = []
+for seed in range(200):
+    rng = random.Random(seed)
+    c = random_rm_cospan(rng)
+    sub = random_convex_sub(rng, c.carrier)
+    drawn = random_updown_signature(rng, c, sub)
+    lines.append(repr(sorted(
+        (v, sorted(up), sorted(low)) for v, (up, low) in drawn.items()
+    )))
+    lines.append(repr(rng.random()))
+print(hashlib.sha256("\\n".join(lines).encode()).hexdigest())
+"""
+
+
+def test_updown_signature_draws_do_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", UPDOWN_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(done.stdout)
+    assert len(digests) == 1

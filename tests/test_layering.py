@@ -49,20 +49,32 @@ def test_no_private_names_cross_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
+def split_definitions(source: str) -> tuple[list[str], list[str]]:
+    """Names of the public top-level functions, and names of the public
+    methods of top-level classes."""
+    tree = ast.parse(source)
+    methods = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    ]
+    return tuple(
+        [
+            node.name
+            for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+        ]
+        for nodes in (tree.body, methods)
+    )
+
+
 def public_definitions(source: str) -> list[str]:
     """Names of the public top-level functions and of the public methods
     of top-level classes."""
-    tree = ast.parse(source)
-    defs = list(tree.body)
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            defs += node.body
-    return [
-        node.name
-        for node in defs
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-    ]
+    functions, methods = split_definitions(source)
+    return functions + methods
 
 
 def referenced_names(source: str) -> set[str]:
@@ -75,6 +87,20 @@ def referenced_names(source: str) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.split(".")[-1])
+    return found
+
+
+def member_references(source: str) -> set[str]:
+    """Every name the source can reach a method by: attribute accesses,
+    and string constants with each of their dotted parts (getattr,
+    monkeypatch.setattr). A plain name is a local, never a method."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+            found.update(node.value.split("."))
     return found
 
 
@@ -100,16 +126,20 @@ def unreferenced_definitions(modules, sources) -> list[str]:
     """"module.name" for each public definition in modules that no source
     names. This checker is never a source: its own reads of ast fields
     (`.names`, `.name`, `.id`, `.attr`) would count as uses."""
-    names = set()
+    names, members = set(), set()
     for path in sources:
         if path.resolve() != CHECKER:
-            names |= referenced_names(path.read_text(encoding="utf-8"))
-    return [
-        f"{path.stem}.{name}"
-        for path in modules
-        for name in public_definitions(path.read_text(encoding="utf-8"))
-        if name not in names
-    ]
+            source = path.read_text(encoding="utf-8")
+            names |= referenced_names(source)
+            members |= member_references(source)
+    found = []
+    for path in modules:
+        functions, methods = split_definitions(
+            path.read_text(encoding="utf-8")
+        )
+        found += [f"{path.stem}.{n}" for n in functions if n not in names]
+        found += [f"{path.stem}.{n}" for n in methods if n not in members]
+    return found
 
 
 def test_the_check_does_not_count_its_own_ast_reads(tmp_path):
@@ -120,6 +150,32 @@ def test_the_check_does_not_count_its_own_ast_reads(tmp_path):
     assert "names" in referenced_names(CHECKER.read_text(encoding="utf-8"))
     assert unreferenced_definitions([module], [module, CHECKER]) == [
         "sigterm.names"
+    ]
+
+
+def test_a_local_of_the_same_name_does_not_hide_a_dead_method(tmp_path):
+    module = tmp_path / "sigterm.py"
+    module.write_text(
+        "def parse(): pass\n"
+        "class Signature:\n"
+        "    def names(self): return ()\n"
+        "    def arity(self): return 0\n"
+        "    def lookup(self): return 0\n"
+        "    def parse(self): return 0\n"
+    )
+    user = tmp_path / "dpo.py"
+    user.write_text(
+        "from sigterm import Signature, parse\n"
+        "names = set()\n"
+        "Signature().arity()\n"
+        "getattr(Signature(), 'lookup')\n"
+        "parse()\n"
+    )
+    # a plain name reaches a function, never a method; an attribute or
+    # a string reaches a method
+    assert unreferenced_definitions([module], [module, user]) == [
+        "sigterm.names",
+        "sigterm.parse",
     ]
 
 

@@ -152,3 +152,21 @@ def test_deep_chains_parse_and_print_without_recursion(sig):
     with pytest.raises(TypeMismatch) as got:
         parse_term(text + " ; f", sig)
     assert str(got.value) == f"cannot chain {printed} : 1->1 with f : 2->1"
+
+
+def test_deep_parentheses_parse_without_recursion(sig):
+    depth = 100_000
+    assert parse_term("(" * depth + "a" + ")" * depth, sig) == A
+    t = parse_term("(a ; " * depth + "a" + ")" * depth, sig)
+    for _ in range(depth):
+        assert type(t) is Seq and t.fst == A
+        t = t.snd
+    assert t == A
+    with pytest.raises(TermSyntaxError) as got:
+        parse_term("(" * depth + "a" + ")" * (depth - 1), sig)
+    assert got.value.message == "expected ')', got end of input"
+    assert got.value.location is None
+    # the innermost Seq is the first in post-order
+    with pytest.raises(TypeMismatch) as got:
+        parse_term("(a ; " * depth + "f" + ")" * depth, sig)
+    assert str(got.value) == "cannot chain a : 1->1 with f : 2->1"
