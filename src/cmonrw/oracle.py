@@ -3,199 +3,271 @@ the merge/unit equations, and brute-force enumeration of term rewrites."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .errors import BoundTooSmall
-from .sigterm import Eta, Gen, Id, Mu, Par, Seq, Sym, Term, term_size, term_type
+from .errors import BoundTooSmall, TypeMismatch
+from .sigterm import (
+    Eta,
+    Gen,
+    Id,
+    Mu,
+    Par,
+    Seq,
+    Sym,
+    Term,
+    chain_mismatch,
+    term_type,
+)
+
+
+# Pool shapes: (_SEQ, fst, snd) and (_PAR, fst, snd) over child keys, and
+# for atoms (_GEN, name, dom, cod), (_ID, n), (_SYM, m, n), (_MU,), (_ETA,)
+_SEQ, _PAR, _GEN, _ID, _SYM, _MU, _ETA = range(7)
 
 
 @dataclass(frozen=True)
 class Law:
-    """One bidirectional axiom, applied at the root of a subterm."""
+    """One bidirectional axiom, applied at the root of a subterm.
+
+    `shapes(pool, key)` yields the root shape of each variant of the pooled
+    term `key`, the variant's children already interned in `pool`; the
+    closure search runs the law this way and builds no Terms. `variants(t)`
+    is the Term view: it interns t into a fresh pool, runs `shapes` and
+    builds the variants, in the same order. Like interning, it raises
+    TypeMismatch on an ill-typed t."""
 
     name: str
     derived: bool
-    variants: Callable[[Term], Iterator[Term]]
+    shapes: Callable[[_TermPool, int], Iterator[tuple]]
+
+    def variants(self, t: Term) -> Iterator[Term]:
+        pool = _TermPool()
+        key = pool.intern(t)
+        for shape in self.shapes(pool, key):
+            yield pool.term(pool._keys[shape])
 
 
-def _v_seq_assoc(t: Term) -> Iterator[Term]:
-    if isinstance(t, Seq):
-        if isinstance(t.fst, Seq):
-            yield Seq(t.fst.fst, Seq(t.fst.snd, t.snd))
-        if isinstance(t.snd, Seq):
-            yield Seq(Seq(t.fst, t.snd.fst), t.snd.snd)
+def _seq_assoc(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] == _SEQ:
+        key_of = pool._keys
+        _, a, b = shape
+        sa, sb = shapes[a], shapes[b]
+        if sa[0] == _SEQ:
+            yield _SEQ, sa[1], key_of[_SEQ, sa[2], b]
+        if sb[0] == _SEQ:
+            yield _SEQ, key_of[_SEQ, a, sb[1]], sb[2]
 
 
-def _v_seq_unit(t: Term) -> Iterator[Term]:
-    if isinstance(t, Seq):
-        if isinstance(t.fst, Id):
-            yield t.snd
-        if isinstance(t.snd, Id):
-            yield t.fst
-    m, n = term_type(t)
-    yield Seq(Id(m), t)
-    yield Seq(t, Id(n))
+def _seq_unit(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes, key_of = pool._shapes, pool._keys
+    shape = shapes[key]
+    if shape[0] == _SEQ:
+        sa, sb = shapes[shape[1]], shapes[shape[2]]
+        if sa[0] == _ID:
+            yield sb
+        if sb[0] == _ID:
+            yield sa
+    m, n = pool._types[key]
+    yield _SEQ, key_of[_ID, m], key
+    yield _SEQ, key, key_of[_ID, n]
 
 
-def _v_par_assoc(t: Term) -> Iterator[Term]:
-    if isinstance(t, Par):
-        if isinstance(t.fst, Par):
-            yield Par(t.fst.fst, Par(t.fst.snd, t.snd))
-        if isinstance(t.snd, Par):
-            yield Par(Par(t.fst, t.snd.fst), t.snd.snd)
+def _par_assoc(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] == _PAR:
+        key_of = pool._keys
+        _, a, b = shape
+        sa, sb = shapes[a], shapes[b]
+        if sa[0] == _PAR:
+            yield _PAR, sa[1], key_of[_PAR, sa[2], b]
+        if sb[0] == _PAR:
+            yield _PAR, key_of[_PAR, a, sb[1]], sb[2]
 
 
-def _v_par_unit(t: Term) -> Iterator[Term]:
-    if isinstance(t, Par):
-        if t.fst == Id(0):
-            yield t.snd
-        if t.snd == Id(0):
-            yield t.fst
-    yield Par(Id(0), t)
-    yield Par(t, Id(0))
+_ID0 = (_ID, 0)
 
 
-def _v_id_fusion(t: Term) -> Iterator[Term]:
-    if isinstance(t, Par) and isinstance(t.fst, Id) and isinstance(t.snd, Id):
-        yield Id(t.fst.n + t.snd.n)
-    if isinstance(t, Id):
-        for i in range(t.n + 1):
-            yield Par(Id(i), Id(t.n - i))
+def _par_unit(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] == _PAR:
+        sa, sb = shapes[shape[1]], shapes[shape[2]]
+        if sa == _ID0:
+            yield sb
+        if sb == _ID0:
+            yield sa
+    yield _PAR, pool._keys[_ID0], key
+    yield _PAR, key, pool._keys[_ID0]
 
 
-def _v_interchange(t: Term) -> Iterator[Term]:
-    if isinstance(t, Par) and isinstance(t.fst, Seq) and isinstance(t.snd, Seq):
-        yield Seq(
-            Par(t.fst.fst, t.snd.fst), Par(t.fst.snd, t.snd.snd)
-        )
-    if isinstance(t, Seq) and isinstance(t.fst, Par) and isinstance(t.snd, Par):
-        s, u = t.fst.fst, t.fst.snd
-        s2, u2 = t.snd.fst, t.snd.snd
+def _id_fusion(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] == _PAR:
+        sa, sb = shapes[shape[1]], shapes[shape[2]]
+        if sa[0] == _ID and sb[0] == _ID:
+            yield _ID, sa[1] + sb[1]
+    elif shape[0] == _ID:
+        n, key_of = shape[1], pool._keys
+        for i in range(n + 1):
+            yield _PAR, key_of[_ID, i], key_of[_ID, n - i]
+
+
+def _interchange(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] > _PAR:
+        return
+    sa, sb = shapes[shape[1]], shapes[shape[2]]
+    key_of = pool._keys
+    if shape[0] == _PAR and sa[0] == _SEQ and sb[0] == _SEQ:
+        yield _SEQ, key_of[_PAR, sa[1], sb[1]], key_of[_PAR, sa[2], sb[2]]
+    elif shape[0] == _SEQ and sa[0] == _PAR and sb[0] == _PAR:
+        (_, s, u), (_, s2, u2) = sa, sb
+        types = pool._types
+        if types[s][1] == types[s2][0] and types[u][1] == types[u2][0]:
+            yield _PAR, key_of[_SEQ, s, s2], key_of[_SEQ, u, u2]
+
+
+def _sym_involution(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] == _SEQ:
+        sa, sb = shapes[shape[1]], shapes[shape[2]]
         if (
-            term_type(s)[1] == term_type(s2)[0]
-            and term_type(u)[1] == term_type(u2)[0]
+            sa[0] == _SYM
+            and sb[0] == _SYM
+            and sa[1] == sb[2]
+            and sa[2] == sb[1]
         ):
-            yield Par(Seq(s, s2), Seq(u, u2))
+            yield _ID, sa[1] + sa[2]
+    elif shape[0] == _ID:
+        n, key_of = shape[1], pool._keys
+        for i in range(n + 1):
+            yield _SEQ, key_of[_SYM, i, n - i], key_of[_SYM, n - i, i]
 
 
-def _v_sym_involution(t: Term) -> Iterator[Term]:
-    if (
-        isinstance(t, Seq)
-        and isinstance(t.fst, Sym)
-        and isinstance(t.snd, Sym)
-        and t.fst.m == t.snd.n
-        and t.fst.n == t.snd.m
-    ):
-        yield Id(t.fst.m + t.fst.n)
-    if isinstance(t, Id):
-        for i in range(t.n + 1):
-            yield Seq(Sym(i, t.n - i), Sym(t.n - i, i))
+def _sym_naturality(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] != _SEQ:
+        return
+    sa, sb = shapes[shape[1]], shapes[shape[2]]
+    key_of = pool._keys
+    if sa[0] == _PAR and sb[0] == _SYM:
+        _, s, ident = sa
+        si = shapes[ident]
+        if si[0] == _ID:
+            o, n = pool._types[s]
+            if sb[1] == n and sb[2] == si[1]:
+                yield _SEQ, key_of[_SYM, o, si[1]], key_of[_PAR, ident, s]
+    elif sa[0] == _SYM and sb[0] == _PAR:
+        _, ident, s = sb
+        si = shapes[ident]
+        if si[0] == _ID:
+            o, n = pool._types[s]
+            if sa[1] == o and sa[2] == si[1]:
+                yield _SEQ, key_of[_PAR, s, ident], key_of[_SYM, n, si[1]]
 
 
-def _v_sym_naturality(t: Term) -> Iterator[Term]:
-    if isinstance(t, Seq) and isinstance(t.fst, Par) and isinstance(t.snd, Sym):
-        s, ident = t.fst.fst, t.fst.snd
-        if isinstance(ident, Id):
-            o, n = term_type(s)
-            if t.snd.m == n and t.snd.n == ident.n:
-                yield Seq(Sym(o, ident.n), Par(Id(ident.n), s))
-    if isinstance(t, Seq) and isinstance(t.fst, Sym) and isinstance(t.snd, Par):
-        ident, s = t.snd.fst, t.snd.snd
-        if isinstance(ident, Id):
-            o, n = term_type(s)
-            if t.fst.m == o and t.fst.n == ident.n:
-                yield Seq(Par(s, Id(ident.n)), Sym(n, ident.n))
+def _sym_decomposition(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shapes = pool._shapes
+    shape = shapes[key]
+    if shape[0] == _SYM:
+        _, m, w = shape
+        key_of = pool._keys
+        for n in range(w + 1):
+            # (sym_m_n + id_rest) ; (id_n + sym_m_rest)
+            fst = key_of[_PAR, key_of[_SYM, m, n], key_of[_ID, w - n]]
+            snd = key_of[_PAR, key_of[_ID, n], key_of[_SYM, m, w - n]]
+            yield _SEQ, fst, snd
+    elif shape[0] == _SEQ:
+        sa, sb = shapes[shape[1]], shapes[shape[2]]
+        if sa[0] == _PAR and sb[0] == _PAR:
+            a, b = shapes[sa[1]], shapes[sa[2]]
+            c, d = shapes[sb[1]], shapes[sb[2]]
+            if (
+                a[0] == _SYM
+                and b[0] == _ID
+                and c[0] == _ID
+                and d[0] == _SYM
+                and a[1] == d[1]
+                and a[2] == c[1]
+                and b[1] == d[2]
+            ):
+                yield _SYM, a[1], a[2] + b[1]
 
 
-def _v_sym_decomposition(t: Term) -> Iterator[Term]:
-    if isinstance(t, Sym):
-        for n in range(t.n + 1):
-            yield Seq(
-                Par(Sym(t.m, n), Id(t.n - n)),
-                Par(Id(n), Sym(t.m, t.n - n)),
-            )
-    if isinstance(t, Seq) and isinstance(t.fst, Par) and isinstance(t.snd, Par):
-        a, b = t.fst.fst, t.fst.snd
-        c, d = t.snd.fst, t.snd.snd
-        if (
-            isinstance(a, Sym)
-            and isinstance(b, Id)
-            and isinstance(c, Id)
-            and isinstance(d, Sym)
-            and a.m == d.m
-            and a.n == c.n
-            and b.n == d.n
-        ):
-            yield Sym(a.m, a.n + b.n)
+def _sym_unit(pool: _TermPool, key: int) -> Iterator[tuple]:
+    shape = pool._shapes[key]
+    if shape[0] == _SYM:
+        if shape[1] == 0:
+            yield _ID, shape[2]
+        if shape[2] == 0:
+            yield _ID, shape[1]
+    elif shape[0] == _ID:
+        yield _SYM, shape[1], 0
+        yield _SYM, 0, shape[1]
 
 
-# the merge laws' redexes, built once
-_MU = Mu()
-_ID1 = Id(1)
-_MU_SWAPPED = Seq(Sym(1, 1), Mu())
-_MU_ASSOC_LEFT = Seq(Par(Mu(), Id(1)), Mu())
-_MU_ASSOC_RIGHT = Seq(Par(Id(1), Mu()), Mu())
-_MU_UNIT_LEFT = Seq(Par(Eta(), Id(1)), Mu())
-_MU_UNIT_RIGHT = Seq(Par(Id(1), Eta()), Mu())
+# the merge laws' redexes as shape templates, whose children are templates
+# in turn
+_MU_T = (_MU,)
+_ID1_T = (_ID, 1)
+_MU_SWAPPED = (_SEQ, (_SYM, 1, 1), _MU_T)
+_MU_ASSOC_LEFT = (_SEQ, (_PAR, _MU_T, _ID1_T), _MU_T)
+_MU_ASSOC_RIGHT = (_SEQ, (_PAR, _ID1_T, _MU_T), _MU_T)
+_MU_UNIT_LEFT = (_SEQ, (_PAR, (_ETA,), _ID1_T), _MU_T)
+_MU_UNIT_RIGHT = (_SEQ, (_PAR, _ID1_T, (_ETA,)), _MU_T)
 
 
-def _v_merge_commutativity(t: Term) -> Iterator[Term]:
-    if t == _MU:
-        yield _MU_SWAPPED
-    if t == _MU_SWAPPED:
-        yield _MU
+def _template_size(template: tuple) -> int:
+    if template[0] > _PAR:
+        return 1
+    return 1 + _template_size(template[1]) + _template_size(template[2])
 
 
-def _v_merge_associativity(t: Term) -> Iterator[Term]:
-    if t == _MU_ASSOC_LEFT:
-        yield _MU_ASSOC_RIGHT
-    if t == _MU_ASSOC_RIGHT:
-        yield _MU_ASSOC_LEFT
+def _redex_swap(a: tuple, b: tuple) -> Callable:
+    """The law that rewrites the redex a to b and b to a."""
+    size_a, size_b = _template_size(a), _template_size(b)
 
+    def shapes(pool: _TermPool, key: int) -> Iterator[tuple]:
+        # the size test is cheap and rejects almost every key
+        size = pool._sizes[key]
+        if size == size_a and pool._matches(key, a):
+            yield pool._shape_of(b)
+        if size == size_b and pool._matches(key, b):
+            yield pool._shape_of(a)
 
-def _v_merge_unit_left(t: Term) -> Iterator[Term]:
-    if t == _MU_UNIT_LEFT:
-        yield _ID1
-    if t == _ID1:
-        yield _MU_UNIT_LEFT
-
-
-def _v_merge_unit_right(t: Term) -> Iterator[Term]:
-    if t == _MU_UNIT_RIGHT:
-        yield _ID1
-    if t == _ID1:
-        yield _MU_UNIT_RIGHT
-
-
-def _v_sym_unit(t: Term) -> Iterator[Term]:
-    if isinstance(t, Sym):
-        if t.m == 0:
-            yield Id(t.n)
-        if t.n == 0:
-            yield Id(t.m)
-    if isinstance(t, Id):
-        yield Sym(t.n, 0)
-        yield Sym(0, t.n)
+    return shapes
 
 
 LAWS: tuple[Law, ...] = (
-    Law("sequential-associativity", False, _v_seq_assoc),
-    Law("sequential-unit", False, _v_seq_unit),
-    Law("parallel-associativity", False, _v_par_assoc),
-    Law("parallel-unit", False, _v_par_unit),
-    Law("identity-fusion", False, _v_id_fusion),
-    Law("interchange", False, _v_interchange),
-    Law("symmetry-involution", False, _v_sym_involution),
-    Law("symmetry-naturality", False, _v_sym_naturality),
-    Law("symmetry-decomposition", False, _v_sym_decomposition),
-    Law("merge-commutativity", False, _v_merge_commutativity),
-    Law("merge-associativity", False, _v_merge_associativity),
-    Law("merge-unit-left", False, _v_merge_unit_left),
-    Law("merge-unit-right", False, _v_merge_unit_right),
-    Law("symmetry-unit", True, _v_sym_unit),
+    Law("sequential-associativity", False, _seq_assoc),
+    Law("sequential-unit", False, _seq_unit),
+    Law("parallel-associativity", False, _par_assoc),
+    Law("parallel-unit", False, _par_unit),
+    Law("identity-fusion", False, _id_fusion),
+    Law("interchange", False, _interchange),
+    Law("symmetry-involution", False, _sym_involution),
+    Law("symmetry-naturality", False, _sym_naturality),
+    Law("symmetry-decomposition", False, _sym_decomposition),
+    Law("merge-commutativity", False, _redex_swap(_MU_T, _MU_SWAPPED)),
+    Law(
+        "merge-associativity",
+        False,
+        _redex_swap(_MU_ASSOC_LEFT, _MU_ASSOC_RIGHT),
+    ),
+    Law("merge-unit-left", False, _redex_swap(_MU_UNIT_LEFT, _ID1_T)),
+    Law("merge-unit-right", False, _redex_swap(_MU_UNIT_RIGHT, _ID1_T)),
+    Law("symmetry-unit", True, _sym_unit),
 )
 
 
@@ -215,113 +287,168 @@ def one_step_variants(t: Term) -> Iterator[Term]:
             yield Par(t.fst, b)
 
 
-class _TermPool:
-    """Hash-consed term store for one closure search: integer keys for
-    structurally distinct terms, with sizes, per-key root-law variants and
-    per-slack subterm variant lists memoised, so the search never rehashes
-    whole subtrees and works out each subterm's variants once. Root
-    variants above the bound are never interned."""
+class _ShapeKeys(dict):
+    """Shape -> key. Looking up a new shape creates its key, numbered in
+    order of creation, and records its shape, size and (dom, cod), the
+    latter two from its children's."""
 
-    def __init__(self, bound: int) -> None:
+    def __init__(self) -> None:
+        super().__init__()
+        self.shapes: list[tuple] = []
+        self.sizes: list[int] = []
+        self.types: list[tuple[int, int]] = []
+
+    def __missing__(self, shape: tuple) -> int:
+        key = self[shape] = len(self.shapes)
+        self.shapes.append(shape)
+        tag = shape[0]
+        if tag > _PAR:
+            self.sizes.append(1)
+            self.types.append(_atom_type(shape))
+        else:
+            sizes, types = self.sizes, self.types
+            _, a, b = shape
+            sizes.append(1 + sizes[a] + sizes[b])
+            (m, n), (o, p) = types[a], types[b]
+            types.append((m, p) if tag == _SEQ else (m + o, n + p))
+        return key
+
+
+def _atom_type(shape: tuple) -> tuple[int, int]:
+    tag = shape[0]
+    if tag == _GEN:
+        return shape[2], shape[3]
+    if tag == _ID:
+        return shape[1], shape[1]
+    if tag == _SYM:
+        return shape[1] + shape[2], shape[1] + shape[2]
+    return (2, 1) if tag == _MU else (0, 1)
+
+
+class _TermPool:
+    """Hash-consed term store for one closure search.
+
+    Each structurally distinct term has an integer key and a shape (see
+    `_SEQ`); `_keys[shape]` is the shape's key, created on first lookup.
+    The pool records each key's size and (dom, cod) when it creates the
+    key, from its children's, so the laws act on keys and read types off
+    them: the search builds and hashes no Term. `term` builds a key's Term
+    on request, and `intern` keeps the Terms it is given (seeds and rule
+    sides). Per-key root-law variants and per-slack subterm variant lists
+    are memoised, so each subterm's variants are worked out once. A root
+    variant above the bound is never interned, though its children are.
+    Without a bound the pool keeps every variant."""
+
+    def __init__(self, bound: float = math.inf) -> None:
         self.bound = bound
-        self._key_by_shape: dict[tuple, int] = {}
-        self._key_by_id: dict[int, int] = {}
-        self._shapes: list[tuple] = []
-        self._sizes: list[int] = []
-        self._terms: list[Term | None] = []
+        self._keys = _ShapeKeys()
+        self._shapes = self._keys.shapes
+        self._sizes = self._keys.sizes
+        self._types = self._keys.types
+        self._terms: dict[int, Term] = {}
         self._root_variants: dict[int, tuple[int, ...]] = {}
         self._within: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def _key_of_shape(self, shape: tuple) -> int:
-        key = self._key_by_shape.get(shape)
-        if key is None:
-            key = len(self._shapes)
-            self._key_by_shape[shape] = key
-            self._shapes.append(shape)
-            if shape[0] < 2:
-                self._sizes.append(
-                    1 + self._sizes[shape[1]] + self._sizes[shape[2]]
-                )
-            else:
-                self._sizes.append(1)
-            self._terms.append(None)
-        return key
-
     def intern(self, t: Term) -> int:
-        # only canonical objects enter the id cache, so transient duplicates
-        # cannot leave stale entries behind once collected
-        key = self._key_by_id.get(id(t))
-        if key is not None:
-            return key
-        if isinstance(t, Seq):
-            shape: tuple = (0, self.intern(t.fst), self.intern(t.snd))
-        elif isinstance(t, Par):
-            shape = (1, self.intern(t.fst), self.intern(t.snd))
-        elif isinstance(t, Gen):
-            shape = (2, t.name, t.dom, t.cod)
-        elif isinstance(t, Id):
-            shape = (3, t.n)
-        elif isinstance(t, Sym):
-            shape = (4, t.m, t.n)
-        elif isinstance(t, Mu):
-            shape = (5,)
-        else:
-            shape = (6,)
-        key = self._key_of_shape(shape)
-        if self._terms[key] is None:
-            self._terms[key] = t
-            self._key_by_id[id(t)] = key
-        return key
+        """The key of t, keeping t and its subterms as the Terms of their
+        keys. Raises TypeMismatch, as term_type does, on an ill-typed t."""
+        types = self._types
+        keys: list[int] = []
+        todo: list[tuple[Term, bool]] = [(t, False)]
+        while todo:
+            u, children_done = todo.pop()
+            if isinstance(u, (Seq, Par)):
+                if not children_done:
+                    todo += ((u, True), (u.snd, False), (u.fst, False))
+                    continue
+                b = keys.pop()
+                a = keys.pop()
+                if isinstance(u, Par):
+                    shape: tuple = (_PAR, a, b)
+                elif types[a][1] == types[b][0]:
+                    shape = (_SEQ, a, b)
+                else:
+                    raise chain_mismatch(u, types[a], types[b])
+            elif isinstance(u, Gen):
+                shape = (_GEN, u.name, u.dom, u.cod)
+            elif isinstance(u, Id):
+                shape = (_ID, u.n)
+            elif isinstance(u, Sym):
+                shape = (_SYM, u.m, u.n)
+            elif isinstance(u, Mu):
+                shape = (_MU,)
+            elif isinstance(u, Eta):
+                shape = (_ETA,)
+            else:
+                raise TypeMismatch(f"not a term: {u!r}")
+            key = self._keys[shape]
+            self._terms.setdefault(key, u)
+            keys.append(key)
+        return keys[0]
 
     def term(self, key: int) -> Term:
-        t = self._terms[key]
+        t = self._terms.get(key)
         if t is None:
             shape = self._shapes[key]
             tag = shape[0]
-            if tag == 0:
+            if tag == _SEQ:
                 t = Seq(self.term(shape[1]), self.term(shape[2]))
-            elif tag == 1:
+            elif tag == _PAR:
                 t = Par(self.term(shape[1]), self.term(shape[2]))
-            elif tag == 2:
+            elif tag == _GEN:
                 t = Gen(shape[1], shape[2], shape[3])
-            elif tag == 3:
+            elif tag == _ID:
                 t = Id(shape[1])
-            elif tag == 4:
+            elif tag == _SYM:
                 t = Sym(shape[1], shape[2])
-            elif tag == 5:
+            elif tag == _MU:
                 t = Mu()
             else:
                 t = Eta()
             self._terms[key] = t
-            self._key_by_id[id(t)] = key
         return t
 
-    def _intern_within(self, t: Term) -> int | None:
-        """intern(t), or None when t exceeds the bound; t's children are
-        interned either way."""
-        if isinstance(t, (Seq, Par)) and id(t) not in self._key_by_id:
-            sizes = self._sizes
-            size = 1 + sizes[self.intern(t.fst)] + sizes[self.intern(t.snd)]
-            if size > self.bound:
-                return None
-        return self.intern(t)
+    def _matches(self, key: int, template: tuple) -> bool:
+        """Whether key's term is the term of a shape template, whose
+        children are templates instead of keys."""
+        shape = self._shapes[key]
+        if template[0] > _PAR:
+            return shape == template
+        return (
+            shape[0] == template[0]
+            and self._matches(shape[1], template[1])
+            and self._matches(shape[2], template[2])
+        )
+
+    def _shape_of(self, template: tuple) -> tuple:
+        """The root shape of a shape template, its children interned."""
+        if template[0] > _PAR:
+            return template
+        return (
+            template[0],
+            self._keys[self._shape_of(template[1])],
+            self._keys[self._shape_of(template[2])],
+        )
 
     def _root_variant_keys(self, key: int) -> tuple[int, ...]:
         """Keys of the root-law variants of key that fit the bound, in LAWS
         order."""
         got = self._root_variants.get(key)
         if got is None:
-            t = self.term(key)
+            sizes, bound = self._sizes, self.bound
+            key_of = self._keys
             keys = []
             for law in LAWS:
-                for v in law.variants(t):
-                    k = self._intern_within(v)
-                    if k is not None:
-                        keys.append(k)
+                for shape in law.shapes(self, key):
+                    if (
+                        shape[0] > _PAR
+                        or 1 + sizes[shape[1]] + sizes[shape[2]] <= bound
+                    ):
+                        keys.append(key_of[shape])
             got = tuple(keys)
             # a term within two nodes of the bound is a proper subterm of no
             # member, so only the member itself asks for its variants
-            if self._sizes[key] + 2 <= self.bound:
+            if sizes[key] + 2 <= bound:
                 self._root_variants[key] = got
         return got
 
@@ -337,17 +464,11 @@ class _TermPool:
         limit = sizes[key] + slack
         out = [v for v in self._root_variant_keys(key) if sizes[v] <= limit]
         shape = self._shapes[key]
-        if shape[0] < 2:
+        if shape[0] <= _PAR:
             tag, fst, snd = shape
-            of_shape = self._key_of_shape
-            out += [
-                of_shape((tag, v, snd))
-                for v in self._subterm_variants(fst, slack)
-            ]
-            out += [
-                of_shape((tag, fst, v))
-                for v in self._subterm_variants(snd, slack)
-            ]
+            key_of, variants = self._keys, self._subterm_variants
+            out += [key_of[tag, v, snd] for v in variants(fst, slack)]
+            out += [key_of[tag, fst, v] for v in variants(snd, slack)]
         return out
 
     def _subterm_variants(self, key: int, slack: int) -> tuple[int, ...]:
@@ -359,8 +480,8 @@ class _TermPool:
         return got
 
     def factors(self, key: int, tag: int) -> list[int]:
-        """Keys of the maximal subterms that are not Seq (tag 0) or not Par
-        (tag 1), left to right: the flattened chain or row."""
+        """Keys of the maximal subterms that are not Seq (tag _SEQ) or not
+        Par (tag _PAR), left to right: the flattened chain or row."""
         out = []
         stack = [key]
         shapes = self._shapes
@@ -399,13 +520,12 @@ class AxiomClosure:
 
 def axiom_closure(t: Term, bound: int) -> AxiomClosure:
     """BFS fixpoint of bidirectional law application within the bound."""
-    term_type(t)
-    if term_size(t) > bound:
-        raise BoundTooSmall(
-            f"seed has size {term_size(t)}, above bound {bound}"
-        )
     pool = _TermPool(bound)
     seed = pool.intern(t)
+    if pool._sizes[seed] > bound:
+        raise BoundTooSmall(
+            f"seed has size {pool._sizes[seed]}, above bound {bound}"
+        )
     seen: set[int] = {seed}
     frontier: list[int] = [seed]
     while frontier:
@@ -457,34 +577,34 @@ def enumerate_rewrites_by_rule(
         return []
     closure = axiom_closure(d, bound)
     pool = closure.pool
-    patterns = [pool.factors(pool.intern(lhs), 1) for lhs, _ in rules]
+    patterns = [pool.factors(pool.intern(lhs), _PAR) for lhs, _ in rules]
     rhs_keys = [pool.intern(rhs) for _, rhs in rules]
-    of_shape = pool._key_of_shape
+    key_of = pool._keys
     shapes = pool._shapes
 
     def hits_in(factor: int) -> list[tuple[int, int]]:
         # (rule index, replacement key) for each rule whose pattern ends
         # the factor's row after a head of identities only
-        atoms = pool.factors(factor, 1)
+        atoms = pool.factors(factor, _PAR)
         out = []
         for r, pattern in enumerate(patterns):
             j = len(atoms) - len(pattern)
             if j < 0 or atoms[j:] != pattern:
                 continue
             head = [shapes[a] for a in atoms[:j]]
-            if any(shape[0] != 3 for shape in head):
+            if any(shape[0] != _ID for shape in head):
                 continue
             k = sum(shape[1] for shape in head)
             replacement = rhs_keys[r]
             if k > 0:
-                replacement = of_shape((1, of_shape((3, k)), replacement))
+                replacement = key_of[_PAR, key_of[_ID, k], replacement]
             out.append((r, replacement))
         return out
 
     hits_by_factor: dict[int, list[tuple[int, int]]] = {}
     found: list[set[int]] = [set() for _ in rules]
     for member in closure.keys:
-        chain = pool.factors(member, 0)
+        chain = pool.factors(member, _SEQ)
         for i, factor in enumerate(chain):
             hits = hits_by_factor.get(factor)
             if hits is None:
@@ -492,9 +612,8 @@ def enumerate_rewrites_by_rule(
             for r, replacement in hits:
                 rebuilt = replacement if i == 0 else chain[0]
                 for j in range(1, len(chain)):
-                    rebuilt = of_shape(
-                        (0, rebuilt, replacement if j == i else chain[j])
-                    )
+                    part = replacement if j == i else chain[j]
+                    rebuilt = key_of[_SEQ, rebuilt, part]
                 found[r].add(rebuilt)
     return [frozenset(pool.term(k) for k in keys) for keys in found]
 

@@ -1,12 +1,14 @@
-"""The closure search and rewrite matcher that per-slack variant lists and
-key-level matching replaced, kept as the reference the oracle is tested
-against. Every member rebuilds the variant list of every subterm it
-contains, out-of-bound variants included, and matching compares Terms."""
+"""The oracle as it was before it worked on pool keys, kept as the
+reference the oracle is tested against. The laws act on Terms and call
+term_type; every member rebuilds the variant list of every subterm it
+contains, out-of-bound variants included, and matching compares Terms.
+Nothing here runs code from cmonrw.oracle."""
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 from cmonrw.errors import BoundTooSmall
-from cmonrw.oracle import LAWS
 from cmonrw.sigterm import (
     Eta,
     Gen,
@@ -19,6 +21,196 @@ from cmonrw.sigterm import (
     term_size,
     term_type,
 )
+
+
+# The laws, in the order of cmonrw.oracle.LAWS, each yielding the variants
+# of a Term at its root.
+
+
+def _v_seq_assoc(t: Term) -> Iterator[Term]:
+    if isinstance(t, Seq):
+        if isinstance(t.fst, Seq):
+            yield Seq(t.fst.fst, Seq(t.fst.snd, t.snd))
+        if isinstance(t.snd, Seq):
+            yield Seq(Seq(t.fst, t.snd.fst), t.snd.snd)
+
+
+def _v_seq_unit(t: Term) -> Iterator[Term]:
+    if isinstance(t, Seq):
+        if isinstance(t.fst, Id):
+            yield t.snd
+        if isinstance(t.snd, Id):
+            yield t.fst
+    m, n = term_type(t)
+    yield Seq(Id(m), t)
+    yield Seq(t, Id(n))
+
+
+def _v_par_assoc(t: Term) -> Iterator[Term]:
+    if isinstance(t, Par):
+        if isinstance(t.fst, Par):
+            yield Par(t.fst.fst, Par(t.fst.snd, t.snd))
+        if isinstance(t.snd, Par):
+            yield Par(Par(t.fst, t.snd.fst), t.snd.snd)
+
+
+def _v_par_unit(t: Term) -> Iterator[Term]:
+    if isinstance(t, Par):
+        if t.fst == Id(0):
+            yield t.snd
+        if t.snd == Id(0):
+            yield t.fst
+    yield Par(Id(0), t)
+    yield Par(t, Id(0))
+
+
+def _v_id_fusion(t: Term) -> Iterator[Term]:
+    if isinstance(t, Par) and isinstance(t.fst, Id) and isinstance(t.snd, Id):
+        yield Id(t.fst.n + t.snd.n)
+    if isinstance(t, Id):
+        for i in range(t.n + 1):
+            yield Par(Id(i), Id(t.n - i))
+
+
+def _v_interchange(t: Term) -> Iterator[Term]:
+    if isinstance(t, Par) and isinstance(t.fst, Seq) and isinstance(t.snd, Seq):
+        yield Seq(
+            Par(t.fst.fst, t.snd.fst), Par(t.fst.snd, t.snd.snd)
+        )
+    if isinstance(t, Seq) and isinstance(t.fst, Par) and isinstance(t.snd, Par):
+        s, u = t.fst.fst, t.fst.snd
+        s2, u2 = t.snd.fst, t.snd.snd
+        if (
+            term_type(s)[1] == term_type(s2)[0]
+            and term_type(u)[1] == term_type(u2)[0]
+        ):
+            yield Par(Seq(s, s2), Seq(u, u2))
+
+
+def _v_sym_involution(t: Term) -> Iterator[Term]:
+    if (
+        isinstance(t, Seq)
+        and isinstance(t.fst, Sym)
+        and isinstance(t.snd, Sym)
+        and t.fst.m == t.snd.n
+        and t.fst.n == t.snd.m
+    ):
+        yield Id(t.fst.m + t.fst.n)
+    if isinstance(t, Id):
+        for i in range(t.n + 1):
+            yield Seq(Sym(i, t.n - i), Sym(t.n - i, i))
+
+
+def _v_sym_naturality(t: Term) -> Iterator[Term]:
+    if isinstance(t, Seq) and isinstance(t.fst, Par) and isinstance(t.snd, Sym):
+        s, ident = t.fst.fst, t.fst.snd
+        if isinstance(ident, Id):
+            o, n = term_type(s)
+            if t.snd.m == n and t.snd.n == ident.n:
+                yield Seq(Sym(o, ident.n), Par(Id(ident.n), s))
+    if isinstance(t, Seq) and isinstance(t.fst, Sym) and isinstance(t.snd, Par):
+        ident, s = t.snd.fst, t.snd.snd
+        if isinstance(ident, Id):
+            o, n = term_type(s)
+            if t.fst.m == o and t.fst.n == ident.n:
+                yield Seq(Par(s, Id(ident.n)), Sym(n, ident.n))
+
+
+def _v_sym_decomposition(t: Term) -> Iterator[Term]:
+    if isinstance(t, Sym):
+        for n in range(t.n + 1):
+            yield Seq(
+                Par(Sym(t.m, n), Id(t.n - n)),
+                Par(Id(n), Sym(t.m, t.n - n)),
+            )
+    if isinstance(t, Seq) and isinstance(t.fst, Par) and isinstance(t.snd, Par):
+        a, b = t.fst.fst, t.fst.snd
+        c, d = t.snd.fst, t.snd.snd
+        if (
+            isinstance(a, Sym)
+            and isinstance(b, Id)
+            and isinstance(c, Id)
+            and isinstance(d, Sym)
+            and a.m == d.m
+            and a.n == c.n
+            and b.n == d.n
+        ):
+            yield Sym(a.m, a.n + b.n)
+
+
+# the merge laws' redexes, built once
+_MU = Mu()
+_ID1 = Id(1)
+_MU_SWAPPED = Seq(Sym(1, 1), Mu())
+_MU_ASSOC_LEFT = Seq(Par(Mu(), Id(1)), Mu())
+_MU_ASSOC_RIGHT = Seq(Par(Id(1), Mu()), Mu())
+_MU_UNIT_LEFT = Seq(Par(Eta(), Id(1)), Mu())
+_MU_UNIT_RIGHT = Seq(Par(Id(1), Eta()), Mu())
+MERGE_REDEXES = (
+    _MU,
+    _MU_SWAPPED,
+    _MU_ASSOC_LEFT,
+    _MU_ASSOC_RIGHT,
+    _MU_UNIT_LEFT,
+    _MU_UNIT_RIGHT,
+)
+
+
+def _v_merge_commutativity(t: Term) -> Iterator[Term]:
+    if t == _MU:
+        yield _MU_SWAPPED
+    if t == _MU_SWAPPED:
+        yield _MU
+
+
+def _v_merge_associativity(t: Term) -> Iterator[Term]:
+    if t == _MU_ASSOC_LEFT:
+        yield _MU_ASSOC_RIGHT
+    if t == _MU_ASSOC_RIGHT:
+        yield _MU_ASSOC_LEFT
+
+
+def _v_merge_unit_left(t: Term) -> Iterator[Term]:
+    if t == _MU_UNIT_LEFT:
+        yield _ID1
+    if t == _ID1:
+        yield _MU_UNIT_LEFT
+
+
+def _v_merge_unit_right(t: Term) -> Iterator[Term]:
+    if t == _MU_UNIT_RIGHT:
+        yield _ID1
+    if t == _ID1:
+        yield _MU_UNIT_RIGHT
+
+
+def _v_sym_unit(t: Term) -> Iterator[Term]:
+    if isinstance(t, Sym):
+        if t.m == 0:
+            yield Id(t.n)
+        if t.n == 0:
+            yield Id(t.m)
+    if isinstance(t, Id):
+        yield Sym(t.n, 0)
+        yield Sym(0, t.n)
+
+
+REFERENCE_LAWS: dict[str, Callable[[Term], Iterator[Term]]] = {
+    "sequential-associativity": _v_seq_assoc,
+    "sequential-unit": _v_seq_unit,
+    "parallel-associativity": _v_par_assoc,
+    "parallel-unit": _v_par_unit,
+    "identity-fusion": _v_id_fusion,
+    "interchange": _v_interchange,
+    "symmetry-involution": _v_sym_involution,
+    "symmetry-naturality": _v_sym_naturality,
+    "symmetry-decomposition": _v_sym_decomposition,
+    "merge-commutativity": _v_merge_commutativity,
+    "merge-associativity": _v_merge_associativity,
+    "merge-unit-left": _v_merge_unit_left,
+    "merge-unit-right": _v_merge_unit_right,
+    "symmetry-unit": _v_sym_unit,
+}
 
 
 class NaivePool:
@@ -106,7 +298,9 @@ class NaivePool:
         if got is None:
             t = self.term(key)
             got = tuple(
-                self.intern(v) for law in LAWS for v in law.variants(t)
+                self.intern(v)
+                for variants in REFERENCE_LAWS.values()
+                for v in variants(t)
             )
             self._root_variants[key] = got
         return got

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmonrw.corpus import SIG3, random_term
 from cmonrw.cospan import iso_equal
-from cmonrw.errors import BoundTooSmall
+from cmonrw.errors import BoundTooSmall, TypeMismatch
 from cmonrw import oracle
 from cmonrw.oracle import (
     LAWS,
@@ -21,6 +21,7 @@ from cmonrw.oracle import (
     one_step_variants,
     terms_equal_mod_axioms,
 )
+from cmonrw import sigterm
 from cmonrw.sigterm import (
     Signature,
     Eta,
@@ -35,7 +36,12 @@ from cmonrw.sigterm import (
     term_type,
 )
 from cmonrw.translate import eval_term
-from naive_oracle import bruteforce_rewrites, pool_closure
+from naive_oracle import (
+    MERGE_REDEXES,
+    REFERENCE_LAWS,
+    bruteforce_rewrites,
+    pool_closure,
+)
 
 F = Gen("f", 1, 1)
 G = Gen("g", 1, 1)
@@ -314,11 +320,11 @@ def test_root_laws_run_once_per_distinct_subterm(monkeypatch):
     applied = {law.name: [] for law in LAWS}
 
     def counting(law):
-        def variants(t):
-            applied[law.name].append(t)
-            return law.variants(t)
+        def shapes(pool, key):
+            applied[law.name].append(pool.term(key))
+            return law.shapes(pool, key)
 
-        return Law(law.name, law.derived, variants)
+        return Law(law.name, law.derived, shapes)
 
     monkeypatch.setattr(oracle, "LAWS", tuple(counting(law) for law in LAWS))
     cl = axiom_closure(Seq(Seq(F, F), F), 9)
@@ -326,3 +332,81 @@ def test_root_laws_run_once_per_distinct_subterm(monkeypatch):
     for name, terms in applied.items():
         assert len(terms) == len(set(terms)), name
         assert set(terms) == everywhere, name
+
+
+def assert_laws_match_reference(t):
+    for law in LAWS:
+        expected = list(REFERENCE_LAWS[law.name](t))
+        assert list(law.variants(t)) == expected, (law.name, t)
+
+
+def test_reference_laws_are_the_laws_in_order():
+    assert list(REFERENCE_LAWS) == [law.name for law in LAWS]
+
+
+def test_law_variants_match_reference_on_benchmark_closures(unary_sig):
+    everywhere = set()
+    for host in BENCH_HOSTS:
+        t = parse_term(host, unary_sig)
+        cl = axiom_closure(t, term_size(t) + 4)
+        everywhere |= {s for m in cl.members for s in subterms(m)}
+    assert len(everywhere) > 30000
+    for t in everywhere:
+        assert_laws_match_reference(t)
+
+
+ATOMS = (
+    [Id(n) for n in range(4)]
+    + [Sym(i, j) for i in range(3) for j in range(3)]
+    + [Mu(), Eta()]
+)
+
+
+# (mu + id_1) ; (eta + mu) is well typed, but its halves do not chain
+# (mu : 2->1 against eta : 0->1), so interchange must not fire
+UNCHAINED_HALVES = Seq(Par(Mu(), Id(1)), Par(Eta(), Mu()))
+
+
+@pytest.mark.parametrize(
+    "t", ATOMS + list(MERGE_REDEXES) + [UNCHAINED_HALVES], ids=repr
+)
+def test_law_variants_match_reference_on_atoms_and_merge_redexes(t):
+    assert_laws_match_reference(t)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.name)
+def test_every_law_rejects_an_ill_typed_term(law):
+    # interning types the whole term, so every law's Term view raises, not
+    # only the laws that read a type
+    with pytest.raises(TypeMismatch):
+        list(law.variants(Par(Seq(Mu(), Mu()), F)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_law_variants_match_reference_on_random_terms(seed):
+    rng = random.Random(seed)
+    t = random_term(rng, SIG3, max_generators=3, max_width=3)
+    for s in subterms(t):
+        assert_laws_match_reference(s)
+
+
+@pytest.mark.parametrize("host", ["(f ; f) ; f", "(f + f) ; h"])
+def test_closure_types_no_terms_and_builds_none(host, unary_sig, monkeypatch):
+    t = parse_term(host, unary_sig)
+    calls = []
+
+    def counting_type(u):
+        calls.append(u)
+        return term_type(u)
+
+    monkeypatch.setattr(sigterm, "term_type", counting_type)
+    monkeypatch.setattr(oracle, "term_type", counting_type)
+    cl = axiom_closure(t, 9)
+    assert calls == []
+    assert len(cl.keys) > 1000
+    # the pool holds a Term for each of the seed's distinct subterms and
+    # for nothing else, and each is one of the seed's own objects
+    held = list(cl.pool._terms.values())
+    assert len(held) == len(set(subterms(t)))
+    assert {id(u) for u in held} <= {id(s) for s in subterms(t)}
