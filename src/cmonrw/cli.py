@@ -39,7 +39,6 @@ from .sigterm import (
     parse_signature,
     parse_term,
     pretty_print,
-    term_size,
 )
 from .translate import eval_term
 
@@ -267,7 +266,7 @@ def _cmd_oracle_compare(args) -> int:
     oracle_reps: dict[tuple, Term] = {}
     pairs = [(lhs, rhs) for _, lhs, rhs in triples]
     for found in enumerate_rewrites_by_rule(pairs, host_term, args.bound):
-        for t in sorted(found, key=lambda t: (term_size(t), pretty_print(t))):
+        for t in sorted(found, key=lambda t: (t.size, pretty_print(t))):
             c = eval_term(t, sig)
             g = c.carrier
             data = (g.nodes, tuple(g.edges.items()), c.left, c.right)

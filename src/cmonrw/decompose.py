@@ -757,13 +757,14 @@ def perm_term(perm: FinFunction) -> Term:
 
 
 def _merge_tree(count: int) -> Term:
-    if count == 0:
-        return Eta()
-    if count == 1:
-        return Id(1)
-    if count == 2:
-        return Mu()
-    return Seq(_par2(Id(1), _merge_tree(count - 1)), Mu())
+    """count wires merged into one: eta, id_1, mu, then
+    (id_1 + <tree of count - 1>) ; mu."""
+    if count < 2:
+        return Id(1) if count else Eta()
+    tree: Term = Mu()
+    for _ in range(count - 2):
+        tree = Seq(Par(Id(1), tree), Mu())
+    return tree
 
 
 def fn_to_cmon_term(f: FinFunction) -> Term:

@@ -9,7 +9,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .errors import BoundTooSmall, TypeMismatch
+from .errors import BoundTooSmall
 from .sigterm import (
     Eta,
     Gen,
@@ -19,14 +19,16 @@ from .sigterm import (
     Seq,
     Sym,
     Term,
-    chain_mismatch,
     term_type,
 )
 
 
 # Pool shapes: (_SEQ, fst, snd) and (_PAR, fst, snd) over child keys, and
-# for atoms (_GEN, name, dom, cod), (_ID, n), (_SYM, m, n), (_MU,), (_ETA,)
+# (tag, *args) for the atom _CLASSES[tag](*args): (_GEN, name, dom, cod),
+# (_ID, n), (_SYM, m, n), (_MU,) and (_ETA,)
 _SEQ, _PAR, _GEN, _ID, _SYM, _MU, _ETA = range(7)
+_CLASSES = (Seq, Par, Gen, Id, Sym, Mu, Eta)
+_TAGS = {cls: tag for tag, cls in enumerate(_CLASSES)}
 
 
 @dataclass(frozen=True)
@@ -51,60 +53,42 @@ class Law:
             yield pool.term(pool._keys[shape])
 
 
-def _seq_assoc(pool: _TermPool, key: int) -> Iterator[tuple]:
-    shapes = pool._shapes
-    shape = shapes[key]
-    if shape[0] == _SEQ:
-        key_of = pool._keys
-        _, a, b = shape
-        sa, sb = shapes[a], shapes[b]
-        if sa[0] == _SEQ:
-            yield _SEQ, sa[1], key_of[_SEQ, sa[2], b]
-        if sb[0] == _SEQ:
-            yield _SEQ, key_of[_SEQ, a, sb[1]], sb[2]
+def _assoc(tag: int) -> Callable:
+    """The associativity law of the operator tag, _SEQ or _PAR."""
+
+    def shapes(pool: _TermPool, key: int) -> Iterator[tuple]:
+        shapes = pool._shapes
+        shape = shapes[key]
+        if shape[0] == tag:
+            key_of = pool._keys
+            _, a, b = shape
+            sa, sb = shapes[a], shapes[b]
+            if sa[0] == tag:
+                yield tag, sa[1], key_of[tag, sa[2], b]
+            if sb[0] == tag:
+                yield tag, key_of[tag, a, sb[1]], sb[2]
+
+    return shapes
 
 
-def _seq_unit(pool: _TermPool, key: int) -> Iterator[tuple]:
-    shapes, key_of = pool._shapes, pool._keys
-    shape = shapes[key]
-    if shape[0] == _SEQ:
-        sa, sb = shapes[shape[1]], shapes[shape[2]]
-        if sa[0] == _ID:
-            yield sb
-        if sb[0] == _ID:
-            yield sa
-    m, n = pool._types[key]
-    yield _SEQ, key_of[_ID, m], key
-    yield _SEQ, key, key_of[_ID, n]
+def _unit(tag: int) -> Callable:
+    """The unit law of the operator tag: for _SEQ, id_m ; t = t = t ; id_n
+    with t : m -> n, and for _PAR, id_0 + t = t = t + id_0."""
 
+    def shapes(pool: _TermPool, key: int) -> Iterator[tuple]:
+        shapes = pool._shapes
+        shape = shapes[key]
+        m, n = pool._types[key] if tag == _SEQ else (0, 0)
+        left, right = (_ID, m), (_ID, n)
+        if shape[0] == tag:
+            if shapes[shape[1]] == left:
+                yield shapes[shape[2]]
+            if shapes[shape[2]] == right:
+                yield shapes[shape[1]]
+        yield tag, pool._keys[left], key
+        yield tag, key, pool._keys[right]
 
-def _par_assoc(pool: _TermPool, key: int) -> Iterator[tuple]:
-    shapes = pool._shapes
-    shape = shapes[key]
-    if shape[0] == _PAR:
-        key_of = pool._keys
-        _, a, b = shape
-        sa, sb = shapes[a], shapes[b]
-        if sa[0] == _PAR:
-            yield _PAR, sa[1], key_of[_PAR, sa[2], b]
-        if sb[0] == _PAR:
-            yield _PAR, key_of[_PAR, a, sb[1]], sb[2]
-
-
-_ID0 = (_ID, 0)
-
-
-def _par_unit(pool: _TermPool, key: int) -> Iterator[tuple]:
-    shapes = pool._shapes
-    shape = shapes[key]
-    if shape[0] == _PAR:
-        sa, sb = shapes[shape[1]], shapes[shape[2]]
-        if sa == _ID0:
-            yield sb
-        if sb == _ID0:
-            yield sa
-    yield _PAR, pool._keys[_ID0], key
-    yield _PAR, key, pool._keys[_ID0]
+    return shapes
 
 
 def _id_fusion(pool: _TermPool, key: int) -> Iterator[tuple]:
@@ -250,10 +234,10 @@ def _redex_swap(a: tuple, b: tuple) -> Callable:
 
 
 LAWS: tuple[Law, ...] = (
-    Law("sequential-associativity", False, _seq_assoc),
-    Law("sequential-unit", False, _seq_unit),
-    Law("parallel-associativity", False, _par_assoc),
-    Law("parallel-unit", False, _par_unit),
+    Law("sequential-associativity", False, _assoc(_SEQ)),
+    Law("sequential-unit", False, _unit(_SEQ)),
+    Law("parallel-associativity", False, _assoc(_PAR)),
+    Law("parallel-unit", False, _unit(_PAR)),
     Law("identity-fusion", False, _id_fusion),
     Law("interchange", False, _interchange),
     Law("symmetry-involution", False, _sym_involution),
@@ -269,22 +253,6 @@ LAWS: tuple[Law, ...] = (
     Law("merge-unit-right", False, _redex_swap(_MU_UNIT_RIGHT, _ID1_T)),
     Law("symmetry-unit", True, _sym_unit),
 )
-
-
-def one_step_variants(t: Term) -> Iterator[Term]:
-    """Every single application of any law at any subterm position."""
-    for law in LAWS:
-        yield from law.variants(t)
-    if isinstance(t, Seq):
-        for a in one_step_variants(t.fst):
-            yield Seq(a, t.snd)
-        for b in one_step_variants(t.snd):
-            yield Seq(t.fst, b)
-    elif isinstance(t, Par):
-        for a in one_step_variants(t.fst):
-            yield Par(a, t.snd)
-        for b in one_step_variants(t.snd):
-            yield Par(t.fst, b)
 
 
 class _ShapeKeys(dict):
@@ -303,8 +271,9 @@ class _ShapeKeys(dict):
         self.shapes.append(shape)
         tag = shape[0]
         if tag > _PAR:
+            atom = _CLASSES[tag](*shape[1:])
             self.sizes.append(1)
-            self.types.append(_atom_type(shape))
+            self.types.append((atom.dom, atom.cod))
         else:
             sizes, types = self.sizes, self.types
             _, a, b = shape
@@ -312,17 +281,6 @@ class _ShapeKeys(dict):
             (m, n), (o, p) = types[a], types[b]
             types.append((m, p) if tag == _SEQ else (m + o, n + p))
         return key
-
-
-def _atom_type(shape: tuple) -> tuple[int, int]:
-    tag = shape[0]
-    if tag == _GEN:
-        return shape[2], shape[3]
-    if tag == _ID:
-        return shape[1], shape[1]
-    if tag == _SYM:
-        return shape[1] + shape[2], shape[1] + shape[2]
-    return (2, 1) if tag == _MU else (0, 1)
 
 
 class _TermPool:
@@ -352,7 +310,8 @@ class _TermPool:
     def intern(self, t: Term) -> int:
         """The key of t, keeping t and its subterms as the Terms of their
         keys. Raises TypeMismatch, as term_type does, on an ill-typed t."""
-        types = self._types
+        if not isinstance(t, Term) or t.fault is not None:
+            term_type(t)  # raises t's first fault
         keys: list[int] = []
         todo: list[tuple[Term, bool]] = [(t, False)]
         while todo:
@@ -361,52 +320,31 @@ class _TermPool:
                 if not children_done:
                     todo += ((u, True), (u.snd, False), (u.fst, False))
                     continue
-                b = keys.pop()
-                a = keys.pop()
-                if isinstance(u, Par):
-                    shape: tuple = (_PAR, a, b)
-                elif types[a][1] == types[b][0]:
-                    shape = (_SEQ, a, b)
-                else:
-                    raise chain_mismatch(u, types[a], types[b])
-            elif isinstance(u, Gen):
-                shape = (_GEN, u.name, u.dom, u.cod)
-            elif isinstance(u, Id):
-                shape = (_ID, u.n)
-            elif isinstance(u, Sym):
-                shape = (_SYM, u.m, u.n)
-            elif isinstance(u, Mu):
-                shape = (_MU,)
-            elif isinstance(u, Eta):
-                shape = (_ETA,)
+                snd = keys.pop()
+                shape: tuple = (_TAGS[type(u)], keys.pop(), snd)
             else:
-                raise TypeMismatch(f"not a term: {u!r}")
+                shape = (_TAGS[type(u)], *u.args)
             key = self._keys[shape]
             self._terms.setdefault(key, u)
             keys.append(key)
         return keys[0]
 
     def term(self, key: int) -> Term:
-        t = self._terms.get(key)
-        if t is None:
-            shape = self._shapes[key]
-            tag = shape[0]
-            if tag == _SEQ:
-                t = Seq(self.term(shape[1]), self.term(shape[2]))
-            elif tag == _PAR:
-                t = Par(self.term(shape[1]), self.term(shape[2]))
-            elif tag == _GEN:
-                t = Gen(shape[1], shape[2], shape[3])
-            elif tag == _ID:
-                t = Id(shape[1])
-            elif tag == _SYM:
-                t = Sym(shape[1], shape[2])
-            elif tag == _MU:
-                t = Mu()
+        """key's Term, built on first request from its children's."""
+        terms, shapes = self._terms, self._shapes
+        todo = [key]
+        while todo:
+            k = todo.pop()
+            if k in terms:
+                continue
+            shape = shapes[k]
+            if shape[0] > _PAR:
+                terms[k] = _CLASSES[shape[0]](*shape[1:])
+            elif shape[1] in terms and shape[2] in terms:
+                terms[k] = _CLASSES[shape[0]](terms[shape[1]], terms[shape[2]])
             else:
-                t = Eta()
-            self._terms[key] = t
-        return t
+                todo += (k, shape[2], shape[1])
+        return terms[key]
 
     def _matches(self, key: int, template: tuple) -> bool:
         """Whether key's term is the term of a shape template, whose
@@ -453,8 +391,9 @@ class _TermPool:
         return got
 
     def member_variants(self, key: int) -> list[int]:
-        """Keys of the one-step variants of key that fit the bound, in
-        one_step_variants order."""
+        """Keys of the one-step variants of key that fit the bound: the
+        root variants in LAWS order, then those inside fst, then inside
+        snd."""
         return self._variants(key, self.bound - self._sizes[key])
 
     def _variants(self, key: int, slack: int) -> list[int]:

@@ -9,6 +9,10 @@ Surface grammar (whitespace-insensitive)::
 Mixing ";" and "+" at one parenthesis level is rejected.  Printed output is
 fully parenthesised, so printing then parsing is the structural identity.
 
+Terms type themselves: a Seq or Par records its type, size, hash and first
+fault when it is built (see ``Term``). So the one typing rule lives in
+``_Pair``, and other modules call ``term_type`` instead of checking widths.
+
 Signature files are line-based: ``gen <name> : <m> -> <n>``, with ``#``
 comments and blank lines ignored.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import TermSyntaxError, TypeMismatch, UnknownGenerator
 
@@ -80,126 +83,200 @@ def parse_signature(text: str) -> Signature:
     return Signature(tuple(gens))
 
 
+class _Text(str):
+    """Literal output text on _render's stack, never a term."""
+
+
+_CLOSE, _SNDEQ = _Text(")"), _Text(", snd=")
+
+
 class Term:
-    """Base class for term syntax nodes."""
+    """Base class for term syntax nodes.
+
+    Every node carries its ``dom``, ``cod``, ``size`` (syntax node count)
+    and ``fault``: None for a well-typed term, else the node of its first
+    fault in post-order, an ill-typed Seq or a Seq/Par with an operand that
+    is not a Term. A Seq or Par sets these, and its hash, once when it is
+    built, from its operands'. Atoms carry ``args``, the arguments that
+    build them. Nodes are immutable by convention: the classes are slotted
+    but not frozen, which keeps construction cheap. Equality is structural
+    and class-sensitive. Nothing here recurses, so terms of any depth hash,
+    compare, type and print."""
 
     __slots__ = ()
+    size = 1
+    fault = None
+
+    def __hash__(self) -> int:
+        return hash(self.args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.args == other.args
+
+    def __repr__(self) -> str:
+        return _render(self, pretty=False)
 
 
-@dataclass(frozen=True)
 class Gen(Term):
     """A signature generator; carries its arity so terms are self-typed."""
 
-    name: str
-    dom: int
-    cod: int
+    __slots__ = ("name", "dom", "cod", "args")
+    _fields, _text = ("name", "dom", "cod"), "{}"
+
+    def __init__(self, name: str, dom: int, cod: int):
+        self.name, self.dom, self.cod = name, dom, cod
+        self.args = (name, dom, cod)
 
 
-@dataclass(frozen=True)
 class Id(Term):
-    n: int
+    __slots__ = ("n", "dom", "cod", "args")
+    _fields, _text = ("n",), "id_{}"
+
+    def __init__(self, n: int):
+        self.n = self.dom = self.cod = n
+        self.args = (n,)
 
 
-@dataclass(frozen=True)
 class Sym(Term):
-    m: int
-    n: int
+    __slots__ = ("m", "n", "dom", "cod", "args")
+    _fields, _text = ("m", "n"), "sym_{}_{}"
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.dom = self.cod = m + n
+        self.args = (m, n)
 
 
-@dataclass(frozen=True)
 class Mu(Term):
-    pass
+    __slots__ = ()
+    dom, cod, args, _fields, _text = 2, 1, (), (), "mu"
 
 
-@dataclass(frozen=True)
 class Eta(Term):
-    pass
+    __slots__ = ()
+    dom, cod, args, _fields, _text = 0, 1, (), (), "eta"
 
 
-@dataclass(frozen=True)
-class Seq(Term):
-    fst: Term
-    snd: Term
+class _Pair(Term):
+    """A Seq or Par node: two operands and what they determine."""
+
+    __slots__ = ("fst", "snd", "dom", "cod", "size", "fault", "_hash")
+
+    def __init__(self, fst: Term, snd: Term):
+        self.fst, self.snd = fst, snd
+        self._hash = hash((fst, snd))
+        if not (isinstance(fst, Term) and isinstance(snd, Term)):
+            _not_terms(self)
+            return
+        self.size = fst.size + snd.size + 1
+        fault = fst.fault or snd.fault
+        if self.__class__ is Par:
+            self.dom, self.cod = fst.dom + snd.dom, fst.cod + snd.cod
+        else:
+            self.dom, self.cod = fst.dom, snd.cod
+            # the typing rule: fst ends where snd begins
+            if fault is None and fst.cod != snd.dom:
+                fault = self
+        self.fault = fault
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, Term):
+                if a == b:  # not Terms, or Terms of two classes: unequal
+                    continue
+                return False
+            if not isinstance(a, _Pair):
+                if a.args != b.args:
+                    return False
+            elif a._hash != b._hash:
+                return False
+            else:
+                todo += ((a.snd, b.snd), (a.fst, b.fst))
+        return True
 
 
-@dataclass(frozen=True)
-class Par(Term):
-    fst: Term
-    snd: Term
+class Seq(_Pair):
+    __slots__ = ()
+    _op = _Text(" ; ")
 
 
-@lru_cache(maxsize=1 << 16)
+class Par(_Pair):
+    __slots__ = ()
+    _op = _Text(" + ")
+
+
+def _not_terms(t: _Pair) -> None:
+    """Fill in t, some operand of which is not a Term: such an operand
+    counts one node, and is t's fault unless a Term before it has one."""
+    t.dom = t.cod = 0
+    t.size, t.fault = 1, None
+    for x in (t.fst, t.snd):
+        is_term = isinstance(x, Term)
+        t.size += x.size if is_term else 1
+        t.fault = t.fault or (x.fault if is_term else t)
+
+
 def term_type(t: Term) -> tuple[int, int]:
-    """The (dom, cod) of a term; raises TypeMismatch on ill-formed Seq."""
-    if isinstance(t, Gen):
-        return t.dom, t.cod
-    if isinstance(t, Id):
-        return t.n, t.n
-    if isinstance(t, Sym):
-        return t.m + t.n, t.m + t.n
-    if isinstance(t, Mu):
-        return 2, 1
-    if isinstance(t, Eta):
-        return 0, 1
-    if isinstance(t, Seq):
-        a, b = term_type(t.fst), term_type(t.snd)
-        if a[1] != b[0]:
-            raise chain_mismatch(t, a, b)
-        return a[0], b[1]
-    if isinstance(t, Par):
-        a, b = term_type(t.fst), term_type(t.snd)
-        return a[0] + b[0], a[1] + b[1]
-    raise TypeMismatch(f"not a term: {t!r}")
+    """The (dom, cod) of a term; raises TypeMismatch for its first fault."""
+    if not isinstance(t, Term):
+        raise TypeMismatch(f"not a term: {t!r}")
+    fault = t.fault
+    if fault is not None:
+        fst, snd = fault.fst, fault.snd
+        bad = [x for x in (fst, snd) if not isinstance(x, Term)]
+        if bad:
+            raise TypeMismatch(f"not a term: {bad[0]!r}")
+        raise TypeMismatch(
+            f"cannot chain {pretty_print(fst)} : {fst.dom}->{fst.cod} "
+            f"with {pretty_print(snd)} : {snd.dom}->{snd.cod}"
+        )
+    return t.dom, t.cod
 
 
-@lru_cache(maxsize=1 << 16)
 def term_size(t: Term) -> int:
     """Syntax node count; every constructor counts one."""
-    if isinstance(t, (Seq, Par)):
-        return 1 + term_size(t.fst) + term_size(t.snd)
-    return 1
+    return t.size
 
 
-def chain_mismatch(t: Seq, a: tuple[int, int], b: tuple[int, int]):
-    """The error for t = fst ; snd with fst : a and snd : b, a[1] != b[0]."""
-    return TypeMismatch(
-        f"cannot chain {pretty_print(t.fst)} : {a[0]}->{a[1]} "
-        f"with {pretty_print(t.snd)} : {b[0]}->{b[1]}"
-    )
-
-
-class _Text(str):
-    """Literal output text on pretty_print's stack, never a term."""
-
-
-_CLOSE, _SEMI, _PLUS = _Text(")"), _Text(" ; "), _Text(" + ")
-
-
-def pretty_print(t: Term) -> str:
-    """Fully parenthesised text of t, built without recursion."""
+def _render(t: Term, pretty: bool) -> str:
+    """The text of t that pretty_print (pretty) or repr gives, built
+    without recursion; repr is dataclass-style, as in Seq(fst=Mu(),
+    snd=Gen(name='f', dom=1, cod=1))."""
     out: list[str] = []
     stack: list = [t]
     while stack:
         t = stack.pop()
         if type(t) is _Text:
             out.append(t)
-        elif isinstance(t, Gen):
-            out.append(t.name)
-        elif isinstance(t, Id):
-            out.append(f"id_{t.n}")
-        elif isinstance(t, Sym):
-            out.append(f"sym_{t.m}_{t.n}")
-        elif isinstance(t, Mu):
-            out.append("mu")
-        elif isinstance(t, Eta):
-            out.append("eta")
-        elif isinstance(t, (Seq, Par)):
-            out.append("(")
-            op = _SEMI if isinstance(t, Seq) else _PLUS
-            stack += (_CLOSE, t.snd, op, t.fst)
+        elif isinstance(t, _Pair):
+            out.append("(" if pretty else f"{type(t).__name__}(fst=")
+            stack += (_CLOSE, t.snd, t._op if pretty else _SNDEQ, t.fst)
+        elif not isinstance(t, Term):
+            if pretty:
+                raise TypeMismatch(f"not a term: {t!r}")
+            out.append(repr(t))
+        elif pretty:
+            out.append(t._text.format(*t.args))
         else:
-            raise TypeMismatch(f"not a term: {t!r}")
+            args = ", ".join(map("{}={!r}".format, t._fields, t.args))
+            out.append(f"{type(t).__name__}({args})")
     return "".join(out)
+
+
+def pretty_print(t: Term) -> str:
+    """Fully parenthesised text of t."""
+    return _render(t, pretty=True)
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -223,10 +300,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 def _atom(name: str, pos: int, sig: Signature) -> Term:
-    if name == "mu":
-        return Mu()
-    if name == "eta":
-        return Eta()
+    if name in ("mu", "eta"):
+        return Mu() if name == "mu" else Eta()
     if name.startswith("id_"):
         m = _ID_RE.fullmatch(name)
         if m is None:
@@ -248,14 +323,12 @@ def _atom(name: str, pos: int, sig: Signature) -> Term:
 def parse_term(src: str, sig: Signature) -> Term:
     """Parse and typecheck a term expression.
 
-    Types are recorded as each Seq/Par is built, so no pass over the whole
-    term follows. The first ill-typed Seq in post-order is reported, and
-    only once the input has parsed: syntax errors win. Parentheses open
-    chains on an explicit stack, so nesting depth is not bounded by the
-    interpreter's recursion limit."""
+    The term's first fault in post-order is raised only once the input has
+    parsed: syntax errors win. Parentheses open chains on an explicit
+    stack, so nesting depth is not bounded by the interpreter's recursion
+    limit."""
     tokens = _tokenize(src)
     idx = 0
-    mismatch: TypeMismatch | None = None
 
     def peek() -> tuple[str, str, int] | None:
         return tokens[idx] if idx < len(tokens) else None
@@ -270,37 +343,31 @@ def parse_term(src: str, sig: Signature) -> Term:
         idx += 1
         return tok
 
-    # the innermost open chain is (t, a, op): its term so far (None before
-    # its first factor), that term's type and its operator (None until
-    # one follows the first factor); the chains around it wait on stack
+    # the innermost open chain is (t, op): its term so far (None before its
+    # first factor) and its operator (None until one follows the first
+    # factor); the chains around it wait on stack
     stack: list[tuple] = []
-    t = a = op = None
+    t = op = None
     while True:
         tok = peek()
         if tok is None:
             raise TermSyntaxError("unexpected end of input")
         if tok[0] == "(":
             take("(")
-            stack.append((t, a, op))
-            t = a = op = None
+            stack.append((t, op))
+            t = op = None
             continue
         kind, text, pos = take("name")
         f = _atom(text, pos, sig)
-        b = term_type(f)
         while True:
-            # f : b is the next finished factor of the innermost chain
+            # f is the next finished factor of the innermost chain
             if t is None:
-                t, a = f, b
+                t = f
                 tok = peek()
                 if tok is not None and tok[0] in ";+":
                     op = tok[0]
-            elif op == "+":
-                t, a = Par(t, f), (a[0] + b[0], a[1] + b[1])
             else:
-                t = Seq(t, f)
-                if a[1] != b[0] and mismatch is None:
-                    mismatch = chain_mismatch(t, a, b)
-                a = (a[0], b[1])
+                t = Par(t, f) if op == "+" else Seq(t, f)
             tok = peek()
             if op is not None and tok is not None and tok[0] != ")":
                 if tok[0] != op:
@@ -314,10 +381,9 @@ def parse_term(src: str, sig: Signature) -> Term:
                 if tok is not None:
                     raise TermSyntaxError(f"trailing input at {tok[1]!r}",
                                           location=tok[2])
-                if mismatch is not None:
-                    raise mismatch
+                term_type(t)
                 return t
             # the chain ends at its closing parenthesis and is a factor
             take(")")
-            f, b = t, a
-            t, a, op = stack.pop()
+            f = t
+            t, op = stack.pop()

@@ -6,7 +6,6 @@ from .cospan import Cospan, FinFunction, cospan_to_function
 from .errors import ContainsGenerator, TypeMismatch, UnknownGenerator
 from .hypergraph import Edge, Hypergraph, UnionFind
 from .sigterm import (
-    Eta,
     Gen,
     Id,
     Mu,
@@ -15,7 +14,7 @@ from .sigterm import (
     Signature,
     Sym,
     Term,
-    chain_mismatch,
+    term_type,
 )
 
 _JOIN = object()  # stack marker: join the two subterms done last
@@ -33,8 +32,9 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
     instance in leaf order, and edges are listed in leaf order: exactly the
     carrier that nested ``compose``/``tensor`` pushouts build.
 
-    The first ill-typed ``;`` in post-order raises; a well-typed term then
+    An ill-typed term raises as term_type does; a well-typed term then
     raises for its leftmost undeclared or mistyped generator."""
+    term_type(t)
     arities = {name: (m, n) for name, m, n in sig.generators}
     uf = UnionFind()
     count = 0  # wire instances allocated so far
@@ -49,9 +49,6 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
             left2, right2 = done.pop()
             left1, right1 = done.pop()
             if isinstance(op, Seq):
-                if len(right1) != len(left2):
-                    a, b = (len(left1), len(right1)), (len(left2), len(right2))
-                    raise chain_mismatch(op, a, b)
                 for x, y in zip(right1, left2):
                     uf.union(x, y)
                 done.append((left1, right2))
@@ -80,11 +77,9 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
         elif isinstance(node, Mu):
             done.append(([count, count], [count]))
             count += 1
-        elif isinstance(node, Eta):
+        else:  # Eta
             done.append(([], [count]))
             count += 1
-        else:
-            raise TypeMismatch(f"not a term: {node!r}")
     if bad_generator is not None:
         raise bad_generator
     [(left, right)] = done

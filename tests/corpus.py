@@ -7,8 +7,8 @@ from __future__ import annotations
 import os
 import random
 
-from .cospan import EDGE, Cospan, FinFunction, is_right_monogamous
-from .decompose import (
+from cmonrw.cospan import EDGE, Cospan, FinFunction, is_right_monogamous
+from cmonrw.decompose import (
     Cut,
     WeakDecomposition,
     fn_to_cmon_term,
@@ -16,8 +16,8 @@ from .decompose import (
     in_connections,
     updown_sides,
 )
-from .dpo import Complement
-from .hypergraph import (
+from cmonrw.dpo import Complement
+from cmonrw.hypergraph import (
     Edge,
     Hypergraph,
     SubHypergraph,
@@ -25,7 +25,7 @@ from .hypergraph import (
     is_acyclic,
     terminal_nodes,
 )
-from .sigterm import (
+from cmonrw.sigterm import (
     Eta,
     Gen,
     Id,

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 from _acceptance_registry import record
 
-from cmonrw.corpus import (
+from corpus import (
     SIG3,
     complement_mutations,
     random_rm_cospan,

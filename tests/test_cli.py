@@ -520,3 +520,43 @@ def test_translate_of_f_inside_deep_parentheses(ws, tmp_path, capsys, depth):
         "code": "syntax-error",
         "message": "expected ')', got end of input",
     }
+
+
+BIG_RULE = "rule big : " + " ; ".join(["f"] * 3000) + " => f\n"
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        (["rewrite", "--host", "f"], "normal forms: 1\n"),
+        (["rewrite", "--host", "f", "--all"], "steps: 0\n"),
+        (["match", "--host", "f"], "matches: 0\n"),
+        (
+            ["oracle-compare", "--host", "f", "--bound", "4"],
+            "oracle classes: 0\n",
+        ),
+    ],
+    ids=["rewrite", "rewrite-all", "match", "oracle-compare"],
+)
+def test_rule_with_a_3000_factor_side(ws, tmp_path, capsys, command, expected):
+    _, sig, _ = ws
+    rules = tmp_path / "big.rules"
+    rules.write_text(BIG_RULE)
+    assert run(command + ["--sig", sig, "--rules", str(rules)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(expected)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("inputs", [900, 1500])
+def test_readback_of_a_wide_merge(ws, tmp_path, capsys, inputs):
+    _, sig, _ = ws
+    doc = {"nodes": [0], "edges": [], "left": [0] * inputs, "right": [0]}
+    csp = tmp_path / "merge.csp"
+    csp.write_text(json.dumps(doc))
+    assert run(["readback", "--cospan", str(csp), "--sig", sig]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    sig_obj = parse_signature(SIG_TEXT)
+    back = eval_term(parse_term(captured.out, sig_obj), sig_obj)
+    assert iso_equal(back, cospan_from_document(doc))

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from cmonrw import dpo
-from cmonrw.corpus import SIG3, random_rm_cospan, random_term
+from corpus import SIG3, random_rm_cospan, random_term
 from cmonrw.cospan import Cospan
 from cmonrw.dpo import (
     RewriteRule,

@@ -9,7 +9,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from cmonrw.corpus import (
+from corpus import (
     DEFAULT_SEED,
     LAW_SAMPLERS,
     SIG3,
@@ -128,7 +128,7 @@ def test_default_seed_is_stable():
 
 UPDOWN_DIGEST = """
 import hashlib, random
-from cmonrw.corpus import (
+from corpus import (
     random_convex_sub, random_rm_cospan, random_updown_signature,
 )
 lines = []
@@ -146,10 +146,11 @@ print(hashlib.sha256("\\n".join(lines).encode()).hexdigest())
 
 
 def test_updown_signature_draws_do_not_depend_on_the_hash_seed():
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join([os.path.join(here, "..", "src"), here])
     digests = set()
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         done = subprocess.run(
             [sys.executable, "-c", UPDOWN_DIGEST],
             env=env,

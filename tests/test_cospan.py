@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmonrw.corpus import SIG3, random_rm_cospan, random_term
+from corpus import SIG3, random_rm_cospan, random_term
 from cmonrw.cospan import (
     EDGE,
     IFACE,

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmonrw.corpus import (
+from corpus import (
     SIG3,
     random_convex_sub,
     random_gluing,
@@ -57,7 +57,7 @@ from cmonrw.decompose import (
 )
 from cmonrw.errors import BadInterfaceOrder, NotTerminal, PartitionMismatch
 from cmonrw.hypergraph import Edge, Hypergraph, SubHypergraph, terminal_nodes
-from cmonrw.sigterm import parse_signature, parse_term
+from cmonrw.sigterm import Eta, Id, Mu, Par, Seq, parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_scans
 
@@ -297,6 +297,26 @@ def test_fn_to_cmon_term_evaluates_to_its_function(seed):
     assert iso_equal(
         eval_term(fn_to_cmon_term(f), SIG3), function_to_cospan(f)
     )
+
+
+def recursive_merge_tree(count: int):
+    """The merge tree as fn_to_cmon_term built it by recursion."""
+    if count == 0:
+        return Eta()
+    if count == 1:
+        return Id(1)
+    if count == 2:
+        return Mu()
+    return Seq(Par(Id(1), recursive_merge_tree(count - 1)), Mu())
+
+
+@pytest.mark.parametrize("count", range(40))
+def test_merge_tree_is_the_recursive_one(count):
+    f = FinFunction(count, 1, (0,) * count)
+    assert fn_to_cmon_term(f) == recursive_merge_tree(count)
+    fibers = FinFunction(count + 3, 3, (2,) + (0,) * count + (2, 1))
+    built = fn_to_cmon_term(fibers)
+    assert built.snd.fst.fst == recursive_merge_tree(count)
 
 
 READBACK_CASES = [

@@ -20,7 +20,7 @@ import tempfile
 import pytest
 
 from cmonrw.cli import run
-from cmonrw.corpus import (
+from corpus import (
     random_convex_sub,
     random_gluing,
     random_in_cuts,

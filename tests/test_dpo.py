@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmonrw.corpus import SIG3, complement_mutations, random_term
+from corpus import SIG3, complement_mutations, random_term
 from cmonrw import dpo
 from cmonrw.cospan import (
     Cospan,

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmonrw.corpus import random_rm_cospan
+from corpus import random_rm_cospan
 from cmonrw.errors import NotASubhypergraph
 from cmonrw.hypergraph import (
     Edge,

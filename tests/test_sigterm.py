@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cmonrw.corpus import SIG3, random_term
+from corpus import SIG3, random_term
 from cmonrw.errors import TermSyntaxError, TypeMismatch, UnknownGenerator
 from cmonrw.sigterm import (
     Eta,

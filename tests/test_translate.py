@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import naive_eval
 from cmonrw import cospan, translate
-from cmonrw.corpus import SIG3, random_term
+from corpus import SIG3, random_term
 from cmonrw.cospan import (
     FinFunction,
     cospan_to_document,
@@ -155,21 +155,19 @@ def test_eval_matches_pairwise_fold_on_oracle_closures(host, unary_sig):
 
 A, F = Gen("a", 1, 1), Gen("f", 2, 1)
 
+EVAL_ERROR_CASES = [
+    Seq(A, F),  # ill-typed Seq
+    # the first in post-order
+    Seq(Par(Seq(A, F), Seq(F, F)), Seq(F, Mu())),
+    Seq(Seq(Gen("zz", 1, 1), Id(1)), A),  # undeclared generator
+    Par(A, Seq(Gen("f", 1, 1), Gen("g", 1, 1))),  # mistyped generators
+    Par(Gen("zz", 1, 1), Seq(A, F)),  # both: the type error wins
+    Seq(Gen("zz", 1, 1), Seq(Gen("f", 1, 1), Gen("b", 2, 2))),
+    Seq(Mu(), "not a term"),
+]
 
-@pytest.mark.parametrize(
-    "t",
-    [
-        Seq(A, F),  # ill-typed Seq
-        # the first in post-order
-        Seq(Par(Seq(A, F), Seq(F, F)), Seq(F, Mu())),
-        Seq(Seq(Gen("zz", 1, 1), Id(1)), A),  # undeclared generator
-        Par(A, Seq(Gen("f", 1, 1), Gen("g", 1, 1))),  # mistyped generators
-        Par(Gen("zz", 1, 1), Seq(A, F)),  # both: the type error wins
-        Seq(Gen("zz", 1, 1), Seq(Gen("f", 1, 1), Gen("b", 2, 2))),
-        Seq(Mu(), "not a term"),
-    ],
-    ids=repr,
-)
+
+@pytest.mark.parametrize("t", EVAL_ERROR_CASES, ids=repr)
 def test_eval_errors_match_pairwise_fold(t, sig):
     with pytest.raises(Exception) as expected:
         naive_eval.eval_term(t, sig)
