@@ -132,13 +132,12 @@ def complement_is_valid(
     match: Match, host: Cospan, comp: Complement
 ) -> bool:
     """Injective c1, disjoint c1/c2 images, right-monogamous rearrangement,
-    and gluing the lhs back must recompose the host.
+    and gluing the lhs back must give a cospan isomorphic to the host.
 
-    The last condition is first tried on the match's own map from the
-    glued cospan back to the host (see _glue_witnesses_host); for every
-    candidate that boundary_complement builds that map is an isomorphism,
-    so the general isomorphism test only runs on complements built some
-    other way, such as hand-made or mutated ones."""
+    This is the definition, checked as written: boundary_complement builds
+    its candidates valid by construction and does not call it, so it
+    serves complements built some other way, such as hand-made or mutated
+    ones."""
     rule = match.rule
     if len(comp.c1) != rule.lhs.arity or len(comp.c2) != rule.lhs.coarity:
         return False
@@ -156,57 +155,7 @@ def complement_is_valid(
         return False
     if not is_right_monogamous(rearranged):
         return False
-    glued, rename = _glue_into_complement(rule.lhs, comp)
-    if _glue_witnesses_host(match, host, comp, glued, rename):
-        return True
-    return iso_equal(glued, host)
-
-
-def _glue_witnesses_host(
-    match: Match, host: Cospan, comp: Complement, glued: Cospan, rename: dict
-) -> bool:
-    """Is the match's own map an isomorphism from glued onto host?
-
-    lhs nodes and edges go where match.hom sends them; complement nodes
-    and edges that exist in the host go to themselves; a fresh c1/c2 copy
-    goes wherever the lhs node glued onto it goes. True only when that map
-    is well defined, bijective on nodes and edges, preserves labels and
-    endpoint positions and sends d1/d2 onto host.left/host.right, so a
-    True answer proves iso_equal(glued, host); False proves nothing."""
-    hom = match.hom
-    g = host.carrier
-    phi: dict[int, int] = {}
-    for (side, v), w in rename.items():
-        if side == 0:
-            img = hom.node_map[v]
-        elif v in g.nodes:
-            img = v
-        else:
-            continue
-        if phi.setdefault(w, img) != img:
-            return False
-    n = len(glued.carrier.nodes)
-    if len(phi) != n or n != len(g.nodes) or len(set(phi.values())) != n:
-        return False
-    lhs_edges = sorted(match.rule.lhs.carrier.edges)
-    images = [hom.edge_map[eid] for eid in lhs_edges]
-    images += sorted(comp.carrier.edges)
-    if len(images) != len(g.edges) or len(set(images)) != len(images):
-        return False
-    for gid, hid in enumerate(images):
-        he = g.edges.get(hid)
-        e = glued.carrier.edges[gid]
-        if (
-            he is None
-            or he.label != e.label
-            or tuple(phi[u] for u in e.sources) != he.sources
-            or tuple(phi[u] for u in e.targets) != he.targets
-        ):
-            return False
-    return (
-        tuple(phi[u] for u in glued.left) == host.left
-        and tuple(phi[u] for u in glued.right) == host.right
-    )
+    return iso_equal(_glue_into_complement(rule.lhs, comp), host)
 
 
 def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
@@ -215,28 +164,27 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     The match image is cut out; each boundary node is replaced by fresh
     copies (one c1 copy per lhs input position, one shared c2 copy per
     output-image node). Surviving out-connections must land on the c2 copy;
-    each surviving in-connection picks any copy, and every combination that
-    passes validation is kept.
+    each surviving in-connection picks any copy, and every combination is
+    a complement.
 
     Combinations are built once per symmetry class of twin producers:
     remaining edges with equal label, sources and targets. Swapping two
     twins fixes every node, so it is an automorphism of the host that
     fixes both interfaces and the match, and candidates that differ only
-    by permuting the twins' per-edge picks are isomorphic, equally valid
-    and equally keyed. Each class contributes one candidate per multiset
-    of per-edge picks, laid out in non-decreasing order along the twins'
-    edge ids: the lexicographically first pick vector of its orbit. The
-    candidates are validated in lexicographic order of their pick
-    vectors, so each key keeps the representative the full product of
-    picks would keep: n+1 candidates instead of 2^n where n twins feed a
-    node with two copies.
+    by permuting the twins' per-edge picks are isomorphic and equally
+    keyed. Each class contributes one candidate per multiset of per-edge
+    picks, laid out in non-decreasing order along the twins' edge ids:
+    the lexicographically first pick vector of its orbit. The candidates
+    are taken in lexicographic order of their pick vectors, so each key
+    keeps the representative the full product of picks would keep: n+1
+    candidates instead of 2^n where n twins feed a node with two copies.
 
-    Each candidate glues back onto the host by the match's own map (lhs
-    nodes through match.hom, copies onto the node they copy, every other
-    node to itself), a bijection on edges that fixes both interfaces, so
-    complement_is_valid accepts or rejects it on the cheap structural
-    checks and never needs a general isomorphism test. Candidates are
-    keyed by complement_key and sorted only when more than one is valid."""
+    Every candidate is valid by construction. c1 and c2 are fresh,
+    distinct and disjoint, and match.hom plus the identity maps the
+    re-glued lhs onto the host. Right-monogamy of (d1 + c2, d2 + c1)
+    reads only edge sources and d2 + c1, which no pick moves, so it is
+    checked once per match. Candidates are keyed by complement_key and
+    sorted only when there is more than one."""
     rule = match.rule
     g = host.carrier
     a1_img = [match.hom.node_map[v] for v in rule.lhs.left]
@@ -338,48 +286,42 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
         for eid, e in sorted(remaining.items())
     }
     d2 = tuple(c2_of[v] if v in boundary else v for v in host.right)
-    valid: list[Complement] = []
+    comps: list[Complement] = []
     for to in assignments:
         edges, d1 = reattach(out_edges, host.left, to)
-        comp = Complement(
-            Hypergraph(carrier_nodes, edges), c1, c2, d1, d2
+        comps.append(
+            Complement(Hypergraph(carrier_nodes, edges), c1, c2, d1, d2)
         )
-        if complement_is_valid(match, host, comp):
-            valid.append(comp)
-    if len(valid) <= 1:
-        return valid
+    if not is_right_monogamous(Cospan(comps[0].carrier, (), d2 + c1)):
+        return []
+    if len(comps) == 1:
+        return comps
     found: dict[tuple, Complement] = {}
-    for comp in valid:
+    for comp in comps:
         found.setdefault(complement_key(comp), comp)
     return [found[k] for k in sorted(found)]
 
 
-def _glue_into_complement(
-    cos: Cospan, comp: Complement
-) -> tuple[Cospan, dict]:
+def _glue_into_complement(cos: Cospan, comp: Complement) -> Cospan:
     """The pushout of one rule side into a complement: cos's interfaces are
-    glued onto c1/c2 positionwise and the result keeps d1/d2 as its own.
-
-    Also returns the pushout's renaming of (0, cos node) and
-    (1, complement node) onto the glued nodes."""
+    glued onto c1/c2 positionwise and the result keeps d1/d2 as its own."""
     pairs = itertools.chain(
         zip(cos.left, comp.c1, strict=True),
         zip(cos.right, comp.c2, strict=True),
     )
     g, rename = pushout(cos.carrier, comp.carrier, pairs)
-    glued = Cospan(
+    return Cospan(
         g,
         tuple(rename[(1, v)] for v in comp.d1),
         tuple(rename[(1, v)] for v in comp.d2),
     )
-    return glued, rename
 
 
 def apply_rewrite(
     rule: RewriteRule, match: Match, complement: Complement
 ) -> Cospan:
     """Glue the rhs into a validated complement."""
-    result, _ = _glue_into_complement(rule.rhs, complement)
+    result = _glue_into_complement(rule.rhs, complement)
     if not is_right_monogamous(result):
         raise ResultNotRightMonogamous(
             f"rule {rule.name!r} produced a non-right-monogamous result"

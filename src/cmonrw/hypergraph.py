@@ -236,6 +236,10 @@ def is_convex(g: Hypergraph, nodes, edges) -> bool:
     return not bridging_edges(g, nodes, edges)
 
 
+def _shape(e: Edge) -> tuple[str, int, int]:
+    return e.label, len(e.sources), len(e.targets)
+
+
 def find_homomorphisms(
     pattern: Hypergraph, host: Hypergraph, merge_allowed=frozenset()
 ) -> list[Homomorphism]:
@@ -243,61 +247,102 @@ def find_homomorphisms(
 
     Node images must be injective except that two pattern nodes may share an
     image when BOTH lie in merge_allowed.
-    """
+
+    Depth-first over an explicit stack, one level per pattern edge in id
+    order and then one per pattern node no edge touches, each level trying
+    host edges or nodes in id order. A pattern edge with an endpoint
+    already mapped tries only the host edges at that endpoint's image in
+    the same slot."""
     merge_allowed = frozenset(merge_allowed)
-    pedges = sorted(pattern.edges)
     by_label: dict[str, list[int]] = {}
     for hid in sorted(host.edges):
         by_label.setdefault(host.edges[hid].label, []).append(hid)
+    pids = sorted(pattern.edges)
+    pedges = [pattern.edges[pid] for pid in pids]
+    n_edges = len(pedges)
+    inc = incidence(host) if n_edges > 1 else None
+    touched = {v for e in pedges for v in e.sources + e.targets}
+    loose = [v for v in sorted(pattern.nodes) if v not in touched]
     host_nodes = sorted(host.nodes)
+    if not pedges and not loose:
+        return [Homomorphism(pattern, host, {}, {})]
+    nmap: dict[int, int] = {}
+    emap: dict[int, int] = {}
+    used: set[int] = set()  # host edges in emap's image
+    taken: dict[int, int] = {}  # host node -> pattern nodes mapped onto it
+    exclusive: set[int] = set()  # images of nodes outside merge_allowed
+
+    def unbind(new: list[int]) -> None:
+        for pv in reversed(new):
+            hv = nmap.pop(pv)
+            taken[hv] -= 1
+            exclusive.discard(hv)
+
+    def bind(pairs) -> list[int] | None:
+        """Map every (pattern node, host node) pair and return the pattern
+        nodes newly mapped, or map none and return None."""
+        new: list[int] = []
+        for pv, hv in pairs:
+            if pv in nmap:
+                if nmap[pv] == hv:
+                    continue
+            elif hv not in exclusive and (
+                pv in merge_allowed or not taken.get(hv)
+            ):
+                nmap[pv] = hv
+                taken[hv] = taken.get(hv, 0) + 1
+                if pv not in merge_allowed:
+                    exclusive.add(hv)
+                new.append(pv)
+                continue
+            unbind(new)
+            return None
+        return new
+
+    def options(k: int) -> list[int]:
+        if k >= n_edges:
+            return host_nodes
+        pe = pedges[k]
+        if k:  # only an edge after the first can have an endpoint mapped
+            for via, ends in ((inc.outs, pe.sources), (inc.ins, pe.targets)):
+                for slot, pv in enumerate(ends):
+                    if pv in nmap:
+                        return [h for h, s in via[nmap[pv]] if s == slot]
+        return by_label.get(pe.label, [])
+
+    def choose(k: int, opt: int) -> list[int] | None:
+        if k >= n_edges:
+            return bind([(loose[k - n_edges], opt)])
+        pe, he = pedges[k], host.edges[opt]
+        if opt in used or _shape(he) != _shape(pe):
+            return None
+        return bind(zip(pe.sources + pe.targets, he.sources + he.targets))
+
     results: list[Homomorphism] = []
-
-    def bind(nmap: dict, pv: int, hv: int) -> dict | None:
-        if pv in nmap:
-            return nmap if nmap[pv] == hv else None
-        if pv not in merge_allowed:
-            if hv in nmap.values():
-                return None
+    last = n_edges + len(loose) - 1
+    stack = [iter(options(0))]
+    trail: list[list[int]] = []  # per level below the top, what it bound
+    while stack:
+        k = len(stack) - 1
+        if len(trail) > k:
+            unbind(trail.pop())
+            if k < n_edges:
+                used.discard(emap.pop(pids[k]))
+        for opt in stack[k]:
+            new = choose(k, opt)
+            if new is not None:
+                break
         else:
-            for q, w in nmap.items():
-                if w == hv and q not in merge_allowed:
-                    return None
-        out = dict(nmap)
-        out[pv] = hv
-        return out
-
-    def assign_rest(nmap: dict, emap: dict, rest: list[int], j: int) -> None:
-        if j == len(rest):
+            stack.pop()
+            continue
+        trail.append(new)
+        if k < n_edges:
+            emap[pids[k]] = opt
+            used.add(opt)
+        if k == last:
             results.append(Homomorphism(pattern, host, nmap, emap))
-            return
-        for hv in host_nodes:
-            nmap2 = bind(nmap, rest[j], hv)
-            if nmap2 is not None:
-                assign_rest(nmap2, emap, rest, j + 1)
-
-    def rec(i: int, nmap: dict, emap: dict, used: frozenset) -> None:
-        if i == len(pedges):
-            rest = [v for v in sorted(pattern.nodes) if v not in nmap]
-            assign_rest(nmap, emap, rest, 0)
-            return
-        pe = pattern.edges[pedges[i]]
-        for hid in by_label.get(pe.label, ()):
-            if hid in used:
-                continue
-            he = host.edges[hid]
-            if len(he.sources) != len(pe.sources):
-                continue
-            if len(he.targets) != len(pe.targets):
-                continue
-            nmap2: dict | None = nmap
-            for pv, hv in zip(pe.sources + pe.targets, he.sources + he.targets):
-                nmap2 = bind(nmap2, pv, hv)
-                if nmap2 is None:
-                    break
-            if nmap2 is not None:
-                rec(i + 1, nmap2, {**emap, pedges[i]: hid}, used | {hid})
-
-    rec(0, {}, {}, frozenset())
+        else:
+            stack.append(iter(options(k + 1)))
     return results
 
 

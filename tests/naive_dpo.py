@@ -2,16 +2,36 @@
 kept as the reference it is tested against: every surviving in-connection
 at a boundary node picks any copy of that node, independently, so n twin
 producers feeding a node with two copies give 2^n candidates, each one
-built, validated and keyed."""
+built, validated and keyed. Also the validity check by isomorphism alone,
+which every complement boundary_complement returns must pass."""
 
 from __future__ import annotations
 
 import itertools
 
 from cmonrw import dpo
-from cmonrw.cospan import Connection, Cospan, edge_conn, iface_conn, reattach
-from cmonrw.dpo import Complement, Match, complement_key
-from cmonrw.errors import DanglingEdge
+from cmonrw.cospan import (
+    Connection,
+    Cospan,
+    edge_conn,
+    iface_conn,
+    is_right_monogamous,
+    iso_equal,
+    reattach,
+)
+from cmonrw.dpo import (
+    Complement,
+    Match,
+    RewriteRule,
+    apply_rewrite,
+    complement_key,
+)
+from cmonrw.errors import (
+    Cyclic,
+    DanglingEdge,
+    ResultNotRightMonogamous,
+    UnknownNode,
+)
 from cmonrw.hypergraph import Edge, Hypergraph
 
 
@@ -100,3 +120,30 @@ def full_product_complements(match: Match, host: Cospan) -> list[Complement]:
     for comp in valid:
         found.setdefault(complement_key(comp), comp)
     return [found[k] for k in sorted(found)]
+
+
+def reference_complement_is_valid(match, host, comp) -> bool:
+    """The validity check by isomorphism alone: the same structural checks,
+    then a canonical-form comparison of the re-glued lhs with the host."""
+    rule = match.rule
+    if len(comp.c1) != rule.lhs.arity or len(comp.c2) != rule.lhs.coarity:
+        return False
+    if len(comp.d1) != host.arity or len(comp.d2) != host.coarity:
+        return False
+    if len(set(comp.c1)) != len(comp.c1) or set(comp.c1) & set(comp.c2):
+        return False
+    try:
+        rearranged = Cospan(
+            comp.carrier, comp.d1 + comp.c2, comp.d2 + comp.c1
+        )
+    except UnknownNode:
+        return False
+    if not is_right_monogamous(rearranged):
+        return False
+    # gluing a rule's rhs is the same pushout; a malformed result cannot
+    # be isomorphic to the well-formed host
+    try:
+        glued = apply_rewrite(RewriteRule(rule.lhs, rule.lhs), match, comp)
+    except (ResultNotRightMonogamous, Cyclic):
+        return False
+    return iso_equal(glued, host)

@@ -548,6 +548,22 @@ def test_rule_with_a_3000_factor_side(ws, tmp_path, capsys, command, expected):
     assert captured.err == ""
 
 
+def test_match_of_a_1500_factor_rule_on_a_1500_factor_chain(
+    ws, tmp_path, capsys
+):
+    _, sig, _ = ws
+    chain = " ; ".join(["f"] * 1500)
+    rules = tmp_path / "big.rules"
+    rules.write_text(f"rule big : {chain} => f\n")
+    host = tmp_path / "chain.term"
+    host.write_text(chain)
+    argv = ["match", "--sig", sig, "--rules", str(rules), "--host", str(host)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("matches: 1\n")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("inputs", [900, 1500])
 def test_readback_of_a_wide_merge(ws, tmp_path, capsys, inputs):
     _, sig, _ = ws

@@ -16,11 +16,15 @@ from cmonrw.dpo import (
     RewriteRule,
     boundary_complement,
     enumerate_convex_matches,
+    rewrite_all,
 )
 from cmonrw.errors import DanglingEdge
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
-from naive_dpo import full_product_complements
+from naive_dpo import (
+    full_product_complements,
+    reference_complement_is_valid,
+)
 
 SIG = parse_signature(
     "gen f : 1 -> 1\ngen g : 1 -> 1\ngen h : 2 -> 1\n"
@@ -78,81 +82,128 @@ def has_twins(host: Cospan) -> bool:
     return len(set(edges)) < len(edges)
 
 
+def merge_host(n: int) -> str:
+    """n nullary s edges merged into one wire, then f."""
+    return f"({' + '.join(['s'] * n)}) ; {merge_all(n)} ; f"
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_mu_f_on_n_way_merge_of_s(n):
-    host = _ev(f"({' + '.join(['s'] * n)}) ; {merge_all(n)} ; f")
+    host = _ev(merge_host(n))
     assert assert_same_complements(_ev("mu ; f"), host) >= 1
 
 
-def test_ten_way_merge_validates_one_candidate_per_class(monkeypatch):
-    calls = []
-    check = dpo.complement_is_valid
+def test_ten_way_merge_builds_one_candidate_per_class(monkeypatch):
+    built, checked = [], []
+    make, check = dpo.Complement, dpo.complement_is_valid
+
+    def building(*fields):
+        built.append(fields)
+        return make(*fields)
 
     def counting(match, host, comp):
-        calls.append(comp)
+        checked.append(comp)
         return check(match, host, comp)
 
+    monkeypatch.setattr(dpo, "Complement", building)
     monkeypatch.setattr(dpo, "complement_is_valid", counting)
-    host = _ev(f"({' + '.join(['s'] * 10)}) ; {merge_all(10)} ; f")
+    host = _ev(merge_host(10))
     (match,) = enumerate_convex_matches(
         RewriteRule(_ev("mu ; f"), _ev("h"), "mufh"), host
     )
     comps = boundary_complement(match, host)
-    assert len(calls) == 11
-    calls.clear()
+    assert len(built) == 11 and checked == []
     assert [_view(c) for c in full_product_complements(match, host)] == [
         _view(c) for c in comps
     ]
-    assert len(calls) == 1024
+    # the full product builds and validates every pick vector
+    assert len(checked) == 1024
     # k of the ten s edges on the first copy, k = 0..10
     assert len(comps) == 11
+    assert all(reference_complement_is_valid(match, host, c) for c in comps)
+
+
+# three p : 0 -> 2; every first output merges into one node, every second
+# output into another, and h reads both
+TWO_SLOT_HOST = (
+    "(p + p + p) ; (id_1 + sym_1_1 + id_3) ; (id_2 + sym_2_1 + id_1)"
+    f" ; (({merge_all(3)}) + ({merge_all(3)})) ; h"
+)
 
 
 def test_twins_with_two_in_slots_each():
-    # three p : 0 -> 2; every first output merges into one node, every
-    # second output into another, and h reads both
-    host = _ev(
-        "(p + p + p) ; (id_1 + sym_1_1 + id_3) ; (id_2 + sym_2_1 + id_1)"
-        f" ; (({merge_all(3)}) + ({merge_all(3)})) ; h"
-    )
+    host = _ev(TWO_SLOT_HOST)
     assert has_twins(host)
     assert assert_same_complements(_ev("(mu + mu) ; h"), host) >= 2
     assert assert_same_complements(_ev("mu + mu"), host) >= 2
 
 
-@pytest.mark.parametrize(
-    "host_text",
-    [
-        f"(id_1 + f + f + s + t + s) ; {merge_all(6)} ; f",
-        f"(s + id_1 + s + g + s) ; {merge_all(5)} ; f",
-        f"(id_2 + s + s + p) ; {merge_all(6)} ; f",
-    ],
-)
-@pytest.mark.parametrize(
-    "lhs_text", ["mu ; f", "mu", "f", "(mu + id_1) ; mu"]
-)
+MIXED_HOSTS = [
+    f"(id_1 + f + f + s + t + s) ; {merge_all(6)} ; f",
+    f"(s + id_1 + s + g + s) ; {merge_all(5)} ; f",
+    f"(id_2 + s + s + p) ; {merge_all(6)} ; f",
+]
+MIXED_LHS = ["mu ; f", "mu", "f", "(mu + id_1) ; mu"]
+
+
+@pytest.mark.parametrize("host_text", MIXED_HOSTS)
+@pytest.mark.parametrize("lhs_text", MIXED_LHS)
 def test_twins_mixed_with_other_producers_and_left_slots(host_text, lhs_text):
     host = _ev(host_text)
     assert has_twins(host) and host.left
     assert_same_complements(_ev(lhs_text), host)
 
 
-@pytest.mark.parametrize(
-    "host_text, lhs_text",
-    [
-        # the f output and the twins meet in the output-image node: its
-        # only copy is the c2 one
-        (f"(f + s + s + s) ; {merge_all(4)}", "f"),
-        (f"(f + s + s + s) ; {merge_all(4)} ; g", "f"),
-        # mu's node is in both images: two c1 copies and one c2 copy
-        (f"(s + s + s + s) ; {merge_all(4)} ; f", "mu"),
-        (f"(s + s + s + s) ; {merge_all(4)}", "mu"),
-    ],
-)
+OUTPUT_IMAGE_CASES = [
+    # the f output and the twins meet in the output-image node: its only
+    # copy is the c2 one
+    (f"(f + s + s + s) ; {merge_all(4)}", "f"),
+    (f"(f + s + s + s) ; {merge_all(4)} ; g", "f"),
+    # mu's node is in both images: two c1 copies and one c2 copy
+    (f"(s + s + s + s) ; {merge_all(4)} ; f", "mu"),
+    (f"(s + s + s + s) ; {merge_all(4)}", "mu"),
+]
+
+
+@pytest.mark.parametrize("host_text, lhs_text", OUTPUT_IMAGE_CASES)
 def test_twins_into_an_output_image_node(host_text, lhs_text):
     host = _ev(host_text)
     assert has_twins(host)
     assert assert_same_complements(_ev(lhs_text), host) >= 1
+
+
+def test_rewrite_all_glues_once_per_step_and_never_validates(monkeypatch):
+    # boundary_complement returns complements valid by construction, so a
+    # rewrite step glues the rhs once and nothing checks the complement
+    calls = dict.fromkeys(
+        ["apply_rewrite", "pushout", "complement_is_valid", "iso_equal"], 0
+    )
+    per_step = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            before = calls["pushout"]
+            out = fn(*args)
+            if name == "apply_rewrite":
+                per_step.append(calls["pushout"] - before)
+            return out
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dpo, name, counting(name, getattr(dpo, name)))
+    cases = [(merge_host(n), "mu ; f") for n in range(1, 11)]
+    cases += [(TWO_SLOT_HOST, "(mu + mu) ; h"), (TWO_SLOT_HOST, "mu + mu")]
+    cases += [(h, lhs) for h in MIXED_HOSTS for lhs in MIXED_LHS]
+    cases += OUTPUT_IMAGE_CASES
+    for host_text, lhs_text in cases:
+        lhs = _ev(lhs_text)
+        rewrite_all([RewriteRule(lhs, lhs, "self")], _ev(host_text))
+    assert calls["apply_rewrite"] > len(cases)
+    assert per_step == [1] * calls["apply_rewrite"]
+    assert calls["pushout"] == calls["apply_rewrite"]
+    assert calls["complement_is_valid"] == 0 and calls["iso_equal"] == 0
 
 
 LHS_SIG3 = [

@@ -23,6 +23,8 @@ from cmonrw.hypergraph import (
     reachable,
     terminal_nodes,
 )
+import naive_match
+from naive_match import homs_view
 import naive_scans
 from naive_scans import in_degree, out_degree
 
@@ -166,6 +168,69 @@ def test_node_injectivity_unless_merge_allowed():
     assert len(both) == 2
     for h in both:
         assert h.node_map == {0: 0, 1: 1, 2: 0, 3: 1}
+
+
+def random_pattern(rng: random.Random, host: Hypergraph) -> Hypergraph:
+    """A small random graph, or up to three host edges with their
+    endpoints (and maybe one more host node), renumbered."""
+    if rng.random() < 0.4 or not host.edges:
+        n = rng.randint(0, 4)
+        edges = {
+            eid: Edge(
+                rng.choice("pq"),
+                tuple(rng.randrange(n) for _ in range(rng.randint(0, 2))),
+                tuple(rng.randrange(n) for _ in range(rng.randint(0, 2))),
+            )
+            for eid in range(rng.randint(0, 4) if n else 0)
+        }
+        return Hypergraph(frozenset(range(n)), edges)
+    eids = rng.sample(sorted(host.edges), rng.randint(1, min(3, len(host.edges))))
+    nodes = {v for eid in eids for v in host.edges[eid].sources}
+    nodes |= {v for eid in eids for v in host.edges[eid].targets}
+    if rng.random() < 0.3:
+        nodes.add(rng.choice(sorted(host.nodes)))
+    names = sorted(nodes)
+    perm = list(range(len(names)))
+    rng.shuffle(perm)
+    ren = dict(zip(names, perm))
+    ids = list(range(len(eids)))
+    rng.shuffle(ids)
+    return Hypergraph(
+        frozenset(perm),
+        {
+            pid: Edge(
+                host.edges[eid].label,
+                tuple(ren[v] for v in host.edges[eid].sources),
+                tuple(ren[v] for v in host.edges[eid].targets),
+            )
+            for pid, eid in zip(ids, eids)
+        },
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_homomorphism_search_matches_recursive_reference(seed):
+    rng = random.Random(seed)
+    for host in (random_graph(rng), random_rm_cospan(rng).carrier):
+        pattern = random_pattern(rng, host)
+        some = frozenset(v for v in pattern.nodes if rng.random() < 0.5)
+        for allowed in (frozenset(), some, pattern.nodes):
+            assert homs_view(find_homomorphisms(pattern, host, allowed)) == (
+                homs_view(naive_match.find_homomorphisms(pattern, host, allowed))
+            )
+
+
+def test_homomorphism_search_on_long_chains():
+    host = chain(*["f"] * 1500)
+    homs = find_homomorphisms(chain("f", "f", "f"), host)
+    assert [h.edge_map for h in homs] == [
+        {0: i, 1: i + 1, 2: i + 2} for i in range(1498)
+    ]
+    pattern, host = chain(*["f"] * 40), chain(*["f"] * 60)
+    assert homs_view(find_homomorphisms(pattern, host)) == homs_view(
+        naive_match.find_homomorphisms(pattern, host)
+    )
 
 
 def test_convexity_rejects_bridged_image():

@@ -50,14 +50,23 @@ SIG_FG = Signature((("f", 1, 1), ("g", 1, 1)))
 def one_step_variants(t):
     """Every single application of any law at any subterm position, in
     the order of AxiomClosure's pool: at the root, then inside fst, then
-    inside snd."""
+    inside snd. t is interned once, into one pool every law runs on."""
+    pool = oracle._TermPool()
+    for key in _variant_keys(pool, pool.intern(t)):
+        yield pool.term(key)
+
+
+def _variant_keys(pool, key):
+    """The pool keys of one_step_variants of the pooled term key."""
     for law in LAWS:
-        yield from law.variants(t)
-    if isinstance(t, (Seq, Par)):
-        for a in one_step_variants(t.fst):
-            yield type(t)(a, t.snd)
-        for b in one_step_variants(t.snd):
-            yield type(t)(t.fst, b)
+        for shape in law.shapes(pool, key):
+            yield pool._keys[shape]
+    if pool._shapes[key][0] in (oracle._SEQ, oracle._PAR):
+        tag, fst, snd = pool._shapes[key]
+        for a in _variant_keys(pool, fst):
+            yield pool._keys[(tag, a, snd)]
+        for b in _variant_keys(pool, snd):
+            yield pool._keys[(tag, fst, b)]
 
 
 def naive_closure(t, bound):
