@@ -193,7 +193,7 @@ def _cmd_match(args) -> int:
 
 def _load_host(value: str, sig: Signature) -> Cospan:
     """A host is a cospan document (.csp path) or a term (path or inline)."""
-    if os.path.exists(value) and value.endswith(".csp"):
+    if value.endswith(".csp"):
         return _load_cospan(value)
     return eval_term(_load_term(value, sig), sig)
 

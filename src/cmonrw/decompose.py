@@ -40,7 +40,6 @@ from .errors import (
     NotTerminal,
     PartitionMismatch,
     UnknownGenerator,
-    UnknownNode,
 )
 from .hypergraph import (
     Hypergraph,
@@ -64,15 +63,6 @@ def in_connections(c: Cospan) -> dict[int, tuple[Connection, ...]]:
     for p, u in enumerate(c.left):
         conns[u].append(iface_conn(p))
     return {v: tuple(cs) for v, cs in conns.items()}
-
-
-def left_amonogamous_nodes(c: Cospan) -> frozenset[int]:
-    """Nodes whose input connection count differs from exactly one."""
-    if not is_right_monogamous(c):
-        raise NotRightMonogamous("cospan is not right-monogamous")
-    return frozenset(
-        v for v, conns in in_connections(c).items() if len(conns) != 1
-    )
 
 
 def node_orders(c: Cospan) -> dict[int, int]:
@@ -143,12 +133,6 @@ def _check_partition(cut: Cut, conns, error) -> None:
         )
 
 
-def _check_in_cut(cut: Cut, conns) -> None:
-    if not cut.partition:
-        raise PartitionMismatch("cut needs at least one block")
-    _check_partition(cut, conns, PartitionMismatch)
-
-
 def _split_terminals(
     c: Cospan, cuts: dict[int, Cut]
 ) -> tuple[Cospan, FinFunction, dict[int, tuple[int, ...]]]:
@@ -182,26 +166,6 @@ def _split_terminals(
     return Cospan(Hypergraph(nodes, edges), left, right), recon, copies_of
 
 
-def apply_cut(c: Cospan, cut: Cut) -> tuple[Cospan, FinFunction]:
-    """Split a terminal node into one copy per partition block.
-
-    Returns the new cospan and the map sending new output positions back to
-    the old ones (composing with its merge undoes the cut).
-    """
-    v = cut.node
-    if v not in c.carrier.nodes:
-        raise UnknownNode(f"node {v} not in carrier")
-    if v not in terminal_nodes(c.carrier):
-        raise NotTerminal(f"node {v} has outgoing connections")
-    _check_in_cut(cut, in_connections(c)[v])
-    if c.right.count(v) != 1:
-        raise NotRightMonogamous(
-            f"node {v} must appear exactly once in the output boundary"
-        )
-    split, recon, _ = _split_terminals(c, {v: cut})
-    return split, recon
-
-
 def complete_cut(
     c: Cospan, cuts: list[Cut]
 ) -> tuple[Cospan, FinFunction]:
@@ -218,14 +182,11 @@ def complete_cut(
         raise NotTerminal(f"cut names non-terminal nodes {sorted(extra)}")
     conns = in_connections(c)
     for v in c.right:
-        _check_in_cut(by_node[v], conns[v])
+        if not by_node[v].partition:
+            raise PartitionMismatch("cut needs at least one block")
+        _check_partition(by_node[v], conns[v], PartitionMismatch)
     split, recon, _ = _split_terminals(c, by_node)
     return split, recon
-
-
-def one_cut(c: Cospan, v: int) -> Cut:
-    """The trivial cut keeping all of v's input connections together."""
-    return Cut(v, (frozenset(in_connections(c)[v]),))
 
 
 class WeakDecomposition(NamedTuple):
@@ -696,19 +657,6 @@ def recompose_levels(lf: LevelFactorisation) -> Cospan:
             tensor(identity_cospan(f.passthrough), compose(f.merges, t)),
         )
     return compose(t, function_to_cospan(lf.perm))
-
-
-def alternating_factors(lf: LevelFactorisation) -> tuple[Cospan, ...]:
-    """Flatten into a strict slice/merge alternation whose sequential
-    composite equals the original cospan."""
-    out: list[Cospan] = []
-    offset = 0
-    for f in lf.factors:
-        out.append(tensor(identity_cospan(offset), f.slice))
-        offset += f.passthrough
-        out.append(tensor(identity_cospan(offset), f.merges))
-    out[-1] = compose(out[-1], function_to_cospan(lf.perm))
-    return tuple(out)
 
 
 def _par2(a: Term, b: Term) -> Term:

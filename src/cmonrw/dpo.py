@@ -363,14 +363,14 @@ def rewrite_all(
 def normalize(
     rules: list[RewriteRule],
     host: Cospan,
-    strategy: str = "exhaustive-bfs",
+    strategy: str = "bfs",
     max_steps: int = 100,
 ) -> list[Cospan]:
     """Rewrite to normal forms within a step budget (max_steps >= 0).
 
     leftmost follows the first available step and returns one endpoint;
-    bfs/exhaustive-bfs returns all iso-distinct normal forms reachable in at
-    most max_steps steps. StepBudgetExhausted reports leftover work."""
+    bfs returns all iso-distinct normal forms reachable in at most
+    max_steps steps. StepBudgetExhausted reports leftover work."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     validate_right_monogamous_acyclic(host)
@@ -389,7 +389,7 @@ def normalize(
                 )
             cur = step.result
             trace.append(cur)
-    if strategy in ("bfs", "exhaustive-bfs"):
+    if strategy == "bfs":
         host_key = cospan_key(host)
         seen = {host_key}
         layer = [(host_key, host)]

@@ -41,10 +41,6 @@ class TypeMismatch(CmonrwError):
     code = "type-mismatch"
 
 
-class ContainsGenerator(CmonrwError):
-    code = "contains-generator"
-
-
 class UnknownNode(CmonrwError):
     code = "unknown-node"
 

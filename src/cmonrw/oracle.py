@@ -1,11 +1,10 @@
-"""Term-level ground truth: bounded equality modulo the category laws plus
+"""Term-level ground truth: bounded closures modulo the category laws plus
 the merge/unit equations, and brute-force enumeration of term rewrites."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -476,30 +475,6 @@ def axiom_closure(t: Term, bound: int) -> AxiomClosure:
                     nxt.append(v)
         frontier = nxt
     return AxiomClosure(t, bound, frozenset(seen), pool)
-
-
-class EqResult(Enum):
-    EQUAL = "equal"
-    DISTINCT_WITHIN_BOUND = "distinct-within-bound"
-    UNKNOWN = "unknown"
-
-
-def terms_equal_mod_axioms(t1: Term, t2: Term, bound: int) -> EqResult:
-    """Bounded tri-state equality modulo all laws.
-
-    Terms of different types are DISTINCT_WITHIN_BOUND. Terms of one type
-    are EQUAL when their closures meet and UNKNOWN otherwise: distinctness
-    would need a closure that is not truncated, and every closure is (see
-    AxiomClosure)."""
-    if term_type(t1) != term_type(t2):
-        return EqResult.DISTINCT_WITHIN_BOUND
-    c1 = axiom_closure(t1, bound)
-    if t2 in c1.members:
-        return EqResult.EQUAL
-    c2 = axiom_closure(t2, bound)
-    if c1.members & c2.members:
-        return EqResult.EQUAL
-    return EqResult.UNKNOWN
 
 
 def enumerate_rewrites_by_rule(

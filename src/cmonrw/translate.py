@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .cospan import Cospan, FinFunction, cospan_to_function
-from .errors import ContainsGenerator, TypeMismatch, UnknownGenerator
+from .cospan import Cospan
+from .errors import TypeMismatch, UnknownGenerator
 from .hypergraph import Edge, Hypergraph, UnionFind
 from .sigterm import (
     Gen,
@@ -116,19 +116,3 @@ def _generator_error(g: Gen, arities: dict) -> Exception | None:
         )
     return None
 
-
-def cmon_term_to_function(t: Term) -> FinFunction:
-    """The finite function a generator-free term denotes."""
-    _reject_generators(t)
-    return cospan_to_function(eval_term(t, Signature(())))
-
-
-def _reject_generators(t: Term) -> None:
-    """Raise for the leftmost generator in t."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Gen):
-            raise ContainsGenerator(f"term contains generator '{node.name}'")
-        if isinstance(node, (Seq, Par)):
-            stack += (node.snd, node.fst)

@@ -431,6 +431,18 @@ def test_missing_file_is_io_failure(ws, capsys):
     assert err["code"] == "io-failure"
 
 
+@pytest.mark.parametrize("command", ["rewrite", "match"])
+def test_missing_csp_host_is_io_failure(ws, capsys, command):
+    tmp_path, sig, rules = ws
+    host = str(tmp_path / "missing.csp")
+    assert run([command, "--sig", sig, "--rules", rules, "--host", host]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (record,) = [json.loads(line) for line in captured.err.splitlines()]
+    assert record["code"] == "io-failure"
+    assert record["location"] == host
+
+
 def test_out_files_replace_atomically(ws, tmp_path):
     _, sig, _ = ws
     out = tmp_path / "same.csp"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import reduce
 from itertools import product
 
 import pytest
@@ -33,7 +32,6 @@ from cmonrw.cospan import (
 )
 from cmonrw.decompose import (
     Cut,
-    apply_cut,
     complete_cut,
     edge_conn,
     edge_levels,
@@ -42,10 +40,8 @@ from cmonrw.decompose import (
     gluing_choice_points,
     iface_conn,
     in_connections,
-    left_amonogamous_nodes,
     level0_decompose,
     node_orders,
-    one_cut,
     perm_term,
     readback_term,
     recompose_levels,
@@ -53,7 +49,6 @@ from cmonrw.decompose import (
     recompose_weak,
     strong_decompose,
     weak_decompose,
-    alternating_factors,
 )
 from cmonrw.errors import BadInterfaceOrder, NotTerminal, PartitionMismatch
 from cmonrw.hypergraph import Edge, Hypergraph, SubHypergraph, terminal_nodes
@@ -81,7 +76,8 @@ def merge_fixture() -> Cospan:
 
 def test_fixture_orders_and_levels():
     c = merge_fixture()
-    assert sorted(left_amonogamous_nodes(c)) == [2, 3]
+    conns = in_connections(c)
+    assert sorted(v for v, cs in conns.items() if len(cs) != 1) == [2, 3]
     assert node_orders(c) == {0: 0, 1: 0, 2: 1, 3: 2, 4: 0}
     assert edge_levels(c) == {0: 0, 1: 0, 2: 1}
 
@@ -96,16 +92,22 @@ def test_in_connections_index_agrees_with_per_node_scan(seed):
         assert conns.keys() == c.carrier.nodes
         for v in c.carrier.nodes:
             assert conns[v] == naive_scans.in_connections(c, v)
-        assert left_amonogamous_nodes(c) == {
-            v for v in c.carrier.nodes if len(conns[v]) != 1
-        }
+
+
+def one_cut(c: Cospan, v: int) -> Cut:
+    """The trivial cut keeping all of v's input connections together."""
+    return Cut(v, (frozenset(in_connections(c)[v]),))
+
+
+def cut_at(c: Cospan, cut: Cut):
+    """complete_cut with cut at its node and trivial cuts elsewhere."""
+    others = sorted(terminal_nodes(c.carrier) - {cut.node})
+    return complete_cut(c, [cut] + [one_cut(c, v) for v in others])
 
 
 def test_one_cut_keeps_cospan_intact():
     c = merge_fixture()
-    cut = one_cut(c, 3)
-    assert len(cut.partition) == 1
-    split, fn = apply_cut(c, cut)
+    split, fn = cut_at(c, one_cut(c, 3))
     assert iso_equal(split, c)
     assert fn.table == tuple(range(fn.dom))
 
@@ -113,13 +115,13 @@ def test_one_cut_keeps_cospan_intact():
 def test_apply_cut_requires_terminal_node():
     c = merge_fixture()
     with pytest.raises(NotTerminal):
-        apply_cut(c, one_cut(c, 2))
+        cut_at(c, one_cut(c, 2))
 
 
 def test_apply_cut_rejects_wrong_partition():
     c = merge_fixture()
     with pytest.raises(PartitionMismatch):
-        apply_cut(c, Cut(3, (frozenset([iface_conn(0)]),)))
+        cut_at(c, Cut(3, (frozenset([iface_conn(0)]),)))
 
 
 def test_two_cut_splits_merge_node():
@@ -128,7 +130,7 @@ def test_two_cut_splits_merge_node():
         3,
         (frozenset([edge_conn(2, 0)]), frozenset([edge_conn(2, 1)])),
     )
-    split, fn = apply_cut(c, cut)
+    split, fn = cut_at(c, cut)
     assert len(split.carrier.nodes) == len(c.carrier.nodes) + 1
     assert fn.dom == len(split.right) and fn.cod == len(c.right)
     assert iso_equal(compose(split, function_to_cospan(fn)), c)
@@ -236,7 +238,6 @@ def test_level_factorisation_frozen_shape():
         assert not f.merges.carrier.edges
         assert is_right_monogamous(f.merges)
     assert iso_equal(recompose_levels(lf), c)
-    assert iso_equal(reduce(compose, alternating_factors(lf)), c)
 
 
 def test_monogamous_input_factorises_trivially():

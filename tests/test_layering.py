@@ -187,3 +187,50 @@ def test_every_public_function_is_referenced():
     ]
     assert CHECKER in sources
     assert unreferenced_definitions(MODULES, sources) == []
+
+
+def functions_used_only_by_tests(root: pathlib.Path) -> list[str]:
+    """"module.name" for each public top-level function of root/src/cmonrw
+    that no module under root/src or root/perfbench names. An export from
+    the package's __init__ counts as a use; a reference from the tests
+    does not."""
+    names: set[str] = set()
+    for folder in ("src", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            names |= referenced_names(path.read_text(encoding="utf-8"))
+    found = []
+    for path in sorted((root / "src" / "cmonrw").glob("*.py")):
+        functions, _ = split_definitions(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{n}" for n in functions if n not in names]
+    return found
+
+
+def test_the_check_sees_functions_only_the_tests_use(tmp_path):
+    package = tmp_path / "src" / "cmonrw"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from cmonrw.m import exported\n__all__ = ['exported']\n"
+    )
+    (package / "m.py").write_text(
+        "def exported(): pass\n"
+        "def tested(): pass\n"
+        "def benched(): pass\n"
+        "def _private(): pass\n"
+        "class K:\n"
+        "    def method(self): pass\n"
+    )
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "from cmonrw.m import benched\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text(
+        "from cmonrw.m import K, exported, tested\n"
+        "def test_it():\n"
+        "    tested(); exported(); K().method()\n"
+    )
+    assert functions_used_only_by_tests(tmp_path) == ["m.tested"]
+
+
+def test_no_public_function_serves_only_the_tests():
+    assert functions_used_only_by_tests(ROOT) == []

@@ -19,7 +19,7 @@ from cmonrw.cospan import (
     is_right_monogamous,
     iso_equal,
 )
-from cmonrw.errors import ContainsGenerator, TypeMismatch, UnknownGenerator
+from cmonrw.errors import TypeMismatch, UnknownGenerator
 from cmonrw.hypergraph import is_acyclic
 from cmonrw.sigterm import (
     Eta,
@@ -28,6 +28,7 @@ from cmonrw.sigterm import (
     Mu,
     Par,
     Seq,
+    Signature,
     Sym,
     parse_term,
     pretty_print,
@@ -35,7 +36,7 @@ from cmonrw.sigterm import (
     term_type,
 )
 from cmonrw.oracle import axiom_closure
-from cmonrw.translate import cmon_term_to_function, eval_term
+from cmonrw.translate import eval_term
 from naive_eval import generator_cospan
 from test_oracle import BENCH_HOSTS
 
@@ -96,12 +97,9 @@ def test_interchange_holds_in_cospans(sig):
 
 def test_cmon_term_to_function_merge_tree():
     t = Seq(Par(Mu(), Id(1)), Mu())
-    assert cmon_term_to_function(t) == FinFunction(3, 1, (0, 0, 0))
-
-
-def test_cmon_term_to_function_rejects_generators(sig):
-    with pytest.raises(ContainsGenerator):
-        cmon_term_to_function(Gen("a", 1, 1))
+    assert cospan_to_function(eval_term(t, Signature(()))) == FinFunction(
+        3, 1, (0, 0, 0)
+    )
 
 
 def assert_same_as_reference(t, sig):
