@@ -17,6 +17,7 @@ from .cospan import (
     Cospan,
     cospan_from_document,
     cospan_key,
+    cospan_order_key,
     cospan_to_document,
     cospan_to_dot,
     is_right_monogamous,
@@ -71,11 +72,9 @@ def _load_cospan(path: str) -> Cospan:
     return cospan_from_document(json.loads(_read_file(path)))
 
 
-def _load_term(value: str, sig: Signature) -> Term:
-    """Accept either a path to a term file or inline term text."""
-    if os.path.exists(value):
-        return parse_term(_read_file(value), sig)
-    return parse_term(value, sig)
+def _load_term(text: str | None, path: str | None, sig: Signature) -> Term:
+    """The term given inline as text, or in the term file at path."""
+    return parse_term(text if path is None else _read_file(path), sig)
 
 
 def _doc_json(doc: dict) -> str:
@@ -105,7 +104,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_translate(args) -> int:
     sig = parse_signature(_read_file(args.sig))
-    t = _load_term(args.term, sig)
+    t = _load_term(args.term, args.term_file, sig)
     c = eval_term(t, sig)
     # the cospan document is already the text interchange format
     _emit(_doc_json(cospan_to_document(c)), args.out)
@@ -157,7 +156,7 @@ def _cmd_readback(args) -> int:
 def _cmd_match(args) -> int:
     sig = parse_signature(_read_file(args.sig))
     rules = parse_rules(_read_file(args.rules), sig)
-    host = _load_host(args.host, sig)
+    host = _load_host(args, sig)
     records = []
     for rule in rules:
         for i, m in enumerate(enumerate_convex_matches(rule, host)):
@@ -191,11 +190,12 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _load_host(value: str, sig: Signature) -> Cospan:
-    """A host is a cospan document (.csp path) or a term (path or inline)."""
-    if value.endswith(".csp"):
-        return _load_cospan(value)
-    return eval_term(_load_term(value, sig), sig)
+def _load_host(args, sig: Signature) -> Cospan:
+    """A host is a cospan document (a --host ending in .csp) or a term,
+    inline in --host or in the file --host-file names."""
+    if args.host is not None and args.host.endswith(".csp"):
+        return _load_cospan(args.host)
+    return eval_term(_load_term(args.host, args.host_file, sig), sig)
 
 
 def _write_dot_series(directory: str, cospans: list[Cospan], stem: str) -> None:
@@ -209,7 +209,7 @@ def _write_dot_series(directory: str, cospans: list[Cospan], stem: str) -> None:
 def _cmd_rewrite(args) -> int:
     sig = parse_signature(_read_file(args.sig))
     rules = parse_rules(_read_file(args.rules), sig)
-    host = _load_host(args.host, sig)
+    host = _load_host(args, sig)
     if args.all:
         steps = rewrite_all(rules, host)
         results = [s.result for s in steps]
@@ -258,12 +258,13 @@ def _cmd_oracle_compare(args) -> int:
         RewriteRule(eval_term(lhs, sig), eval_term(rhs, sig), name)
         for name, lhs, rhs in triples
     ]
-    host_term = _load_term(args.host, sig)
+    host_term = _load_term(args.host, args.host_file, sig)
     host = eval_term(host_term, sig)
 
     # many oracle terms evaluate to the same cospan: key each one once
     keys: dict[tuple, tuple] = {}
     oracle_reps: dict[tuple, Term] = {}
+    classes: dict[tuple, Cospan] = {}
     pairs = [(lhs, rhs) for _, lhs, rhs in triples]
     for found in enumerate_rewrites_by_rule(pairs, host_term, args.bound):
         for t in sorted(found, key=lambda t: (t.size, pretty_print(t))):
@@ -272,18 +273,24 @@ def _cmd_oracle_compare(args) -> int:
             data = (g.nodes, tuple(g.edges.items()), c.left, c.right)
             if data not in keys:
                 keys[data] = cospan_key(c)
-            oracle_reps.setdefault(keys[data], t)
+            key = keys[data]
+            if key not in oracle_reps:
+                oracle_reps[key] = t
+                classes[key] = c
 
     dpo_reps: dict[tuple, Cospan] = {}
     for step in rewrite_all(rules, host):
         dpo_reps.setdefault(step.key, step.result)
+        classes.setdefault(step.key, step.result)
 
-    only_oracle = sorted(oracle_reps.keys() - dpo_reps.keys())
-    only_dpo = sorted(dpo_reps.keys() - oracle_reps.keys())
+    # classes are listed in canonical-form order, one order key per class
+    order = {k: cospan_order_key(c) for k, c in classes.items()}
+    okeys = sorted(oracle_reps, key=order.__getitem__)
+    dkeys = sorted(dpo_reps, key=order.__getitem__)
+    only_oracle = [k for k in okeys if k not in dpo_reps]
+    only_dpo = [k for k in dkeys if k not in oracle_reps]
     ok = not only_oracle and not only_dpo
 
-    okeys = sorted(oracle_reps)
-    dkeys = sorted(dpo_reps)
     if args.format == "structured":
         payload = {
             "oracle": [pretty_print(oracle_reps[k]) for k in okeys],
@@ -345,6 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output as human-readable text or a single JSON document",
         )
 
+    def add_term(p, name, what):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument(f"--{name}", help=what)
+        group.add_argument(f"--{name}-file", help="path of a term file")
+
     p = sub.add_parser("check", help="validate a cospan document")
     p.add_argument("--cospan", required=True)
     add_format(p)
@@ -352,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="evaluate a term into a cospan")
     p.add_argument("--sig", required=True)
-    p.add_argument("--term", required=True, help="term text or path")
+    add_term(p, "term", "term text")
     p.add_argument("--out", help="write the cospan document here")
     p.add_argument("--dot", help="also write a DOT rendering here")
     add_format(p)
@@ -374,14 +386,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="enumerate convex matches")
     p.add_argument("--rules", required=True)
     p.add_argument("--sig", required=True)
-    p.add_argument("--host", required=True, help=".csp path, term path, or term text")
+    add_term(p, "host", ".csp path or term text")
     add_format(p)
     p.set_defaults(handler=_cmd_match)
 
     p = sub.add_parser("rewrite", help="apply rules to a host")
     p.add_argument("--rules", required=True)
     p.add_argument("--sig", required=True)
-    p.add_argument("--host", required=True, help=".csp path, term path, or term text")
+    add_term(p, "host", ".csp path or term text")
     p.add_argument("--strategy", choices=["leftmost", "bfs"], default="leftmost")
     p.add_argument("--max-steps", type=_non_negative_int, default=100)
     p.add_argument(
@@ -399,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rules", required=True)
     p.add_argument("--sig", required=True)
-    p.add_argument("--host", required=True, help="term path or term text")
+    add_term(p, "host", "term text")
     p.add_argument("--bound", type=int, required=True)
     add_format(p)
     p.set_defaults(handler=_cmd_oracle_compare)

@@ -263,14 +263,96 @@ def is_monogamous(c: Cospan) -> bool:
     return all(len(conns) <= 1 for conns in ins.values())
 
 
-def cospan_key(c: Cospan) -> tuple:
-    """Hashable key equal for two cospans iff they are isomorphic as
-    cospans (same arities, carrier iso fixing both boundaries in order)."""
+def cospan_order_key(c: Cospan) -> tuple:
+    """The canonical-form key: equal for two cospans iff they are
+    isomorphic, and the key that sorts whose order reaches output use."""
     return (
         len(c.left),
         len(c.right),
         canonical_form(c.carrier, pins=c.left + c.right),
     )
+
+
+def _forest_key(c: Cospan) -> tuple | None:
+    """An AHU certificate of c, or None when c is not a forest.
+
+    When every edge has at most one target and c is right-monogamous,
+    every node has exactly one consumer and every edge at most one, so
+    the carrier is a forest if the roots reach every node. The roots are
+    the right positions in order and the edges with no target, unordered.
+    A node's children are its producer edges, unordered, and it carries
+    its left positions; an edge's children are its sources, in order.
+
+    Node shapes are numbered level by level from the leaves, each level's
+    distinct signatures in sorted order. A signature holds the node's left
+    positions and the sorted (label, source shape ids) of its producers,
+    so two cospans get the same table and roots iff they are isomorphic
+    as cospans: Aho, Hopcroft and Ullman's tree isomorphism."""
+    g = c.carrier
+    if any(len(e.targets) > 1 for e in g.edges.values()):
+        return None
+    if not is_right_monogamous(c):
+        return None
+    producers: dict[int, list[Edge]] = {v: [] for v in g.nodes}
+    free: list[Edge] = []
+    for e in g.edges.values():
+        (producers[e.targets[0]] if e.targets else free).append(e)
+    lefts: dict[int, list[int]] = {}
+    for i, v in enumerate(c.left):
+        lefts.setdefault(v, []).append(i)
+    # consumers before producers; a node is pushed once, by its consumer
+    order: list[int] = []
+    stack = list(c.right) + [v for e in free for v in e.sources]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for e in producers[v]:
+            stack.extend(e.sources)
+    if len(order) != len(g.nodes):
+        return None  # the nodes left over lie on a cycle
+    height: dict[int, int] = {}
+    levels: list[list[int]] = []
+    for v in reversed(order):
+        h = 1 + max(
+            (height[u] for e in producers[v] for u in e.sources), default=-1
+        )
+        height[v] = h
+        if h == len(levels):
+            levels.append([])
+        levels[h].append(v)
+    shape: dict[int, int] = {}
+
+    def cones(es: list[Edge]) -> tuple:
+        return tuple(
+            sorted(
+                (e.label, tuple(map(shape.__getitem__, e.sources)))
+                for e in es
+            )
+        )
+
+    table: list[tuple] = []
+    for level in levels:
+        sigs = [(tuple(lefts.get(v, ())), cones(producers[v])) for v in level]
+        distinct = sorted(set(sigs))
+        rank = {sig: len(table) + i for i, sig in enumerate(distinct)}
+        table += distinct
+        for v, sig in zip(level, sigs):
+            shape[v] = rank[sig]
+    return (
+        "forest",
+        tuple(table),
+        tuple(map(shape.__getitem__, c.right)),
+        cones(free),
+    )
+
+
+def cospan_key(c: Cospan) -> tuple:
+    """Hashable key equal for two cospans iff they are isomorphic as
+    cospans (same arities, carrier iso fixing both boundaries in order).
+
+    Its values may change between versions and their order means
+    nothing; sorts whose order reaches output use cospan_order_key."""
+    return _forest_key(c) or ("graph",) + cospan_order_key(c)
 
 
 def iso_equal(a: Cospan, b: Cospan) -> bool:

@@ -12,6 +12,7 @@ from .cospan import (
     Connection,
     Cospan,
     cospan_key,
+    cospan_order_key,
     edge_conn,
     iface_conn,
     is_right_monogamous,
@@ -360,6 +361,15 @@ def rewrite_all(
     return list(iter_rewrites(rules, host))
 
 
+def _in_output_order(normals: dict[tuple, Cospan]) -> list[Cospan]:
+    """The normal forms sorted by cospan_order_key, which is computed only
+    when there are several."""
+    forms = list(normals.values())
+    if len(forms) > 1:
+        forms.sort(key=cospan_order_key)
+    return forms
+
+
 def normalize(
     rules: list[RewriteRule],
     host: Cospan,
@@ -370,7 +380,8 @@ def normalize(
 
     leftmost follows the first available step and returns one endpoint;
     bfs returns all iso-distinct normal forms reachable in at most
-    max_steps steps. StepBudgetExhausted reports leftover work."""
+    max_steps steps, in cospan_order_key order. StepBudgetExhausted
+    reports leftover work."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     validate_right_monogamous_acyclic(host)
@@ -413,12 +424,12 @@ def normalize(
                     f"{len(overflow)} reducible cospans left at depth "
                     f"{max_steps}",
                     frontier=overflow,
-                    normal_forms=[normals[k] for k in sorted(normals)],
+                    normal_forms=_in_output_order(normals),
                 )
             layer = nxt
             if not layer:
                 break
-        return [normals[k] for k in sorted(normals)]
+        return _in_output_order(normals)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

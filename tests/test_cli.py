@@ -7,9 +7,10 @@ import os
 
 import pytest
 
-from cmonrw import cli, oracle
+from cmonrw import cli, cospan, dpo, oracle
 from cmonrw.cli import run
 from cmonrw.cospan import cospan_from_document, cospan_key, iso_equal
+from cmonrw.hypergraph import canonical_form
 from cmonrw.oracle import axiom_closure
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
@@ -285,6 +286,42 @@ def test_oracle_compare_keys_each_distinct_cospan_once(
     assert len(keyed) == len(distinct) < len(terms)
 
 
+@pytest.mark.parametrize(
+    "rule, host, bound",
+    [
+        ("f => g", "f ; f", 8),
+        ("f => g", "(f + f) ; mu", 9),
+        ("s => s ; f", "(s + s) ; mu", 9),
+        ("h => sym_1_1 ; h", "(f + f) ; h", 9),
+    ],
+)
+def test_oracle_compare_computes_one_order_key_per_class(
+    ws, tmp_path, capsys, monkeypatch, rule, host, bound
+):
+    # every cospan is keyed by cospan_key; the canonical form only puts
+    # the printed classes in order
+    _, sig, _ = ws
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(cospan, "canonical_form", counting)
+    monkeypatch.setattr(dpo, "canonical_form", counting)
+    rules = tmp_path / "one.rules"
+    rules.write_text(f"rule r : {rule}\n")
+    argv = [
+        "oracle-compare", "--rules", str(rules), "--sig", sig,
+        "--host", host, "--bound", str(bound), "--format", "structured",
+    ]
+    assert run(argv) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    printed = len(doc["dpo"]) + len(doc["only-oracle"])
+    assert printed >= 1
+    assert len(calls) <= printed
+
+
 def test_oracle_compare_reports_undercount(ws, tmp_path, capsys):
     # an identity lhs needs detours above the default bound, so the oracle
     # misses two of the four rewrite classes and the comparison fails
@@ -454,6 +491,42 @@ def test_out_files_replace_atomically(ws, tmp_path):
     assert leftovers == []
 
 
+def test_a_file_named_like_the_term_does_not_change_the_answer(
+    ws, tmp_path, capsys, monkeypatch
+):
+    _, sig, rules = ws
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("g")
+    assert run(["translate", "--sig", sig, "--term", "f"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["label"] for e in doc["edges"]] == ["f"]
+    assert run(["translate", "--sig", sig, "--term-file", "f"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["label"] for e in doc["edges"]] == ["g"]
+    base = ["rewrite", "--sig", sig, "--rules", rules, "--all"]
+    assert run(base + ["--host", "f"]) == 0
+    assert capsys.readouterr().out.startswith("steps: 1\n")
+    assert run(base + ["--host-file", "f"]) == 0
+    assert capsys.readouterr().out == "steps: 0\n"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["translate"],
+        ["translate", "--term", "f", "--term-file", "f"],
+        ["rewrite", "--rules", "r"],
+        ["match", "--rules", "r", "--host", "f", "--host-file", "f"],
+    ],
+)
+def test_term_options_are_one_of_text_or_file(ws, capsys, options):
+    _, sig, _ = ws
+    with pytest.raises(SystemExit) as exc:
+        run(options + ["--sig", sig])
+    assert exc.value.code == 2
+    assert "--" in capsys.readouterr().err
+
+
 def _edge(**fields):
     return {"id": 0, "label": "f", "sources": [0], "targets": [1], **fields}
 
@@ -505,10 +578,8 @@ def test_translate_of_a_3000_factor_chain(ws, tmp_path, capsys):
     term = tmp_path / "chain.term"
     term.write_text(" ; ".join(["f"] * 3000))
     out = tmp_path / "chain.csp"
-    assert (
-        run(["translate", "--sig", sig, "--term", str(term), "--out", str(out)])
-        == 0
-    )
+    argv = ["translate", "--sig", sig, "--term-file", str(term)]
+    assert run(argv + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["edges"]) == 3000
     assert doc["left"] == [0] and doc["right"] == [3000]
@@ -522,10 +593,10 @@ def test_translate_of_f_inside_deep_parentheses(ws, tmp_path, capsys, depth):
     flat = capsys.readouterr().out
     term = tmp_path / "nested.term"
     term.write_text("(" * depth + "f" + ")" * depth)
-    assert run(["translate", "--sig", sig, "--term", str(term)]) == 0
+    assert run(["translate", "--sig", sig, "--term-file", str(term)]) == 0
     assert capsys.readouterr() == (flat, "")
     term.write_text("(" * depth + "f" + ")" * (depth - 1))
-    assert run(["translate", "--sig", sig, "--term", str(term)]) == 1
+    assert run(["translate", "--sig", sig, "--term-file", str(term)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
@@ -569,7 +640,9 @@ def test_match_of_a_1500_factor_rule_on_a_1500_factor_chain(
     rules.write_text(f"rule big : {chain} => f\n")
     host = tmp_path / "chain.term"
     host.write_text(chain)
-    argv = ["match", "--sig", sig, "--rules", str(rules), "--host", str(host)]
+    argv = [
+        "match", "--sig", sig, "--rules", str(rules), "--host-file", str(host)
+    ]
     assert run(argv) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("matches: 1\n")

@@ -9,13 +9,14 @@ import random
 
 import pytest
 
-from cmonrw import dpo
+from cmonrw import cospan, dpo, hypergraph
 from corpus import SIG3, random_rm_cospan, random_term
 from cmonrw.cospan import Cospan
 from cmonrw.dpo import (
     RewriteRule,
     boundary_complement,
     enumerate_convex_matches,
+    normalize,
     rewrite_all,
 )
 from cmonrw.errors import DanglingEdge
@@ -204,6 +205,39 @@ def test_rewrite_all_glues_once_per_step_and_never_validates(monkeypatch):
     assert per_step == [1] * calls["apply_rewrite"]
     assert calls["pushout"] == calls["apply_rewrite"]
     assert calls["complement_is_valid"] == 0 and calls["iso_equal"] == 0
+
+
+def counting_canonical_forms(monkeypatch) -> list:
+    """Record every canonical_form call made through cospan or dpo."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return hypergraph.canonical_form(*args, **kwargs)
+
+    for module in (cospan, dpo):
+        monkeypatch.setattr(module, "canonical_form", counting)
+    return calls
+
+
+def test_rewriting_forests_computes_no_canonical_form(monkeypatch):
+    # results of f => g on f-chains and merged s ; f branches are forests,
+    # which cospan_key certifies without the canonical form; only sorting
+    # several normal forms into output order needs it, once per form
+    calls = counting_canonical_forms(monkeypatch)
+    fg = RewriteRule(_ev("f"), _ev("g"), "fg")
+    chains = [" ; ".join(["f"] * n) for n in (1, 2, 5, 12)]
+    branches = [
+        f"({' + '.join(['(s ; f)'] * n)}) ; {merge_all(n)}" for n in (2, 3, 6)
+    ]
+    for host in chains + branches:
+        assert rewrite_all([fg], _ev(host))
+    for host in chains[:3] + branches[:2]:
+        assert len(normalize([fg], _ev(host), "bfs")) == 1
+    assert calls == []
+    two_forms = [fg, RewriteRule(_ev("f ; f"), _ev("g"), "ffg")]
+    assert len(normalize(two_forms, _ev("f ; f"), "bfs")) == 2
+    assert len(calls) == 2
 
 
 LHS_SIG3 = [

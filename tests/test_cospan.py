@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from cmonrw.cospan import (
     compose,
     cospan_from_document,
     cospan_key,
+    cospan_order_key,
     cospan_to_document,
     cospan_to_dot,
     cospan_to_function,
@@ -35,6 +37,7 @@ from cmonrw.cospan import (
 from cmonrw.decompose import in_connections
 from cmonrw.errors import InterfaceMismatch, NotDiscrete, UnknownNode
 from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic
+from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_scans
 
@@ -143,30 +146,36 @@ def test_interface_order_is_significant():
     assert iso_equal(fg, fg)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_cospan_key_equal_for_shuffled_copies(seed):
-    rng = random.Random(seed)
-    c = random_rm_cospan(rng)
+def shuffled_copy(rng: random.Random, c: Cospan) -> Cospan:
+    """c with its nodes renamed at random (some names negative) and its
+    edges renumbered and inserted in a random order."""
     names = sorted(c.carrier.nodes)
-    perm = names[:]
-    rng.shuffle(perm)
-    ren = dict(zip(names, perm))
+    pool = range(-20, 3 * len(names) + 20)
+    ren = dict(zip(names, rng.sample(pool, len(names))))
+    old = list(c.carrier.edges.values())
+    rng.shuffle(old)
+    ids = rng.sample(range(5 * len(old) + 5), len(old))
     h = Hypergraph(
-        frozenset(ren[v] for v in c.carrier.nodes),
+        frozenset(ren.values()),
         {
             eid: Edge(
                 e.label,
                 tuple(ren[v] for v in e.sources),
                 tuple(ren[v] for v in e.targets),
             )
-            for eid, e in c.carrier.edges.items()
+            for eid, e in zip(ids, old)
         },
     )
-    d = Cospan(
-        h,
-        tuple(ren[v] for v in c.left),
-        tuple(ren[v] for v in c.right),
+    return Cospan(
+        h, tuple(ren[v] for v in c.left), tuple(ren[v] for v in c.right)
     )
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_cospan_key_equal_for_shuffled_copies(seed):
+    rng = random.Random(seed)
+    c = random_rm_cospan(rng)
+    d = shuffled_copy(rng, c)
     assert cospan_key(c) == cospan_key(d)
     assert iso_equal(c, d)
 
@@ -243,3 +252,204 @@ def test_connection_tuple_keeps_the_dataclass_hash_order_and_repr():
         assert [tuple(c) for c in new_set] == [
             dataclasses.astuple(c) for c in old_set
         ]
+
+
+# ------------------------------------------ cospan_key against the order key
+# cospan_key takes an AHU tree certificate on forests and the canonical form
+# elsewhere; cospan_order_key is the canonical form alone. Both decide
+# isomorphism, so they must induce the same partition of any corpus.
+
+SIG_FGHS = parse_signature(
+    "gen f : 1 -> 1\ngen g : 1 -> 1\ngen h : 2 -> 1\ngen s : 0 -> 1\n"
+)
+ONE_TARGET_LABELS = (("p", 1, 1), ("q", 2, 1), ("s", 0, 1))
+
+
+def ev_fghs(text: str) -> Cospan:
+    return eval_term(parse_term(text, SIG_FGHS), SIG_FGHS)
+
+
+def _cospan(nodes, edges, left, right) -> Cospan:
+    g = Hypergraph(frozenset(nodes), dict(enumerate(Edge(*e) for e in edges)))
+    return Cospan(g, tuple(left), tuple(right))
+
+
+def partition(cospans, key) -> set[frozenset[int]]:
+    classes: dict = {}
+    for i, c in enumerate(cospans):
+        classes.setdefault(key(c), set()).add(i)
+    return {frozenset(block) for block in classes.values()}
+
+
+def assert_same_partition(cospans) -> None:
+    assert partition(cospans, cospan_key) == partition(
+        cospans, cospan_order_key
+    )
+
+
+def with_copies(rng: random.Random, cospans, copies: int = 2) -> list:
+    out = list(cospans)
+    for c in cospans:
+        out += [shuffled_copy(rng, c) for _ in range(copies)]
+    return out
+
+
+def is_forest_keyed(c: Cospan) -> bool:
+    return cospan_key(c)[0] == "forest"
+
+
+def test_key_partition_on_the_cospan_and_hypergraph_corpora():
+    rng = random.Random(4242)
+    corpus = []
+    for _ in range(150):
+        corpus.append(random_rm_cospan(rng, 6))
+        corpus.append(eval_term(random_term(rng, SIG3), SIG3))
+        dom, cod = rng.randint(0, 4), rng.randint(1, 4)
+        corpus.append(function_to_cospan(rand_fn(rng, dom, cod)))
+    corpus += [identity_cospan(n) for n in range(4)]
+    corpus += [symmetry_cospan(m, n) for m in range(3) for n in range(3)]
+    for labels in [("f", "g"), ("g", "f"), ("f", "f"), ("f",), ()]:
+        edges = [(lab, (i,), (i + 1,)) for i, lab in enumerate(labels)]
+        n = len(labels)
+        corpus.append(_cospan(range(n + 1), edges, (0,), (n,)))
+    corpus = with_copies(rng, corpus)
+    assert any(map(is_forest_keyed, corpus))
+    assert not all(map(is_forest_keyed, corpus))
+    assert_same_partition(corpus)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_partition_on_random_one_target_cospans(seed):
+    rng = random.Random(seed)
+    base = [
+        random_rm_cospan(rng, rng.randint(1, 7), ONE_TARGET_LABELS)
+        for _ in range(300)
+    ]
+    corpus = with_copies(rng, base)
+    assert all(map(is_forest_keyed, corpus))
+    assert_same_partition(corpus)
+    # small draws repeat shapes, so the partition has non-trivial blocks
+    assert len(partition(base, cospan_key)) < len(base)
+
+
+# explicit shapes random_rm_cospan never draws, each with near misses
+FOREST_CASES = {
+    "edge without a target": [
+        _cospan([0, 1], [("k", (0,), ()), ("f", (1,), ())], (0, 1), ()),
+        _cospan([0, 1], [("f", (0,), ()), ("k", (1,), ())], (0, 1), ()),
+        _cospan([0, 1], [("k", (0,), ()), ("k", (1,), ())], (0, 1), ()),
+        _cospan([0, 1], [("k", (0, 1), ())], (0, 1), ()),
+        _cospan([0, 1], [("k", (1, 0), ())], (0, 1), ()),
+        _cospan([0, 1, 2], [("f", (0,), (1,)), ("k", (1,), ())], (0,), (2,)),
+        _cospan([], [("z", (), ())], (), ()),
+        _cospan([], [("z", (), ()), ("z", (), ())], (), ()),
+    ],
+    "node at several left positions": [
+        _cospan([0, 1], [("f", (0,), (1,))], (0, 0, 0), (1,)),
+        _cospan([0, 1, 2], [("h", (0, 1), (2,))], (0, 1, 0), (2,)),
+        _cospan([0, 1, 2], [("h", (0, 1), (2,))], (0, 0, 1), (2,)),
+        _cospan([0, 1, 2], [("h", (0, 1), (2,))], (1, 0, 0), (2,)),
+        _cospan([0, 1, 2], [("h", (0, 1), (2,))], (0, 1, 1), (2,)),
+        _cospan([0], [], (0, 0), (0,)),
+        _cospan([0, 1], [], (0, 1, 0), (0, 1)),
+        _cospan([0, 1], [], (0, 1, 0), (1, 0)),
+    ],
+    "producerless node in right": [
+        _cospan([0], [], (), (0,)),
+        _cospan([0, 1], [], (), (0, 1)),
+        _cospan([0, 1], [], (1,), (0, 1)),
+        _cospan([0, 1], [], (0,), (0, 1)),
+        _cospan([0, 1, 2], [("f", (0,), (1,))], (0,), (1, 2)),
+        _cospan([0, 1, 2], [("f", (0,), (1,))], (0,), (2, 1)),
+        _cospan([0, 1], [("s", (), (0,))], (), (0, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREST_CASES))
+def test_key_partition_on_explicit_forest_shapes(case):
+    rng = random.Random(case)
+    corpus = with_copies(rng, FOREST_CASES[case], copies=3)
+    assert all(map(is_forest_keyed, corpus))
+    assert_same_partition(corpus)
+    assert len(partition(corpus, cospan_key)) == len(FOREST_CASES[case])
+
+
+FALLBACK_CASES = {
+    "multi-target edge": [
+        eval_term(parse_term("c ; b", SIG3), SIG3),
+        eval_term(parse_term("c ; sym_1_1 ; b", SIG3), SIG3),
+        eval_term(parse_term("c", SIG3), SIG3),
+        _cospan([0, 1, 2], [("c", (0,), (1, 2))], (0,), (2, 1)),
+        # read one target per edge, these two would look alike
+        _cospan([0, 1, 2], [("c", (0,), (1, 2))], (0,), (1, 2)),
+        _cospan([0, 1, 2], [("c", (0,), (1, 1))], (0,), (1, 2)),
+    ],
+    "not right-monogamous": [
+        _cospan([0, 1], [("f", (0,), (1,))], (0,), (1, 1)),
+        _cospan([0, 1], [("f", (0,), (1,))], (0,), (0, 1)),
+        _cospan([0, 1, 2], [("h", (0, 0), (1,))], (0,), (1, 2)),
+        _cospan([0, 1], [("f", (0,), (1,))], (0,), ()),
+        # a root listed twice stands in for an unreached node in both
+        _cospan([0, 1], [], (1,), (0, 0)),
+        _cospan([0, 1], [("f", (1,), (1,))], (1,), (0, 0)),
+    ],
+    "cyclic": [
+        _cospan([0, 1], [("f", (0,), (1,)), ("g", (1,), (0,))], (), ()),
+        _cospan([0, 1], [("g", (0,), (1,)), ("f", (1,), (0,))], (), ()),
+        _cospan([0], [("f", (0,), (0,))], (), ()),
+        _cospan(
+            [0, 1, 2, 3],
+            [("f", (0,), (1,)), ("f", (1,), (0,)), ("g", (2,), (3,))],
+            (2,),
+            (3,),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_key_falls_back_outside_forests(case):
+    rng = random.Random(case)
+    corpus = with_copies(rng, FALLBACK_CASES[case])
+    for c in corpus:
+        assert cospan_key(c) == ("graph",) + cospan_order_key(c)
+    assert_same_partition(corpus)
+
+
+# --------------------------------------------------- deep and wide structures
+
+
+def best_of(runs: int, fn) -> float:
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_keys_of_3000_factor_chains_compare_and_hash():
+    chain = ev_fghs(" ; ".join(["f"] * 3000))
+    again = ev_fghs(" ; ".join(["(f ; f)"] * 1500))
+    other = ev_fghs(" ; ".join(["f"] * 2999 + ["g"]))
+    a, b, c = map(cospan_key, (chain, again, other))
+    assert a == b and hash(a) == hash(b)
+    assert a != c and b != c
+    assert len({a, b, c}) == 2
+    assert best_of(3, lambda: cospan_key(chain)) < 0.1
+
+
+def merged_branches(n: int) -> str:
+    """n `s ; f` branches merged into one node by a left-leaning mu tree."""
+    term = "(s ; f)"
+    for _ in range(n - 1):
+        term = f"(({term}) + (s ; f)) ; mu"
+    return term
+
+
+@pytest.mark.parametrize("n, limit", [(7, 0.005), (16, 0.05)])
+def test_key_of_merged_branches_is_fast(n, limit):
+    c = ev_fghs(merged_branches(n))
+    assert is_forest_keyed(c)
+    assert best_of(3, lambda: cospan_key(c)) < limit
