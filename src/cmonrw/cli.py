@@ -15,12 +15,14 @@ import tempfile
 
 from .cospan import (
     Cospan,
+    compose,
     cospan_from_document,
     cospan_key,
     cospan_order_key,
     cospan_to_document,
     cospan_to_dot,
     is_right_monogamous,
+    tensor,
 )
 from .decompose import factorise_into_levels, readback_term
 from .dpo import (
@@ -33,8 +35,9 @@ from .dpo import (
 )
 from .errors import CmonrwError, IoFailure, StepBudgetExhausted
 from .hypergraph import is_acyclic
-from .oracle import enumerate_rewrites_by_rule
+from .oracle import TermPool, enumerate_rewrite_keys
 from .sigterm import (
+    Seq,
     Signature,
     Term,
     parse_signature,
@@ -251,6 +254,53 @@ def _cmd_rewrite(args) -> int:
     return 0
 
 
+def _oracle_classes(
+    pool: TermPool, found: list[frozenset[int]], sig: Signature
+) -> tuple[dict[tuple, Term], dict[tuple, Cospan]]:
+    """Each class of the rules' rewrites (keys of pool), by cospan_key:
+    its representative and one of its cospans. The first rule to reach a
+    class represents it by its least rewrite there in (size, pretty_print).
+    A class is folded over the pool: an atom's is its cospan's, and a ; or
+    + node's is the class of compose or tensor of one cospan of each
+    operand's class, glued once per (op, class, class). eval_term builds
+    that composite, and compose and tensor respect isomorphism, so each
+    rewrite gets its own cospan's class."""
+    number: dict[tuple, int] = {}  # cospan_key -> class
+    cospans: list[Cospan] = []  # class -> a cospan of the class
+    joins: dict[tuple, int] = {}
+
+    def classify(c: Cospan) -> int:
+        n = number.setdefault(cospan_key(c), len(cospans))
+        if n == len(cospans):
+            cospans.append(c)
+        return n
+
+    def join(op: type, a: int, b: int) -> int:
+        if (op, a, b) not in joins:
+            glue = compose if op is Seq else tensor
+            joins[op, a, b] = classify(glue(cospans[a], cospans[b]))
+        return joins[op, a, b]
+
+    class_of = pool.fold(
+        set().union(*found), lambda t: classify(eval_term(t, sig)), join
+    )
+    reps: dict[int, Term] = {}
+    for rewrites in found:
+        least: dict[int, list[int]] = {}  # a class's least-size rewrites
+        for k in sorted(rewrites, key=pool.size):
+            ks = least.setdefault(class_of[k], [])
+            if not ks or pool.size(k) == pool.size(ks[0]):
+                ks.append(k)
+        for n, ks in least.items():
+            if n not in reps:
+                reps[n] = min(map(pool.term, ks), key=pretty_print)
+    keys = list(number)
+    return (
+        {keys[n]: t for n, t in reps.items()},
+        {keys[n]: cospans[n] for n in reps},
+    )
+
+
 def _cmd_oracle_compare(args) -> int:
     sig = parse_signature(_read_file(args.sig))
     triples = parse_rule_terms(_read_file(args.rules), sig)
@@ -260,23 +310,9 @@ def _cmd_oracle_compare(args) -> int:
     ]
     host_term = _load_term(args.host, args.host_file, sig)
     host = eval_term(host_term, sig)
-
-    # many oracle terms evaluate to the same cospan: key each one once
-    keys: dict[tuple, tuple] = {}
-    oracle_reps: dict[tuple, Term] = {}
-    classes: dict[tuple, Cospan] = {}
     pairs = [(lhs, rhs) for _, lhs, rhs in triples]
-    for found in enumerate_rewrites_by_rule(pairs, host_term, args.bound):
-        for t in sorted(found, key=lambda t: (t.size, pretty_print(t))):
-            c = eval_term(t, sig)
-            g = c.carrier
-            data = (g.nodes, tuple(g.edges.items()), c.left, c.right)
-            if data not in keys:
-                keys[data] = cospan_key(c)
-            key = keys[data]
-            if key not in oracle_reps:
-                oracle_reps[key] = t
-                classes[key] = c
+    pool, found = enumerate_rewrite_keys(pairs, host_term, args.bound)
+    oracle_reps, classes = _oracle_classes(pool, found, sig)
 
     dpo_reps: dict[tuple, Cospan] = {}
     for step in rewrite_all(rules, host):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BoundTooSmall
 from .sigterm import (
@@ -43,10 +43,10 @@ class Law:
 
     name: str
     derived: bool
-    shapes: Callable[[_TermPool, int], Iterator[tuple]]
+    shapes: Callable[[TermPool, int], Iterator[tuple]]
 
     def variants(self, t: Term) -> Iterator[Term]:
-        pool = _TermPool()
+        pool = TermPool()
         key = pool.intern(t)
         for shape in self.shapes(pool, key):
             yield pool.term(pool._keys[shape])
@@ -55,7 +55,7 @@ class Law:
 def _assoc(tag: int) -> Callable:
     """The associativity law of the operator tag, _SEQ or _PAR."""
 
-    def shapes(pool: _TermPool, key: int) -> Iterator[tuple]:
+    def shapes(pool: TermPool, key: int) -> Iterator[tuple]:
         shapes = pool._shapes
         shape = shapes[key]
         if shape[0] == tag:
@@ -74,7 +74,7 @@ def _unit(tag: int) -> Callable:
     """The unit law of the operator tag: for _SEQ, id_m ; t = t = t ; id_n
     with t : m -> n, and for _PAR, id_0 + t = t = t + id_0."""
 
-    def shapes(pool: _TermPool, key: int) -> Iterator[tuple]:
+    def shapes(pool: TermPool, key: int) -> Iterator[tuple]:
         shapes = pool._shapes
         shape = shapes[key]
         m, n = pool._types[key] if tag == _SEQ else (0, 0)
@@ -90,7 +90,7 @@ def _unit(tag: int) -> Callable:
     return shapes
 
 
-def _id_fusion(pool: _TermPool, key: int) -> Iterator[tuple]:
+def _id_fusion(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
     if shape[0] == _PAR:
@@ -103,7 +103,7 @@ def _id_fusion(pool: _TermPool, key: int) -> Iterator[tuple]:
             yield _PAR, key_of[_ID, i], key_of[_ID, n - i]
 
 
-def _interchange(pool: _TermPool, key: int) -> Iterator[tuple]:
+def _interchange(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
     if shape[0] > _PAR:
@@ -119,7 +119,7 @@ def _interchange(pool: _TermPool, key: int) -> Iterator[tuple]:
             yield _PAR, key_of[_SEQ, s, s2], key_of[_SEQ, u, u2]
 
 
-def _sym_involution(pool: _TermPool, key: int) -> Iterator[tuple]:
+def _sym_involution(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
     if shape[0] == _SEQ:
@@ -137,7 +137,7 @@ def _sym_involution(pool: _TermPool, key: int) -> Iterator[tuple]:
             yield _SEQ, key_of[_SYM, i, n - i], key_of[_SYM, n - i, i]
 
 
-def _sym_naturality(pool: _TermPool, key: int) -> Iterator[tuple]:
+def _sym_naturality(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
     if shape[0] != _SEQ:
@@ -160,7 +160,7 @@ def _sym_naturality(pool: _TermPool, key: int) -> Iterator[tuple]:
                 yield _SEQ, key_of[_PAR, s, ident], key_of[_SYM, n, si[1]]
 
 
-def _sym_decomposition(pool: _TermPool, key: int) -> Iterator[tuple]:
+def _sym_decomposition(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
     if shape[0] == _SYM:
@@ -188,7 +188,7 @@ def _sym_decomposition(pool: _TermPool, key: int) -> Iterator[tuple]:
                 yield _SYM, a[1], a[2] + b[1]
 
 
-def _sym_unit(pool: _TermPool, key: int) -> Iterator[tuple]:
+def _sym_unit(pool: TermPool, key: int) -> Iterator[tuple]:
     shape = pool._shapes[key]
     if shape[0] == _SYM:
         if shape[1] == 0:
@@ -221,7 +221,7 @@ def _redex_swap(a: tuple, b: tuple) -> Callable:
     """The law that rewrites the redex a to b and b to a."""
     size_a, size_b = _template_size(a), _template_size(b)
 
-    def shapes(pool: _TermPool, key: int) -> Iterator[tuple]:
+    def shapes(pool: TermPool, key: int) -> Iterator[tuple]:
         # the size test is cheap and rejects almost every key
         size = pool._sizes[key]
         if size == size_a and pool._matches(key, a):
@@ -282,7 +282,7 @@ class _ShapeKeys(dict):
         return key
 
 
-class _TermPool:
+class TermPool:
     """Hash-consed term store for one closure search.
 
     Each structurally distinct term has an integer key and a shape (see
@@ -330,20 +330,43 @@ class _TermPool:
 
     def term(self, key: int) -> Term:
         """key's Term, built on first request from its children's."""
-        terms, shapes = self._terms, self._shapes
-        todo = [key]
+        terms = self.fold(
+            [key], lambda t: t, lambda op, a, b: op(a, b), self._terms
+        )
+        return terms[key]
+
+    def size(self, key: int) -> int:
+        """Syntax nodes of key's term."""
+        return self._sizes[key]
+
+    def fold(
+        self,
+        keys: Iterable[int],
+        atom: Callable[[Term], object],
+        join: Callable[[type, object, object], object],
+        values: dict | None = None,
+    ) -> dict:
+        """values, filled in with the value of each key and each of its
+        subterms, bottom-up: atom(t) for an atom t, and join(op, x, y) for
+        op(fst, snd), with op Seq or Par and x, y the values of fst and
+        snd. A key already in values keeps its value, so each key is
+        valued once; the walk keeps an explicit stack."""
+        values = {} if values is None else values
+        shapes = self._shapes
+        todo = list(keys)
         while todo:
             k = todo.pop()
-            if k in terms:
+            if k in values:
                 continue
             shape = shapes[k]
             if shape[0] > _PAR:
-                terms[k] = _CLASSES[shape[0]](*shape[1:])
-            elif shape[1] in terms and shape[2] in terms:
-                terms[k] = _CLASSES[shape[0]](terms[shape[1]], terms[shape[2]])
+                values[k] = atom(_CLASSES[shape[0]](*shape[1:]))
+            elif shape[1] in values and shape[2] in values:
+                fst, snd = values[shape[1]], values[shape[2]]
+                values[k] = join(_CLASSES[shape[0]], fst, snd)
             else:
                 todo += (k, shape[2], shape[1])
-        return terms[key]
+        return values
 
     def _matches(self, key: int, template: tuple) -> bool:
         """Whether key's term is the term of a shape template, whose
@@ -448,7 +471,7 @@ class AxiomClosure:
     seed: Term
     bound: int
     keys: frozenset[int]
-    pool: _TermPool = field(repr=False, compare=False)
+    pool: TermPool = field(repr=False, compare=False)
     truncated = True
 
     @cached_property
@@ -458,7 +481,7 @@ class AxiomClosure:
 
 def axiom_closure(t: Term, bound: int) -> AxiomClosure:
     """BFS fixpoint of bidirectional law application within the bound."""
-    pool = _TermPool(bound)
+    pool = TermPool(bound)
     seed = pool.intern(t)
     if pool._sizes[seed] > bound:
         raise BoundTooSmall(
@@ -477,18 +500,21 @@ def axiom_closure(t: Term, bound: int) -> AxiomClosure:
     return AxiomClosure(t, bound, frozenset(seen), pool)
 
 
-def enumerate_rewrites_by_rule(
+def enumerate_rewrite_keys(
     rules: list[tuple[Term, Term]], d: Term, bound: int
-) -> list[frozenset[Term]]:
-    """The rewrites enumerate_rewrites_bruteforce finds for each rule, in
-    rule order, all matched against one closure of d. Matching works on
-    pool keys; only the rewritten terms are built as Terms."""
+) -> tuple[TermPool, list[frozenset[int]]]:
+    """The one-step rewrites of d by each rule, in rule order, as keys of
+    the returned pool. One closure of d serves every rule: a rewrite is a
+    member with a sequential factor that is an identity block beside the
+    rule's lhs, that factor replaced by the block beside the rhs. Matching
+    builds no Terms; `pool.term` builds a rewrite's Term on request, and
+    `pool.fold` values rewrites bottom-up over their shared subterms."""
     for lhs, rhs in rules:
         term_type(lhs)
         term_type(rhs)
     if not rules:
         # no closure to build, so an empty rule file cannot fail the bound
-        return []
+        return TermPool(), []
     closure = axiom_closure(d, bound)
     pool = closure.pool
     patterns = [pool.factors(pool.intern(lhs), _PAR) for lhs, _ in rules]
@@ -529,7 +555,7 @@ def enumerate_rewrites_by_rule(
                     part = replacement if j == i else chain[j]
                     rebuilt = key_of[_SEQ, rebuilt, part]
                 found[r].add(rebuilt)
-    return [frozenset(pool.term(k) for k in keys) for keys in found]
+    return pool, [frozenset(keys) for keys in found]
 
 
 def enumerate_rewrites_bruteforce(
@@ -538,4 +564,5 @@ def enumerate_rewrites_bruteforce(
     """All one-step rewrites of d by the rule, found by exhaustively
     rearranging d within the bound until the pattern sits beside an identity
     block inside one sequential factor."""
-    return enumerate_rewrites_by_rule([rule], d, bound)[0]
+    pool, [found] = enumerate_rewrite_keys([rule], d, bound)
+    return frozenset(map(pool.term, found))

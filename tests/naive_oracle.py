@@ -2,12 +2,14 @@
 reference the oracle is tested against. The laws act on Terms and call
 term_type; every member rebuilds the variant list of every subterm it
 contains, out-of-bound variants included, and matching compares Terms.
-Nothing here runs code from cmonrw.oracle."""
+`evaluated_classes` is oracle-compare's classification of the rewrites
+before it worked on pool keys. Nothing here runs code from cmonrw.oracle."""
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from cmonrw.cospan import cospan_key
 from cmonrw.errors import BoundTooSmall
 from cmonrw.sigterm import (
     Eta,
@@ -16,11 +18,14 @@ from cmonrw.sigterm import (
     Mu,
     Par,
     Seq,
+    Signature,
     Sym,
     Term,
+    pretty_print,
     term_size,
     term_type,
 )
+from cmonrw.translate import eval_term
 
 
 # The laws, in the order of cmonrw.oracle.LAWS, each yielding the variants
@@ -391,3 +396,17 @@ def bruteforce_rewrites(
                 )
                 results.add(rebuilt)
     return frozenset(results)
+
+
+def evaluated_classes(
+    found: list[frozenset[Term]], sig: Signature
+) -> dict[tuple, Term]:
+    """Each rewrite class by cospan_key, with its representative. Each
+    rule's rewrites are sorted by (size, pretty_print), then evaluated and
+    keyed one by one; the first rewrite of a class that no earlier rule
+    reached represents it."""
+    reps: dict[tuple, Term] = {}
+    for rewrites in found:
+        for t in sorted(rewrites, key=lambda t: (t.size, pretty_print(t))):
+            reps.setdefault(cospan_key(eval_term(t, sig)), t)
+    return reps

@@ -7,12 +7,12 @@ import os
 
 import pytest
 
-from cmonrw import cli, cospan, dpo, oracle
+from cmonrw import cli, cospan, dpo, oracle, sigterm
 from cmonrw.cli import run
 from cmonrw.cospan import cospan_from_document, cospan_key, iso_equal
 from cmonrw.hypergraph import canonical_form
 from cmonrw.oracle import axiom_closure
-from cmonrw.sigterm import parse_signature, parse_term
+from cmonrw.sigterm import Par, Seq, parse_signature, parse_term
 from cmonrw.translate import eval_term
 
 SIG_TEXT = "gen f : 1 -> 1\ngen g : 1 -> 1\ngen h : 2 -> 1\ngen s : 0 -> 1\n"
@@ -243,47 +243,75 @@ def test_oracle_compare_agreement(ws, capsys):
     assert "symmetric difference: 0" in out
 
 
-def test_oracle_compare_keys_each_distinct_cospan_once(
-    ws, capsys, monkeypatch
+def test_oracle_compare_classifies_rewrites_on_the_pool(
+    ws, tmp_path, capsys, monkeypatch
 ):
-    _, sig, rules = ws
+    # the oracle's rewrites get their classes from their atoms' cospans,
+    # glued once per (op, class, class): no rewrite is evaluated whole,
+    # each atom and each join is keyed once, and only each class's
+    # least-size rewrites are printed
+    _, sig, _ = ws
     signature = parse_signature(SIG_TEXT)
-    host = parse_term("f ; f", signature)
-    terms = [
-        t
-        for found in oracle.enumerate_rewrites_by_rule(
-            [(parse_term("f", signature), parse_term("g", signature))],
-            host,
-            8,
-        )
-        for t in found
+    rule_texts = ["f => g", "f => f ; f", "f ; g => g ; f"]
+    host_text, bound = "f ; g", 9
+    pairs = [
+        tuple(parse_term(side, signature) for side in rule.split("=>"))
+        for rule in rule_texts
     ]
-    distinct = set()
-    for t in terms:
-        c = eval_term(t, signature)
-        distinct.add(
-            (
-                c.carrier.nodes,
-                tuple(c.carrier.edges.items()),
-                c.left,
-                c.right,
-            )
-        )
-    keyed = []
+    host = parse_term(host_text, signature)
+    evaluated, keyed, glued, printed = [], [], [], []
 
-    def counting_key(c):
-        keyed.append(c)
-        return cospan_key(c)
+    def counting(log, fn, record=lambda *args: args[0]):
+        def wrapper(*args):
+            log.append(record(*args))
+            return fn(*args)
 
-    # the DPO side keys its steps through dpo's own binding
-    monkeypatch.setattr(cli, "cospan_key", counting_key)
+        return wrapper
+
+    def glue_record(op):
+        return lambda a, b: (op, cospan_key(a), cospan_key(b))
+
+    monkeypatch.setattr(cli, "eval_term", counting(evaluated, eval_term))
+    monkeypatch.setattr(cli, "cospan_key", counting(keyed, cospan_key))
+    for name, op in (("compose", ";"), ("tensor", "+")):
+        glue = counting(glued, getattr(cospan, name), glue_record(op))
+        monkeypatch.setattr(cli, name, glue, raising=False)
+    monkeypatch.setattr(
+        cli, "pretty_print", counting(printed, sigterm.pretty_print)
+    )
+    rules = tmp_path / "three.rules"
+    rules.write_text(
+        "".join(f"rule r{i} : {r}\n" for i, r in enumerate(rule_texts))
+    )
     argv = [
-        "oracle-compare", "--rules", rules, "--sig", sig,
-        "--host", "f ; f", "--bound", "8",
+        "oracle-compare", "--rules", str(rules), "--sig", sig,
+        "--host", host_text, "--bound", str(bound),
     ]
     assert run(argv) == 0
     assert "symmetric difference: 0" in capsys.readouterr().out
-    assert len(keyed) == len(distinct) < len(terms)
+
+    # the rule sides and the host, then the atoms of the rewrites
+    given = [side for pair in pairs for side in pair] + [host]
+    atoms = evaluated[len(given):]
+    assert evaluated[: len(given)] == given
+    assert not any(isinstance(t, (Seq, Par)) for t in atoms)
+    assert len(set(atoms)) == len(atoms) > 0
+    assert len(set(glued)) == len(glued) > 0
+    assert len(keyed) <= len(atoms) + len(glued)
+
+    # the least-size rewrites of each class, per rule
+    pool, found = oracle.enumerate_rewrite_keys(pairs, host, bound)
+    least: dict[tuple, list] = {}
+    for r, rewrites in enumerate(found):
+        for t in map(pool.term, rewrites):
+            key = cospan_key(eval_term(t, signature))
+            least.setdefault((r, key), []).append(t)
+    ties = set()
+    for group in least.values():
+        size = min(t.size for t in group)
+        ties.update(t for t in group if t.size == size)
+    assert set(printed) <= ties
+    assert len(printed) < sum(map(len, found))
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import SIG3, random_term
-from cmonrw.cospan import iso_equal
+from cmonrw import cli
+from cmonrw.cospan import cospan_key, iso_equal
 from cmonrw.errors import BoundTooSmall, TypeMismatch
 from cmonrw import oracle
 from cmonrw.oracle import (
@@ -16,7 +17,6 @@ from cmonrw.oracle import (
     Law,
     axiom_closure,
     enumerate_rewrites_bruteforce,
-    enumerate_rewrites_by_rule,
 )
 from cmonrw import sigterm
 from cmonrw.sigterm import (
@@ -28,7 +28,9 @@ from cmonrw.sigterm import (
     Par,
     Seq,
     Sym,
+    parse_signature,
     parse_term,
+    pretty_print,
     term_size,
     term_type,
 )
@@ -37,6 +39,7 @@ from naive_oracle import (
     MERGE_REDEXES,
     REFERENCE_LAWS,
     bruteforce_rewrites,
+    evaluated_classes,
     pool_closure,
 )
 
@@ -49,7 +52,7 @@ def one_step_variants(t):
     """Every single application of any law at any subterm position, in
     the order of AxiomClosure's pool: at the root, then inside fst, then
     inside snd. t is interned once, into one pool every law runs on."""
-    pool = oracle._TermPool()
+    pool = oracle.TermPool()
     for key in _variant_keys(pool, pool.intern(t)):
         yield pool.term(key)
 
@@ -244,7 +247,8 @@ def assert_matches_reference(seed, bound, rules):
     members, truncated = pool_closure(seed, bound)
     assert cl.members == members
     assert cl.truncated == truncated
-    found = enumerate_rewrites_by_rule(rules, seed, bound)
+    pool, keys = oracle.enumerate_rewrite_keys(rules, seed, bound)
+    found = [frozenset(map(pool.term, ks)) for ks in keys]
     assert found == [bruteforce_rewrites(rule, members) for rule in rules]
     assert enumerate_rewrites_bruteforce(rules[0], seed, bound) == found[0]
 
@@ -422,3 +426,89 @@ def test_closure_types_no_terms_and_builds_none(host, unary_sig, monkeypatch):
     held = list(cl.pool._terms.values())
     assert len(held) == len(set(subterms(t)))
     assert {id(u) for u in held} <= {id(s) for s in subterms(t)}
+
+
+def printed(reps):
+    return {key: pretty_print(t) for key, t in reps.items()}
+
+
+def assert_classes_match_reference(host, rules, bound, sig):
+    """oracle-compare's classes of each rule's rewrites, and of all the
+    rules' together, equal those of the reference that evaluates every
+    rewrite: the same keys, represented by the same text."""
+    pairs = [
+        tuple(parse_term(side, sig) for side in rule.split("=>"))
+        for rule in rules
+    ]
+    pool, found = oracle.enumerate_rewrite_keys(
+        pairs, parse_term(host, sig), bound
+    )
+    together: dict = {}
+    for keys in found:
+        expected = evaluated_classes([frozenset(map(pool.term, keys))], sig)
+        reps, cospans = cli._oracle_classes(pool, [keys], sig)
+        assert printed(reps) == printed(expected)
+        assert all(cospan_key(c) == key for key, c in cospans.items())
+        # the old loop sorted each rule on its own: the first rule to
+        # reach a class represents it
+        for key, t in expected.items():
+            together.setdefault(key, t)
+    reps, _ = cli._oracle_classes(pool, found, sig)
+    assert printed(reps) == printed(together)
+
+
+@pytest.mark.parametrize("slack", [4, 6])
+@pytest.mark.parametrize("host", sorted(BENCH_HOSTS))
+def test_oracle_classes_match_reference_on_benchmark_hosts(
+    host, slack, unary_sig
+):
+    bound = term_size(parse_term(host, unary_sig)) + slack
+    assert_classes_match_reference(host, BENCH_HOSTS[host], bound, unary_sig)
+
+
+@pytest.mark.parametrize(
+    "host, rule",
+    [("((f + f) ; h) ; g", "h => mu"), ("((f + f) ; mu) ; f", "f => g")],
+)
+def test_oracle_classes_match_reference_on_criterion_4_extra_hosts(
+    host, rule, unary_sig
+):
+    # size + 4 keeps each within a second; size + 6 takes about 10 s
+    bound = term_size(parse_term(host, unary_sig)) + 4
+    assert_classes_match_reference(host, [rule], bound, unary_sig)
+
+
+SIG_FGHS = parse_signature(
+    "gen f : 1 -> 1\ngen g : 1 -> 1\ngen h : 2 -> 1\ngen s : 0 -> 1\n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([SIG3, SIG_FGHS]))
+def test_class_walk_gives_each_term_its_cospans_class(seed, sig):
+    # the terms share one pool, so they share the walk's values and its
+    # glued joins; each term is one rule's only rewrite, so the first
+    # term of each class represents it
+    rng = random.Random(seed)
+    terms = [random_term(rng, sig, max_generators=4) for _ in range(4)]
+    pool = oracle.TermPool()
+    found = [frozenset({pool.intern(t)}) for t in terms]
+    reps, cospans = cli._oracle_classes(pool, found, sig)
+    first: dict = {}
+    for t in terms:
+        first.setdefault(cospan_key(eval_term(t, sig)), t)
+    assert reps == first
+    assert all(cospan_key(c) == key for key, c in cospans.items())
+
+
+@pytest.mark.parametrize("op", [Seq, Par])
+def test_fold_walks_a_1200_deep_term(op):
+    t = F
+    for i in range(1200):
+        t = op(t, F) if i % 2 else op(F, t)
+    pool = oracle.TermPool()
+    key = pool.intern(t)
+    values = pool.fold(
+        [key], lambda atom: 1, lambda _, a, b: 1 + a + b
+    )
+    assert values[key] == pool.size(key) == term_size(t) == 2401
