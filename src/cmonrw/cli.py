@@ -8,10 +8,12 @@ invocations produce byte-identical results, and files land atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cospan import (
     Cospan,
@@ -81,7 +83,31 @@ def _load_term(text: str | None, path: str | None, sig: Signature) -> Term:
 
 
 def _doc_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """json.dumps(value, indent=2) byte for byte, newline carrying the
+    indent. json drops its C encoder when it indents, so it is left only
+    empty containers and scalars other than ints and strings."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [
+            _quote(k if isinstance(k, str) else json.dumps(k))
+            + ": "
+            + _json(v, inner)
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    ints = all(type(v) is int for v in value)
+    items = map(str, value) if ints else [_json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _emit(text: str, out_path: str | None = None) -> None:
@@ -369,6 +395,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parsing only reads the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmonrw",

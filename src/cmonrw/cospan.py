@@ -8,6 +8,7 @@ Composition glues output boundary to input boundary node-by-node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -79,6 +80,11 @@ class Cospan:
             if v not in self.carrier.nodes:
                 raise UnknownNode(f"interface node {v} not in carrier")
 
+    @cached_property
+    def right_monogamous(self) -> bool:
+        """is_right_monogamous(self), worked out once for every reader."""
+        return is_right_monogamous(self)
+
     @property
     def arity(self) -> int:
         return len(self.left)
@@ -147,32 +153,31 @@ def symmetry_cospan(m: int, n: int) -> Cospan:
 
 def pushout(
     a: Hypergraph, b: Hypergraph, pairs
-) -> tuple[Hypergraph, dict[tuple[int, int], int]]:
-    """Glue two carriers, identifying each (a node, b node) pair in pairs.
+) -> tuple[Hypergraph, dict[int, int], dict[int, int]]:
+    """Glue two carriers, identifying the a node and b node of each pair.
 
-    Nodes are tagged (0, v) for a and (1, v) for b. Each glued class is
-    numbered densely in the order of its smallest tagged key; glued edges
-    are a's in id order, then b's. Returns the glued carrier and the
-    renaming of every tagged node onto it."""
+    Each glued class is numbered densely in the order of its first node,
+    a's nodes in order before b's; glued edges are a's in id order, then
+    b's. Returns the glued carrier and the renaming of a's and of b's
+    nodes onto it."""
+    # b's node v is shift + v in the union-find, after every node of a
+    shift = max(a.nodes, default=0) - min(b.nodes, default=0) + 1
     uf = UnionFind()
     for u, v in pairs:
-        uf.union((0, u), (1, v))
-    keys = [(0, v) for v in sorted(a.nodes)]
-    keys += [(1, v) for v in sorted(b.nodes)]
-    rep_rank: dict = {}
-    rename: dict[tuple[int, int], int] = {}
-    for key in keys:
-        rename[key] = rep_rank.setdefault(uf.find(key), len(rep_rank))
-    edges: dict[int, Edge] = {}
-    for side, g in enumerate((a, b)):
-        for eid in sorted(g.edges):
-            e = g.edges[eid]
-            edges[len(edges)] = Edge(
-                e.label,
-                tuple(rename[(side, v)] for v in e.sources),
-                tuple(rename[(side, v)] for v in e.targets),
-            )
-    return Hypergraph(frozenset(range(len(rep_rank))), edges), rename
+        uf.union(u, shift + v)
+    number: dict[int, int] = {}
+    renames: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    edges: list[Edge] = []
+    for rename, g, offset in zip(renames, (a, b), (0, shift)):
+        for v in sorted(g.nodes):
+            rename[v] = number.setdefault(uf.find(offset + v), len(number))
+        at = rename.__getitem__
+        edges += [
+            Edge(e.label, tuple(map(at, e.sources)), tuple(map(at, e.targets)))
+            for _, e in sorted(g.edges.items())
+        ]
+    carrier = Hypergraph(frozenset(range(len(number))), dict(enumerate(edges)))
+    return carrier, *renames
 
 
 def compose(a: Cospan, b: Cospan) -> Cospan:
@@ -181,11 +186,11 @@ def compose(a: Cospan, b: Cospan) -> Cospan:
         raise InterfaceMismatch(
             f"cannot compose: coarity {a.coarity} != arity {b.arity}"
         )
-    g, rename = pushout(a.carrier, b.carrier, zip(a.right, b.left))
+    g, ra, rb = pushout(a.carrier, b.carrier, zip(a.right, b.left))
     return Cospan(
         g,
-        tuple(rename[(0, v)] for v in a.left),
-        tuple(rename[(1, v)] for v in b.right),
+        tuple(map(ra.__getitem__, a.left)),
+        tuple(map(rb.__getitem__, b.right)),
     )
 
 
@@ -291,7 +296,7 @@ def _forest_key(c: Cospan) -> tuple | None:
     g = c.carrier
     if any(len(e.targets) > 1 for e in g.edges.values()):
         return None
-    if not is_right_monogamous(c):
+    if not c.right_monogamous:
         return None
     producers: dict[int, list[Edge]] = {v: [] for v in g.nodes}
     free: list[Edge] = []
@@ -313,26 +318,29 @@ def _forest_key(c: Cospan) -> tuple | None:
     height: dict[int, int] = {}
     levels: list[list[int]] = []
     for v in reversed(order):
-        h = 1 + max(
-            (height[u] for e in producers[v] for u in e.sources), default=-1
-        )
+        h = 0
+        for e in producers[v]:
+            for u in e.sources:
+                if height[u] >= h:
+                    h = height[u] + 1
         height[v] = h
         if h == len(levels):
             levels.append([])
         levels[h].append(v)
     shape: dict[int, int] = {}
+    at = shape.__getitem__
 
     def cones(es: list[Edge]) -> tuple:
-        return tuple(
-            sorted(
-                (e.label, tuple(map(shape.__getitem__, e.sources)))
-                for e in es
-            )
-        )
+        found = [(e.label, tuple(map(at, e.sources))) for e in es]
+        return tuple(sorted(found) if len(found) > 1 else found)
 
     table: list[tuple] = []
     for level in levels:
         sigs = [(tuple(lefts.get(v, ())), cones(producers[v])) for v in level]
+        if len(level) == 1:
+            shape[level[0]] = len(table)
+            table += sigs
+            continue
         distinct = sorted(set(sigs))
         rank = {sig: len(table) + i for i, sig in enumerate(distinct)}
         table += distinct
@@ -360,7 +368,7 @@ def iso_equal(a: Cospan, b: Cospan) -> bool:
 
 
 def validate_right_monogamous_acyclic(c: Cospan) -> None:
-    if not is_right_monogamous(c):
+    if not c.right_monogamous:
         raise NotRightMonogamous("cospan is not right-monogamous")
     if not is_acyclic(c.carrier):
         raise Cyclic("carrier has a directed cycle")

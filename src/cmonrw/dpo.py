@@ -39,6 +39,7 @@ from .hypergraph import (
     find_homomorphisms,
     is_acyclic,
     is_convex,
+    iter_homomorphisms,
 )
 from .sigterm import Signature, parse_term, term_type
 from .translate import eval_term
@@ -104,16 +105,19 @@ def enumerate_convex_matches(rule: RewriteRule, host: Cospan) -> list[Match]:
     """All lhs homomorphisms whose image is convex; node identifications are
     permitted only between lhs output-interface nodes."""
     validate_right_monogamous_acyclic(host)
+    return list(_convex_matches(rule, host, find_homomorphisms))
+
+
+def _convex_matches(
+    rule: RewriteRule, host: Cospan, search=iter_homomorphisms
+) -> Iterator[Match]:
+    """Lazily, the matches among search's lhs homomorphisms into a host."""
     merge_allowed = frozenset(rule.lhs.right)
-    out: list[Match] = []
-    for hom in find_homomorphisms(
-        rule.lhs.carrier, host.carrier, merge_allowed
-    ):
+    for hom in search(rule.lhs.carrier, host.carrier, merge_allowed):
         img_nodes = set(hom.node_map.values())
         img_edges = set(hom.edge_map.values())
         if is_convex(host.carrier, img_nodes, img_edges):
-            out.append(Match(rule, hom))
-    return out
+            yield Match(rule, hom)
 
 
 def complement_key(comp: Complement) -> tuple:
@@ -195,20 +199,6 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     img_edges = set(match.hom.edge_map.values())
     deleted = img_nodes - boundary
 
-    remaining = {
-        eid: e for eid, e in g.edges.items() if eid not in img_edges
-    }
-    for eid in sorted(remaining):
-        e = remaining[eid]
-        for v in e.sources + e.targets:
-            if v in deleted:
-                raise DanglingEdge(
-                    f"edge {eid} touches deleted node {v}"
-                )
-    for v in host.left + host.right:
-        if v in deleted:
-            raise DanglingEdge(f"host interface touches deleted node {v}")
-
     base = max(g.nodes) + 1 if g.nodes else 0
     c1 = tuple(range(base, base + len(a1_img)))
     c2_of: dict[int, int] = {}
@@ -216,28 +206,33 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
         c2_of[w] = base + len(a1_img) + len(c2_of)
     c2 = tuple(c2_of[w] for w in a2_img)
 
-    # out-connections at a boundary node need its c2 copy
-    for eid in sorted(remaining):
-        for v in remaining[eid].sources:
-            if v in boundary and v not in c2_of:
-                return []
-    for v in host.right:
-        if v in boundary and v not in c2_of:
-            return []
-
     def copies(v: int) -> list[int]:
         opts = [c1[z] for z, w in enumerate(a1_img) if w == v]
         if v in c2_of:
             opts.append(c2_of[v])
         return opts
 
-    # each surviving in-connection at a boundary node, with that node, and
-    # the per-producer blocks of those in-slots: twins share one entry,
-    # each left-interface slot is an entry of its own
+    # One pass over the surviving edges in id order. None may touch a
+    # deleted node. An out-connection at a boundary node moves to its c2
+    # copy, and blocks the match when there is none; an edge with no such
+    # source keeps its Edge object. Each in-connection at a boundary node
+    # is an in-slot, grouped in per-producer blocks: twins share one
+    # entry, and each left-interface slot is an entry of its own.
     in_slots: dict[Connection, int] = {}
     producers: dict[Edge | Connection, list[list[Connection]]] = {}
-    for eid in sorted(remaining):
-        e = remaining[eid]
+    out_edges: dict[int, Edge] = {}
+    blocked = False
+    for eid, e in sorted(g.edges.items()):
+        if eid in img_edges:
+            continue
+        for v in e.sources + e.targets:
+            if v in deleted:
+                raise DanglingEdge(f"edge {eid} touches deleted node {v}")
+        sources = tuple(c2_of.get(v, v) for v in e.sources)
+        blocked = blocked or not boundary.isdisjoint(sources)
+        out_edges[eid] = (
+            e if sources == e.sources else Edge(e.label, sources, e.targets)
+        )
         block = [
             edge_conn(eid, si)
             for si, v in enumerate(e.targets)
@@ -247,6 +242,12 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
             in_slots[conn] = e.targets[conn.slot]
         if block:
             producers.setdefault(e, []).append(block)
+    for v in host.left + host.right:
+        if v in deleted:
+            raise DanglingEdge(f"host interface touches deleted node {v}")
+    d2 = tuple(c2_of.get(v, v) for v in host.right)
+    if blocked or not boundary.isdisjoint(d2):
+        return []
     for p, v in enumerate(host.left):
         if v in boundary:
             in_slots[iface_conn(p)] = v
@@ -278,15 +279,6 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
         | frozenset(c1)
         | frozenset(c2_of.values())
     )
-    out_edges = {
-        eid: Edge(
-            e.label,
-            tuple(c2_of[v] if v in boundary else v for v in e.sources),
-            e.targets,
-        )
-        for eid, e in sorted(remaining.items())
-    }
-    d2 = tuple(c2_of[v] if v in boundary else v for v in host.right)
     comps: list[Complement] = []
     for to in assignments:
         edges, d1 = reattach(out_edges, host.left, to)
@@ -310,26 +302,40 @@ def _glue_into_complement(cos: Cospan, comp: Complement) -> Cospan:
         zip(cos.left, comp.c1, strict=True),
         zip(cos.right, comp.c2, strict=True),
     )
-    g, rename = pushout(cos.carrier, comp.carrier, pairs)
+    g, _, rename = pushout(cos.carrier, comp.carrier, pairs)
     return Cospan(
         g,
-        tuple(rename[(1, v)] for v in comp.d1),
-        tuple(rename[(1, v)] for v in comp.d2),
+        tuple(map(rename.__getitem__, comp.d1)),
+        tuple(map(rename.__getitem__, comp.d2)),
     )
 
 
 def apply_rewrite(
     rule: RewriteRule, match: Match, complement: Complement
 ) -> Cospan:
-    """Glue the rhs into a validated complement."""
+    """Glue the rhs into a validated complement; the result keeps its
+    checks, so steps from it do not repeat them."""
     result = _glue_into_complement(rule.rhs, complement)
-    if not is_right_monogamous(result):
+    if not result.right_monogamous:
         raise ResultNotRightMonogamous(
             f"rule {rule.name!r} produced a non-right-monogamous result"
         )
     if not is_acyclic(result.carrier):
         raise Cyclic(f"rule {rule.name!r} produced a cyclic result")
     return result
+
+
+def _results(rules: list[RewriteRule], host: Cospan, matches) -> Iterator:
+    """(rule, match, complement, result) for each complement of each of
+    matches(rule, host), rule by rule, built only when asked for."""
+    for rule in rules:
+        for match in matches(rule, host):
+            try:
+                comps = boundary_complement(match, host)
+            except DanglingEdge:
+                continue
+            for comp in comps:
+                yield rule, match, comp, apply_rewrite(rule, match, comp)
 
 
 def iter_rewrites(
@@ -340,18 +346,13 @@ def iter_rewrites(
     is asked for, and the host is validated when iteration starts."""
     validate_right_monogamous_acyclic(host)
     seen: set[tuple] = set()
-    for rule in rules:
-        for match in enumerate_convex_matches(rule, host):
-            try:
-                comps = boundary_complement(match, host)
-            except DanglingEdge:
-                continue
-            for comp in comps:
-                result = apply_rewrite(rule, match, comp)
-                key = cospan_key(result)
-                if key not in seen:
-                    seen.add(key)
-                    yield RewriteStep(rule, match, comp, result, key)
+    for rule, match, comp, result in _results(
+        rules, host, enumerate_convex_matches
+    ):
+        key = cospan_key(result)
+        if key not in seen:
+            seen.add(key)
+            yield RewriteStep(rule, match, comp, result, key)
 
 
 def rewrite_all(
@@ -378,28 +379,26 @@ def normalize(
 ) -> list[Cospan]:
     """Rewrite to normal forms within a step budget (max_steps >= 0).
 
-    leftmost follows the first available step and returns one endpoint;
-    bfs returns all iso-distinct normal forms reachable in at most
-    max_steps steps, in cospan_order_key order. StepBudgetExhausted
-    reports leftover work."""
+    leftmost follows the first available step, found lazily and never
+    keyed, and returns one endpoint; bfs returns all iso-distinct normal
+    forms reachable in at most max_steps steps, in cospan_order_key order.
+    StepBudgetExhausted reports leftover work."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     validate_right_monogamous_acyclic(host)
     if strategy == "leftmost":
         trace = [host]
-        cur = host
         while True:
-            step = next(iter_rewrites(rules, cur), None)
+            step = next(_results(rules, trace[-1], _convex_matches), None)
             if step is None:
-                return [cur]
+                return [trace[-1]]
             if len(trace) - 1 == max_steps:
                 raise StepBudgetExhausted(
                     f"leftmost rewriting still reducible after "
                     f"{max_steps} steps",
                     trace=trace,
                 )
-            cur = step.result
-            trace.append(cur)
+            trace.append(step[-1])
     if strategy == "bfs":
         host_key = cospan_key(host)
         seen = {host_key}

@@ -9,7 +9,9 @@ nodes.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotASubhypergraph, UnknownNode
@@ -50,6 +52,30 @@ class Hypergraph:
             for v in e.sources + e.targets:
                 if v not in self.nodes:
                     raise UnknownNode(f"edge {eid} touches missing node {v}")
+
+    @cached_property
+    def index(self) -> tuple["Incidence", dict[int, int] | None]:
+        """(incidence index, each edge's position in edge_topological_order
+        or None when cyclic), built once and shared by every later check."""
+        inc = incidence(self)
+        # per edge, the producer target slots feeding it not yet ranked
+        waiting = dict.fromkeys(self.edges, 0)
+        for e in self.edges.values():
+            for t in e.targets:
+                for f, _ in inc.outs[t]:
+                    waiting[f] += 1
+        ready = [eid for eid, n in waiting.items() if n == 0]
+        heapq.heapify(ready)
+        rank: dict[int, int] = {}
+        while ready:
+            eid = heapq.heappop(ready)
+            rank[eid] = len(rank)
+            for t in self.edges[eid].targets:
+                for f, _ in inc.outs[t]:
+                    waiting[f] -= 1
+                    if waiting[f] == 0:
+                        heapq.heappush(ready, f)
+        return inc, rank if len(rank) == len(self.edges) else None
 
     def restrict(self, sub: "SubHypergraph") -> "Hypergraph":
         """The sub-hypergraph as a standalone graph (ids preserved)."""
@@ -167,73 +193,57 @@ def terminal_nodes(g: Hypergraph) -> frozenset[int]:
     return frozenset(g.nodes - used)
 
 
-def _reach(g: Hypergraph, inc: Incidence, seeds, forward: bool) -> set[int]:
-    via = inc.outs if forward else inc.ins
+def _reach(g: Hypergraph, seeds, forward: bool, keep) -> set[int]:
+    ins, outs = g.index[0]
+    via = outs if forward else ins
     seen = set(seeds)
     stack = list(seen)
     while stack:
         for eid, _ in via[stack.pop()]:
-            e = g.edges[eid]
-            for w in e.targets if forward else e.sources:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            if keep(eid):
+                e = g.edges[eid]
+                for w in e.targets if forward else e.sources:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
     return seen
 
 
 def reachable(g: Hypergraph, seeds, *, forward: bool = True) -> set[int]:
     """Nodes reachable from seeds (seeds included)."""
-    return _reach(g, incidence(g), seeds, forward)
+    return _reach(g, seeds, forward, lambda eid: True)
 
 
 def edge_topological_order(g: Hypergraph) -> tuple[int, ...] | None:
     """Edges ordered so producers precede consumers, the smallest ready id
     first; None when impossible."""
-    outs = incidence(g).outs
-    # per edge, the producer target slots feeding it not yet in the order
-    waiting = dict.fromkeys(g.edges, 0)
-    for e in g.edges.values():
-        for t in e.targets:
-            for f, _ in outs[t]:
-                waiting[f] += 1
-    ready = [eid for eid, n in waiting.items() if n == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        eid = heapq.heappop(ready)
-        order.append(eid)
-        for t in g.edges[eid].targets:
-            for f, _ in outs[t]:
-                waiting[f] -= 1
-                if waiting[f] == 0:
-                    heapq.heappush(ready, f)
-    return tuple(order) if len(order) == len(g.edges) else None
+    rank = g.index[1]
+    return None if rank is None else tuple(rank)
 
 
 def is_acyclic(g: Hypergraph) -> bool:
     """True iff no directed path repeats a node: a node cycle is a cycle of
     edges each feeding the next, which no edge order can list."""
-    return edge_topological_order(g) is not None
-
-
-def bridging_edges(g: Hypergraph, nodes, edges) -> list[int]:
-    """Edges outside ``edges`` on a directed path between two of ``nodes``,
-    in id order."""
-    inc = incidence(g)
-    fwd = _reach(g, inc, nodes, True)
-    bwd = _reach(g, inc, nodes, False)
-    return [
-        eid
-        for eid in sorted(g.edges.keys() - set(edges))
-        if fwd.intersection(g.edges[eid].sources)
-        and bwd.intersection(g.edges[eid].targets)
-    ]
+    return g.index[1] is not None
 
 
 def is_convex(g: Hypergraph, nodes, edges) -> bool:
     """No path between two of ``nodes`` passes through an edge outside
-    ``edges``."""
-    return not bridging_edges(g, nodes, edges)
+    ``edges`` (a set). Topological positions rise along a path, so such a
+    path only uses edges between the first consumer and the last producer
+    of a node in ``nodes``: both searches stay in that window, which holds
+    every edge of a cyclic graph."""
+    (ins, outs), rank = g.index
+    rank = rank or dict.fromkeys(g.edges, 0)
+    lo = min((rank[e] for v in nodes for e, _ in outs[v]), default=len(rank))
+    hi = max((rank[e] for v in nodes for e, _ in ins[v]), default=-1)
+    fwd = _reach(g, nodes, True, lambda eid: rank[eid] <= hi)
+    bwd = _reach(g, nodes, False, lambda eid: rank[eid] >= lo)
+    return all(
+        eid in edges or rank[eid] > hi or bwd.isdisjoint(g.edges[eid].targets)
+        for v in fwd
+        for eid, _ in outs[v]
+    )
 
 
 def _shape(e: Edge) -> tuple[str, int, int]:
@@ -243,7 +253,14 @@ def _shape(e: Edge) -> tuple[str, int, int]:
 def find_homomorphisms(
     pattern: Hypergraph, host: Hypergraph, merge_allowed=frozenset()
 ) -> list[Homomorphism]:
-    """All label- and position-preserving maps, injective on edges.
+    """All of iter_homomorphisms' maps, in its order."""
+    return list(iter_homomorphisms(pattern, host, merge_allowed))
+
+
+def iter_homomorphisms(
+    pattern: Hypergraph, host: Hypergraph, merge_allowed=frozenset()
+) -> Iterator[Homomorphism]:
+    """All label- and position-preserving maps, injective on edges, lazily.
 
     Node images must be injective except that two pattern nodes may share an
     image when BOTH lie in merge_allowed.
@@ -260,12 +277,13 @@ def find_homomorphisms(
     pids = sorted(pattern.edges)
     pedges = [pattern.edges[pid] for pid in pids]
     n_edges = len(pedges)
-    inc = incidence(host) if n_edges > 1 else None
+    inc = host.index[0] if n_edges > 1 else None
     touched = {v for e in pedges for v in e.sources + e.targets}
     loose = [v for v in sorted(pattern.nodes) if v not in touched]
     host_nodes = sorted(host.nodes)
     if not pedges and not loose:
-        return [Homomorphism(pattern, host, {}, {})]
+        yield Homomorphism(pattern, host, {}, {})
+        return
     nmap: dict[int, int] = {}
     emap: dict[int, int] = {}
     used: set[int] = set()  # host edges in emap's image
@@ -318,7 +336,6 @@ def find_homomorphisms(
             return None
         return bind(zip(pe.sources + pe.targets, he.sources + he.targets))
 
-    results: list[Homomorphism] = []
     last = n_edges + len(loose) - 1
     stack = [iter(options(0))]
     trail: list[list[int]] = []  # per level below the top, what it bound
@@ -340,10 +357,9 @@ def find_homomorphisms(
             emap[pids[k]] = opt
             used.add(opt)
         if k == last:
-            results.append(Homomorphism(pattern, host, nmap, emap))
+            yield Homomorphism(pattern, host, nmap, emap)
         else:
             stack.append(iter(options(k + 1)))
-    return results
 
 
 def _intern(values: dict[int, tuple]) -> dict[int, int]:

@@ -21,7 +21,6 @@ from cmonrw.hypergraph import (
     Edge,
     Hypergraph,
     SubHypergraph,
-    bridging_edges,
     is_acyclic,
     terminal_nodes,
 )
@@ -38,6 +37,7 @@ from cmonrw.sigterm import (
     parse_signature,
     term_type,
 )
+from naive_scans import bridging_edges
 
 DEFAULT_SEED = 20250817
 

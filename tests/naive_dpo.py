@@ -3,7 +3,8 @@ kept as the reference it is tested against: every surviving in-connection
 at a boundary node picks any copy of that node, independently, so n twin
 producers feeding a node with two copies give 2^n candidates, each one
 built, validated and keyed. Also the validity check by isomorphism alone,
-which every complement boundary_complement returns must pass."""
+which every complement boundary_complement returns must pass, and leftmost
+normalisation by the first step of rewrite_all."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from cmonrw.dpo import (
     RewriteRule,
     apply_rewrite,
     complement_key,
+    rewrite_all,
 )
 from cmonrw.errors import (
     Cyclic,
@@ -147,3 +149,18 @@ def reference_complement_is_valid(match, host, comp) -> bool:
     except (ResultNotRightMonogamous, Cyclic):
         return False
     return iso_equal(glued, host)
+
+
+def leftmost_trace(
+    rules: list[RewriteRule], host: Cospan, max_steps: int
+) -> tuple[list[Cospan], bool]:
+    """Leftmost normalisation as it was before matches were pulled lazily:
+    every step enumerates and keys all rewrites and follows the first.
+    Returns the trace of at most max_steps steps, and whether its last
+    cospan is still reducible."""
+    trace = [host]
+    while True:
+        steps = rewrite_all(rules, trace[-1])
+        if not steps or len(trace) - 1 == max_steps:
+            return trace, bool(steps)
+        trace.append(steps[0].result)

@@ -1,6 +1,7 @@
 """The pairwise fold that eval_term replaced, kept as the reference it is
 tested against: every Seq glues two whole carriers with compose's pushout,
-every Par places them side by side with tensor."""
+every Par places them side by side with tensor. Also the pushout over
+side-tagged node keys that cospan.pushout replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from cmonrw.cospan import (
     tensor,
 )
 from cmonrw.errors import TypeMismatch, UnknownGenerator
-from cmonrw.hypergraph import Edge, Hypergraph
+from cmonrw.hypergraph import Edge, Hypergraph, UnionFind
 from cmonrw.sigterm import (
     Eta,
     Gen,
@@ -27,6 +28,36 @@ from cmonrw.sigterm import (
     Term,
     term_type,
 )
+
+def tagged_pushout(
+    a: Hypergraph, b: Hypergraph, pairs
+) -> tuple[Hypergraph, dict[tuple[int, int], int]]:
+    """Glue two carriers, identifying each (a node, b node) pair in pairs.
+
+    Nodes are tagged (0, v) for a and (1, v) for b. Each glued class is
+    numbered densely in the order of its smallest tagged key; glued edges
+    are a's in id order, then b's. Returns the glued carrier and the
+    renaming of every tagged node onto it."""
+    uf = UnionFind()
+    for u, v in pairs:
+        uf.union((0, u), (1, v))
+    keys = [(0, v) for v in sorted(a.nodes)]
+    keys += [(1, v) for v in sorted(b.nodes)]
+    rep_rank: dict = {}
+    rename: dict[tuple[int, int], int] = {}
+    for key in keys:
+        rename[key] = rep_rank.setdefault(uf.find(key), len(rep_rank))
+    edges: dict[int, Edge] = {}
+    for side, g in enumerate((a, b)):
+        for eid in sorted(g.edges):
+            e = g.edges[eid]
+            edges[len(edges)] = Edge(
+                e.label,
+                tuple(rename[(side, v)] for v in e.sources),
+                tuple(rename[(side, v)] for v in e.targets),
+            )
+    return Hypergraph(frozenset(range(len(rep_rank))), edges), rename
+
 
 MERGE = FinFunction(2, 1, (0, 0))
 EMPTY = FinFunction(0, 1, ())

@@ -1,6 +1,6 @@
 """Edge scans that the incidence index replaced, kept as the reference the
 index is tested against. Every call scans all edges, even when it asks
-about one node."""
+about one node, and bridging_edges searches the whole graph."""
 
 from __future__ import annotations
 
@@ -68,6 +68,20 @@ def reachable(g: Hypergraph, seeds, *, forward: bool = True) -> set[int]:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def bridging_edges(g: Hypergraph, nodes, edges) -> list[int]:
+    """Edges outside ``edges`` on a directed path between two of ``nodes``,
+    in id order, from reachability over the whole graph: the convexity
+    check that hypergraph.is_convex's topological window replaced."""
+    fwd = reachable(g, nodes, forward=True)
+    bwd = reachable(g, nodes, forward=False)
+    return [
+        eid
+        for eid in sorted(g.edges.keys() - set(edges))
+        if fwd.intersection(g.edges[eid].sources)
+        and bwd.intersection(g.edges[eid].targets)
+    ]
 
 
 def is_acyclic(g: Hypergraph) -> bool:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmonrw import cli, cospan, dpo, oracle, sigterm
 from cmonrw.cli import run
@@ -381,6 +383,79 @@ def test_usage_error_exits_two(ws):
     with pytest.raises(SystemExit) as exc:
         run(["check"])
     assert exc.value.code == 2
+
+
+def test_mixed_subcommands_in_one_process(ws, capsys, monkeypatch):
+    # the parser is built once per process; every later run, usage errors
+    # included, reads it without a new parser and without leftover state
+    _, sig, rules = ws
+    assert run(["translate", "--sig", sig, "--term", "f ; f"]) == 0
+    first = capsys.readouterr().out
+    built = []
+    make = argparse.ArgumentParser.__init__
+
+    def building(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        make(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", building)
+    rewrite = ["rewrite", "--sig", sig, "--rules", rules, "--host", "f ; f"]
+    for _ in range(2):
+        assert run(rewrite + ["--all", "--format", "structured"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert [s["rule"] for s in steps] == ["fg", "fg"]
+        with pytest.raises(SystemExit) as exc:
+            run(["rewrite", "--sig", sig, "--rules", rules])
+        assert exc.value.code == 2
+        assert "--host" in capsys.readouterr().err
+        assert run(rewrite + ["--strategy", "bfs"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("normal forms: 1\n")
+        assert '"label": "f"' not in out and '"label": "g"' in out
+        csp = translate_to_file(ws, "f ; g", "fg.csp")
+        assert run(["check", "--cospan", csp]) == 0
+        assert capsys.readouterr().out == (
+            "right-monogamous: true, acyclic: true\n"
+        )
+        assert run(["translate", "--sig", sig, "--term", "f ; f"]) == 0
+        assert capsys.readouterr().out == first
+    assert built == []
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True)
+    | st.text()
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(), JSON_DOCS, max_size=5))
+def test_document_writer_is_json_dumps_indent_2(doc):
+    # empty containers, nested lists, bools/None, non-ASCII and escaped
+    # strings: all written as json.dumps writes them
+    assert cli._doc_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_document_writer_on_chosen_documents():
+    docs = [
+        {},
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        {"x": [1, -2, 10**30], "y": [True, False, None, 0]},
+        {"é\n\t\"\\\u2028\U0001f600": "\x00\x1f\u00ff"},
+        {"nested": [[1, [2, [3, {"k": [4]}]]]], "float": 1.5},
+    ]
+    for doc in docs:
+        assert cli._doc_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_negative_max_steps_is_usage_error(ws, capsys):

@@ -29,6 +29,7 @@ from cmonrw.cospan import (
     is_monogamous,
     is_right_monogamous,
     iso_equal,
+    pushout,
     reattach,
     symmetry_cospan,
     tensor,
@@ -40,12 +41,49 @@ from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_scans
+from naive_eval import tagged_pushout
 
 
 def rand_fn(rng: random.Random, dom: int, cod: int) -> FinFunction:
     return FinFunction(
         dom, cod, tuple(rng.randrange(cod) for _ in range(dom))
     )
+
+
+def _shifted(g: Hypergraph, by: int) -> Hypergraph:
+    """g with every node id moved by ``by`` (negative ids included)."""
+    return Hypergraph(
+        frozenset(v + by for v in g.nodes),
+        {
+            eid: Edge(
+                e.label,
+                tuple(v + by for v in e.sources),
+                tuple(v + by for v in e.targets),
+            )
+            for eid, e in g.edges.items()
+        },
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pushout_matches_tagged_reference(seed):
+    rng = random.Random(seed)
+    a = _shifted(random_rm_cospan(rng).carrier, rng.randint(-5, 5))
+    b = _shifted(random_rm_cospan(rng).carrier, rng.randint(-5, 5))
+    if rng.random() < 0.1:
+        a = Hypergraph(frozenset(), {})
+    # any pairs, repeats included, so classes chain across both sides
+    pairs = [
+        (rng.choice(sorted(a.nodes)), rng.choice(sorted(b.nodes)))
+        for _ in range(rng.randint(0, 6) if a.nodes and b.nodes else 0)
+    ]
+    g, ra, rb = pushout(a, b, pairs)
+    ref, rename = tagged_pushout(a, b, pairs)
+    assert g.nodes == ref.nodes
+    assert g.edges == ref.edges
+    assert ra == {v: rename[(0, v)] for v in a.nodes}
+    assert rb == {v: rename[(1, v)] for v in b.nodes}
 
 
 def test_cospan_rejects_unknown_interface_nodes():

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import SIG3, complement_mutations, random_term
-from cmonrw import dpo
+from cmonrw import cospan, dpo, hypergraph
 from cmonrw.cospan import (
     Cospan,
     cospan_key,
     cospan_to_document,
+    is_right_monogamous,
     iso_equal,
     pushout,
 )
@@ -38,12 +41,14 @@ from cmonrw.errors import (
     TermSyntaxError,
     TypeMismatch,
 )
-from cmonrw.hypergraph import Edge, Hypergraph, find_homomorphisms
+from cmonrw.hypergraph import Edge, Hypergraph, find_homomorphisms, is_convex
 from cmonrw.sigterm import Mu, Seq, Sym, parse_term
 from cmonrw.translate import eval_term
 import naive_match
+import naive_scans
 from naive_dpo import (
     full_product_complements,
+    leftmost_trace,
     reference_complement_is_valid,
 )
 from naive_match import homs_view
@@ -407,6 +412,38 @@ def test_complement_check_agrees_with_isomorphism_reference(monkeypatch):
     assert called.count("iso_equal") > 100
 
 
+def _convexity_corpus(ev):
+    """Random SIG3 hosts and a few unary ones, with the lhs sides matched
+    into them (test_homomorphism_search_matches_recursive_reference's)."""
+    rng = random.Random(20261018)
+    hosts = [
+        eval_term(random_term(rng, SIG3, max_generators=4), SIG3)
+        for _ in range(25)
+    ]
+    hosts += [ev("((f + f) ; h) ; g"), ev("(f ; g) ; f"), ev("f ; f ; f")]
+    sides = [_sig3(text) for text in FAST_PATH_LHS]
+    sides += [ev(text) for text in ("f", "f + f", "h", "f ; f", "mu")]
+    return hosts, sides
+
+
+def test_convexity_of_match_images_agrees_with_whole_host_reference(ev):
+    hosts, sides = _convexity_corpus(ev)
+    verdicts = []
+    for host in hosts:
+        g = host.carrier
+        for lhs in sides:
+            for hom in find_homomorphisms(lhs.carrier, g, lhs.right):
+                nodes = set(hom.node_map.values())
+                edges = set(hom.edge_map.values())
+                # the image, and the image without its first edge
+                for es in (edges, edges - set(sorted(edges)[:1])):
+                    verdicts.append(is_convex(g, nodes, es))
+                    assert verdicts[-1] == (
+                        not naive_scans.bridging_edges(g, nodes, es)
+                    )
+    assert len(verdicts) > 500 and True in verdicts and False in verdicts
+
+
 def test_homomorphism_search_matches_recursive_reference(ev):
     rng = random.Random(20261018)
     hosts = [
@@ -524,3 +561,140 @@ def test_gluing_check_rejects_structurally_sound_complement(
     assert not complement_is_valid(match, host, bad)
     assert len(glued) == 2 and len(fallbacks) == 2
     assert not reference_complement_is_valid(match, host, bad)
+
+
+SIG3_RULES = [
+    ("c ; b", "a"),
+    ("(a + a) ; b", "b ; a"),
+    ("mu ; a", "b"),
+    ("a ; a", "a"),
+    ("a", "c ; b"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lazy_leftmost_follows_rewrite_alls_first_step(seed):
+    # leftmost pulls matches lazily and never keys; step for step it must
+    # take the step the old loop took, rewrite_all(rules, cur)[0]
+    rng = random.Random(seed)
+    # a => c ; b fires on every host with an a, and never normalises
+    picked = rng.sample(SIG3_RULES[:-1], rng.randint(1, 3)) + SIG3_RULES[-1:]
+    rng.shuffle(picked)
+    rules = [
+        RewriteRule(_sig3(lhs), _sig3(rhs), f"r{i}")
+        for i, (lhs, rhs) in enumerate(picked)
+    ]
+    host = eval_term(random_term(rng, SIG3, max_generators=6), SIG3)
+    ref, reducible = leftmost_trace(rules, host, 6)
+    docs = [cospan_to_document(c) for c in ref]
+    for budget in range(len(ref)):
+        if budget == len(ref) - 1 and not reducible:
+            (out,) = normalize(rules, host, "leftmost", max_steps=budget)
+            assert cospan_to_document(out) == docs[-1]
+            continue
+        with pytest.raises(StepBudgetExhausted) as exc:
+            normalize(rules, host, "leftmost", max_steps=budget)
+        trace = [cospan_to_document(c) for c in exc.value.trace]
+        assert trace == docs[: budget + 1]
+
+
+def test_a_rewrite_step_passes_over_its_host_once(ev, monkeypatch):
+    # one index per graph (its incidence and its topological order),
+    # shared by validation, matching and every convexity check; one
+    # right-monogamy check per result, shared by apply_rewrite, the key
+    # and the next step's validation; and leftmost never keys a result
+    indexed, incidences = [], []
+    build, incidence = hypergraph.Hypergraph.index.func, hypergraph.incidence
+
+    def indexing(g):
+        indexed.append(g)
+        return build(g)
+
+    def building(g):
+        incidences.append(g)
+        return incidence(g)
+
+    index = functools.cached_property(indexing)
+    index.__set_name__(hypergraph.Hypergraph, "index")
+    monkeypatch.setattr(hypergraph.Hypergraph, "index", index)
+    monkeypatch.setattr(hypergraph, "incidence", building)
+    checked, results, keyed = [], [], []
+
+    def checking(c):
+        checked.append(c)
+        return is_right_monogamous(c)
+
+    def applying(*args):
+        results.append(apply_rewrite(*args))
+        return results[-1]
+
+    def keying(c):
+        keyed.append(c)
+        return cospan_key(c)
+
+    for module in (cospan, dpo):
+        monkeypatch.setattr(module, "is_right_monogamous", checking)
+    monkeypatch.setattr(dpo, "apply_rewrite", applying)
+    monkeypatch.setattr(dpo, "cospan_key", keying)
+
+    def once_each(seen, expected):
+        return sorted(map(id, seen)) == sorted(map(id, expected))
+
+    fg = RewriteRule(ev("f"), ev("g"), "fg")
+    ffg = RewriteRule(ev("f ; f"), ev("g"), "ffg")
+    mufh = RewriteRule(ev("mu ; f"), ev("h"), "mufh")
+    hosts = [
+        " ; ".join(["f"] * 12),
+        "(((s + s) ; mu) + ((s + s) ; mu)) ; mu ; f",
+        "((((s ; f) + (s ; f)) ; mu) + (s ; f)) ; mu",
+    ]
+    for text in hosts:
+        for rules in ([fg], [ffg, fg], [mufh, fg]):
+            host = ev(text)
+            indexed.clear()
+            incidences.clear()
+            checked.clear()
+            results.clear()
+            steps = list(iter_rewrites(rules, host))
+            assert steps and len(results) >= len(steps)
+            carriers = [host.carrier] + [r.carrier for r in results]
+            assert once_each(indexed, carriers)
+            assert once_each(incidences, carriers)
+            assert once_each(
+                [c for c in checked if c is host or c in results],
+                [host] + results,
+            )
+    for strategy in ("leftmost", "bfs"):
+        host = ev("f ; f ; f ; f ; f")
+        keyed.clear()
+        checked.clear()
+        results.clear()
+        (out,) = normalize([fg], host, strategy)
+        assert iso_equal(out, ev("g ; g ; g ; g ; g"))
+        assert results
+        assert once_each([c for c in checked if c in results], results)
+        if strategy == "leftmost":
+            assert keyed == []
+
+
+def test_leftmost_on_a_200_chain_within_budget(ev):
+    # ROADMAP item 1 aims at 1 s on a shared 2-vCPU VM; the budget leaves
+    # room for a slower or busier machine
+    rule = RewriteRule(ev("f"), ev("g"), "fg")
+    host = ev(" ; ".join(["f"] * 200))
+    start = time.perf_counter()
+    (out,) = normalize([rule], host, "leftmost", max_steps=200)
+    assert time.perf_counter() - start < 5.0
+    assert iso_equal(out, ev(" ; ".join(["g"] * 200)))
+
+
+def test_rewrite_all_on_a_64_chain_within_budget(ev):
+    # ROADMAP item 1 aims at 0.1 s on a shared 2-vCPU VM, where a step
+    # that re-checked its host whole per match took 0.32 s
+    rule = RewriteRule(ev("f"), ev("g"), "fg")
+    host = ev(" ; ".join(["f"] * 64))
+    start = time.perf_counter()
+    steps = rewrite_all([rule], host)
+    assert time.perf_counter() - start < 0.25
+    assert len(steps) == 64

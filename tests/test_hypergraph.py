@@ -240,6 +240,45 @@ def test_convexity_rejects_bridged_image():
     assert is_convex(host, {0, 1, 2}, {0, 1})
 
 
+@settings(max_examples=400)
+@given(st.integers(0, 2**32 - 1))
+def test_convexity_window_agrees_with_whole_graph_reference(seed):
+    # random_graph has cycles, where the window holds every edge
+    rng = random.Random(seed)
+    for g in (random_graph(rng), random_rm_cospan(rng).carrier):
+        for _ in range(4):
+            edges = {e for e in g.edges if rng.random() < 0.5}
+            if rng.random() < 0.5:
+                nodes = {v for v in g.nodes if rng.random() < 0.4}
+            else:
+                nodes = {
+                    v
+                    for e in edges
+                    for v in g.edges[e].sources + g.edges[e].targets
+                }
+            assert is_convex(g, nodes, edges) == (
+                not naive_scans.bridging_edges(g, nodes, edges)
+            )
+
+
+def test_convexity_window_on_chains_and_their_images():
+    host = chain(*["f", "g"] * 30)
+    verdicts = []
+    for pattern in (chain("f"), chain("f", "g"), chain("g", "f", "g")):
+        for hom in find_homomorphisms(pattern, host):
+            nodes = set(hom.node_map.values())
+            edges = set(hom.edge_map.values())
+            assert is_convex(host, nodes, edges)
+            # dropping an inner edge leaves a bridge
+            inner = sorted(edges)[1:-1]
+            for e in inner:
+                verdicts.append(is_convex(host, nodes, edges - {e}))
+                assert verdicts[-1] == (
+                    not naive_scans.bridging_edges(host, nodes, edges - {e})
+                )
+    assert verdicts and not any(verdicts)
+
+
 def test_canonical_form_invariant_under_relabeling():
     g = chain("f", "g")
     relabeled = Hypergraph(

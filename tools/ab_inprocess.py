@@ -1,0 +1,140 @@
+"""An alternating A/B of two checkouts of cmonrw, in one process.
+
+Loads `src/cmonrw` from two checkouts side by side, then times passes over
+one workload's requests (as `perfbench/workloads.py` builds them for the
+seed), alternating which checkout goes first in each pair. A pass answers
+every request the way the benchmark's worker does: `dpo-rewrite` and
+`oracle-compare` through `cli.run` with `--format structured`,
+`equiv-readback` by the worker's library calls. Prints each pair's times,
+the median ratio change/base, how many pairs the change won, and whether
+the two checkouts' answers were byte-identical.
+
+    python3 tools/ab_inprocess.py --workload dpo-rewrite --seed 1 \\
+        --base ../parent-checkout --pairs 16
+
+`--change` is the checkout under test (default: this one). One process
+sees the same machine speed on both sides of a pair, so alternating pairs
+cancel most of a shared VM's speed swings; the benchmark proper measures
+each side in fresh processes. Re-runs itself under PYTHONHASHSEED=0, as the
+benchmark's workers do. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+MODULES = ("cli", "sigterm", "translate", "cospan", "decompose")
+
+
+def load(root: str) -> dict:
+    """cmonrw's modules imported from root/src, under their own names;
+    those of a checkout loaded earlier stay bound in its own dict."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "cmonrw"]:
+        del sys.modules[name]
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path.insert(0, src)
+    try:
+        mods = {m: importlib.import_module(f"cmonrw.{m}") for m in MODULES}
+    finally:
+        sys.path.remove(src)
+    origin = os.path.realpath(mods["cli"].__file__)
+    if not origin.startswith(os.path.realpath(src) + os.sep):
+        raise ImportError(f"cmonrw imported from {origin}, not from {src}")
+    return mods
+
+
+def answer(mods: dict, request: dict, files: dict, sig_text: str) -> str:
+    """The checkout's answer to one request, as text."""
+    if "args" not in request:  # equiv-readback: library calls
+        sigterm, translate = mods["sigterm"], mods["translate"]
+        cospan, decompose = mods["cospan"], mods["decompose"]
+        sig = sigterm.parse_signature(sig_text)
+        ct = translate.eval_term(sigterm.parse_term(request["t"], sig), sig)
+        cu = translate.eval_term(sigterm.parse_term(request["u"], sig), sig)
+        key = cospan.cospan_key(ct)
+        equal = key == cospan.cospan_key(cu)
+        decompose.factorise_into_levels(ct)
+        back = decompose.readback_term(ct, sig)
+        return json.dumps([equal, sigterm.pretty_print(back)])
+    argv = list(request["args"])
+    i = argv.index("--rules") + 1
+    argv[i] = files["rules"][argv[i]]
+    argv += ["--sig", files["sig"], "--format", "structured"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = mods["cli"].run(argv)
+    return json.dumps([code, out.getvalue(), err.getvalue()])
+
+
+def one_pass(mods, batch, files, sig_text) -> tuple[float, list[str]]:
+    t0 = time.perf_counter()
+    answers = [answer(mods, r, files, sig_text) for r in batch]
+    return time.perf_counter() - t0, answers
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--workload",
+        required=True,
+        choices=("dpo-rewrite", "oracle-compare", "equiv-readback"),
+    )
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--base", required=True)
+    parser.add_argument("--change", default=REPO)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, *sys.argv])
+    sys.path.insert(0, os.path.join(REPO, "perfbench"))
+    sys.path.insert(0, HERE)
+    import output_digest
+    import workloads
+
+    sides = {"base": load(args.base), "change": load(args.change)}
+    batch = workloads.requests(args.workload, args.seed)
+    sig_text = workloads.SIGNATURES[args.workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = output_digest.write_files(tmp, args.workload, workloads)
+        warm = workloads.warmup(args.workload)
+        answers = {}
+        for name, mods in sides.items():
+            one_pass(mods, warm, files, sig_text)
+            answers[name] = one_pass(mods, batch, files, sig_text)[1]
+        ratios, wins = [], 0
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            t = {
+                name: one_pass(sides[name], batch, files, sig_text)[0]
+                for name in order
+            }
+            ratios.append(t["change"] / t["base"])
+            wins += t["change"] < t["base"]
+            print(
+                f"pair {pair + 1:2d} ({order[0]} first): base "
+                f"{t['base']:.3f} s, change {t['change']:.3f} s, "
+                f"ratio {ratios[-1]:.3f}"
+            )
+    print(
+        f"{args.workload} seed {args.seed}: median ratio change/base "
+        f"{statistics.median(ratios):.3f}, change faster in {wins} of "
+        f"{args.pairs} pairs; outputs byte-identical: "
+        f"{answers['base'] == answers['change']}"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,7 +37,7 @@ REPO = os.path.dirname(HERE)
 FORMATS = ("text", "structured")
 
 
-def _files(tmp: str, workload: str, workloads) -> dict:
+def write_files(tmp: str, workload: str, workloads) -> dict:
     """Write the workload's signature and rule files under tmp."""
     sig = os.path.join(tmp, "sig.txt")
     with open(sig, "w", encoding="utf-8") as fh:
@@ -99,7 +99,7 @@ def digest(workload: str, seeds: list[int], root: str, slack) -> tuple:
     sha = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        files = _files(tmp, workload, workloads)
+        files = write_files(tmp, workload, workloads)
         sig = sigterm.parse_signature(workloads.SIGNATURES[workload])
         for batch in batches:
             for request in batch:
