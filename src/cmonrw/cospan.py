@@ -25,7 +25,6 @@ from .hypergraph import (
     UnionFind,
     canonical_form,
     graph_dot_lines,
-    incidence,
     is_acyclic,
     terminal_nodes,
 )
@@ -262,7 +261,7 @@ def is_monogamous(c: Cospan) -> bool:
         return False
     if len(set(c.left)) != len(c.left):
         return False
-    ins = incidence(c.carrier).ins
+    ins = c.carrier.index.ins
     if frozenset(c.left) != {v for v, conns in ins.items() if not conns}:
         return False
     return all(len(conns) <= 1 for conns in ins.values())

@@ -45,7 +45,6 @@ from .hypergraph import (
     Hypergraph,
     SubHypergraph,
     edge_topological_order,
-    incidence,
     is_convex,
     reachable,
     terminal_nodes,
@@ -58,7 +57,7 @@ def in_connections(c: Cospan) -> dict[int, tuple[Connection, ...]]:
     slots pointing at it, then the input-boundary positions holding it."""
     conns = {
         v: [edge_conn(eid, i) for eid, i in slots]
-        for v, slots in incidence(c.carrier).ins.items()
+        for v, slots in c.carrier.index.ins.items()
     }
     for p, u in enumerate(c.left):
         conns[u].append(iface_conn(p))

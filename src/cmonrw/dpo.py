@@ -36,7 +36,6 @@ from .hypergraph import (
     Homomorphism,
     Hypergraph,
     canonical_form,
-    find_homomorphisms,
     is_acyclic,
     is_convex,
     iter_homomorphisms,
@@ -105,18 +104,16 @@ def enumerate_convex_matches(rule: RewriteRule, host: Cospan) -> list[Match]:
     """All lhs homomorphisms whose image is convex; node identifications are
     permitted only between lhs output-interface nodes."""
     validate_right_monogamous_acyclic(host)
-    return list(_convex_matches(rule, host, find_homomorphisms))
+    return list(_convex_matches(rule, host))
 
 
-def _convex_matches(
-    rule: RewriteRule, host: Cospan, search=iter_homomorphisms
-) -> Iterator[Match]:
-    """Lazily, the matches among search's lhs homomorphisms into a host."""
-    merge_allowed = frozenset(rule.lhs.right)
-    for hom in search(rule.lhs.carrier, host.carrier, merge_allowed):
+def _convex_matches(rule: RewriteRule, host: Cospan) -> Iterator[Match]:
+    """enumerate_convex_matches' matches into a validated host, lazily."""
+    g, merge_allowed = host.carrier, frozenset(rule.lhs.right)
+    for hom in iter_homomorphisms(rule.lhs.carrier, g, merge_allowed):
         img_nodes = set(hom.node_map.values())
         img_edges = set(hom.edge_map.values())
-        if is_convex(host.carrier, img_nodes, img_edges):
+        if is_convex(g, img_nodes, img_edges):
             yield Match(rule, hom)
 
 
@@ -325,11 +322,11 @@ def apply_rewrite(
     return result
 
 
-def _results(rules: list[RewriteRule], host: Cospan, matches) -> Iterator:
-    """(rule, match, complement, result) for each complement of each of
-    matches(rule, host), rule by rule, built only when asked for."""
+def _results(rules: list[RewriteRule], host: Cospan) -> Iterator:
+    """(rule, match, complement, result) for each complement of each convex
+    match into a validated host, rule by rule, built only when asked for."""
     for rule in rules:
-        for match in matches(rule, host):
+        for match in _convex_matches(rule, host):
             try:
                 comps = boundary_complement(match, host)
             except DanglingEdge:
@@ -346,9 +343,7 @@ def iter_rewrites(
     is asked for, and the host is validated when iteration starts."""
     validate_right_monogamous_acyclic(host)
     seen: set[tuple] = set()
-    for rule, match, comp, result in _results(
-        rules, host, enumerate_convex_matches
-    ):
+    for rule, match, comp, result in _results(rules, host):
         key = cospan_key(result)
         if key not in seen:
             seen.add(key)
@@ -389,7 +384,7 @@ def normalize(
     if strategy == "leftmost":
         trace = [host]
         while True:
-            step = next(_results(rules, trace[-1], _convex_matches), None)
+            step = next(_results(rules, trace[-1]), None)
             if step is None:
                 return [trace[-1]]
             if len(trace) - 1 == max_steps:

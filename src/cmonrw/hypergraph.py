@@ -54,10 +54,15 @@ class Hypergraph:
                     raise UnknownNode(f"edge {eid} touches missing node {v}")
 
     @cached_property
-    def index(self) -> tuple["Incidence", dict[int, int] | None]:
-        """(incidence index, each edge's position in edge_topological_order
-        or None when cyclic), built once and shared by every later check."""
-        inc = incidence(self)
+    def index(self) -> "Incidence":
+        """The incidence index, built once and shared by every check."""
+        return incidence(self)
+
+    @cached_property
+    def ranks(self) -> dict[int, int] | None:
+        """Each edge's position in edge_topological_order, or None when
+        cyclic; built once, on first use, from the incidence index."""
+        inc = self.index
         # per edge, the producer target slots feeding it not yet ranked
         waiting = dict.fromkeys(self.edges, 0)
         for e in self.edges.values():
@@ -75,7 +80,7 @@ class Hypergraph:
                     waiting[f] -= 1
                     if waiting[f] == 0:
                         heapq.heappush(ready, f)
-        return inc, rank if len(rank) == len(self.edges) else None
+        return rank if len(rank) == len(self.edges) else None
 
     def restrict(self, sub: "SubHypergraph") -> "Hypergraph":
         """The sub-hypergraph as a standalone graph (ids preserved)."""
@@ -194,7 +199,7 @@ def terminal_nodes(g: Hypergraph) -> frozenset[int]:
 
 
 def _reach(g: Hypergraph, seeds, forward: bool, keep) -> set[int]:
-    ins, outs = g.index[0]
+    ins, outs = g.index
     via = outs if forward else ins
     seen = set(seeds)
     stack = list(seen)
@@ -217,14 +222,13 @@ def reachable(g: Hypergraph, seeds, *, forward: bool = True) -> set[int]:
 def edge_topological_order(g: Hypergraph) -> tuple[int, ...] | None:
     """Edges ordered so producers precede consumers, the smallest ready id
     first; None when impossible."""
-    rank = g.index[1]
-    return None if rank is None else tuple(rank)
+    return None if g.ranks is None else tuple(g.ranks)
 
 
 def is_acyclic(g: Hypergraph) -> bool:
     """True iff no directed path repeats a node: a node cycle is a cycle of
     edges each feeding the next, which no edge order can list."""
-    return g.index[1] is not None
+    return g.ranks is not None
 
 
 def is_convex(g: Hypergraph, nodes, edges) -> bool:
@@ -233,8 +237,8 @@ def is_convex(g: Hypergraph, nodes, edges) -> bool:
     path only uses edges between the first consumer and the last producer
     of a node in ``nodes``: both searches stay in that window, which holds
     every edge of a cyclic graph."""
-    (ins, outs), rank = g.index
-    rank = rank or dict.fromkeys(g.edges, 0)
+    ins, outs = g.index
+    rank = g.ranks or dict.fromkeys(g.edges, 0)
     lo = min((rank[e] for v in nodes for e, _ in outs[v]), default=len(rank))
     hi = max((rank[e] for v in nodes for e, _ in ins[v]), default=-1)
     fwd = _reach(g, nodes, True, lambda eid: rank[eid] <= hi)
@@ -277,7 +281,7 @@ def iter_homomorphisms(
     pids = sorted(pattern.edges)
     pedges = [pattern.edges[pid] for pid in pids]
     n_edges = len(pedges)
-    inc = host.index[0] if n_edges > 1 else None
+    inc = host.index if n_edges > 1 else None
     touched = {v for e in pedges for v in e.sources + e.targets}
     loose = [v for v in sorted(pattern.nodes) if v not in touched]
     host_nodes = sorted(host.nodes)
