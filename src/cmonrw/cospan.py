@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     Cyclic,
@@ -28,6 +28,9 @@ from .hypergraph import (
     is_acyclic,
     terminal_nodes,
 )
+
+if TYPE_CHECKING:
+    from .decompose import LevelFactorisation
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,14 @@ class Cospan:
     def right_monogamous(self) -> bool:
         """is_right_monogamous(self), worked out once for every reader."""
         return is_right_monogamous(self)
+
+    @cached_property
+    def levels(self) -> LevelFactorisation:
+        """decompose.peel_levels(self), worked out once for every reader:
+        factorise_into_levels and readback_term."""
+        from .decompose import peel_levels  # decompose imports this module
+
+        return peel_levels(self)
 
     @property
     def arity(self) -> int:
@@ -277,49 +288,77 @@ def cospan_order_key(c: Cospan) -> tuple:
     )
 
 
-def _forest_key(c: Cospan) -> tuple | None:
-    """An AHU certificate of c, or None when c is not a forest.
+def _structural_key(c: Cospan) -> tuple | None:
+    """A key of c from AHU certificates of its upstream cones, or None
+    when c is not right-monogamous, is cyclic or has a real tie.
 
-    When every edge has at most one target and c is right-monogamous,
-    every node has exactly one consumer and every edge at most one, so
-    the carrier is a forest if the roots reach every node. The roots are
+    In a right-monogamous cospan every node has exactly one consumer, an
+    edge source or a right position, so reading the carrier backward from
+    its roots reaches every node once unless it is cyclic. The roots are
     the right positions in order and the edges with no target, unordered.
-    A node's children are its producer edges, unordered, and it carries
-    its left positions; an edge's children are its sources, in order.
+    A node carries its left positions, and its producers (edge target
+    slots) are unordered; an edge's sources are ordered.
 
     Node shapes are numbered level by level from the leaves, each level's
-    distinct signatures in sorted order. A signature holds the node's left
-    positions and the sorted (label, source shape ids) of its producers,
-    so two cospans get the same table and roots iff they are isomorphic
-    as cospans: Aho, Hopcroft and Ullman's tree isomorphism."""
+    distinct signatures in sorted order: Aho, Hopcroft and Ullman's tree
+    certificates. A signature holds the node's left positions and the
+    sorted cones of its producers, a cone being an edge's label and
+    source shapes, plus the slot it is reached through when the edge has
+    several targets.
+
+    When every edge has at most one target the carrier is a forest, and
+    the table and root shapes are the key: equal iff c is isomorphic.
+    Otherwise an edge with several targets is shared by their cones, so
+    the key is c encoded under a numbering of nodes and edges in a
+    backward breadth-first walk from the roots, producers and target-less
+    edges taken in cone order, each edge numbered on its first visit.
+    Tied cones that hold no edge with several targets are disjoint
+    isomorphic trees, which an automorphism swaps, so their order leaves
+    the encoding unchanged. Any other tie gives None; whether one exists
+    depends on the shapes alone, so isomorphic cospans agree on it."""
     g = c.carrier
-    if any(len(e.targets) > 1 for e in g.edges.values()):
-        return None
     if not c.right_monogamous:
         return None
-    producers: dict[int, list[Edge]] = {v: [] for v in g.nodes}
-    free: list[Edge] = []
-    for e in g.edges.values():
-        (producers[e.targets[0]] if e.targets else free).append(e)
-    lefts: dict[int, list[int]] = {}
+    edges = g.edges
+    producers: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
+    free: list[int] = []
+    # per edge with several targets (and only those), its target slots
+    # not yet reached
+    waiting: dict[int, int] = {}
+    for eid, e in edges.items():
+        if len(e.targets) != 1:
+            if e.targets:
+                waiting[eid] = len(e.targets)
+            else:
+                free.append(eid)
+        for slot, t in enumerate(e.targets):
+            producers[t].append((eid, slot))
+    shared = bool(waiting)
+    lefts: dict[int, tuple[int, ...]] = {}
     for i, v in enumerate(c.left):
-        lefts.setdefault(v, []).append(i)
-    # consumers before producers; a node is pushed once, by its consumer
+        lefts[v] = lefts.get(v, ()) + (i,)
+    # consumers before producers: an edge once all its targets are, and a
+    # node once its one consumer is; no node on a cycle comes
     order: list[int] = []
-    stack = list(c.right) + [v for e in free for v in e.sources]
+    stack = [v for eid in free for v in edges[eid].sources]
+    stack += c.right
     while stack:
         v = stack.pop()
         order.append(v)
-        for e in producers[v]:
-            stack.extend(e.sources)
+        for eid, _ in producers[v]:
+            if eid in waiting:
+                waiting[eid] -= 1
+                if waiting[eid]:
+                    continue
+            stack.extend(edges[eid].sources)
     if len(order) != len(g.nodes):
-        return None  # the nodes left over lie on a cycle
+        return None
     height: dict[int, int] = {}
     levels: list[list[int]] = []
     for v in reversed(order):
         h = 0
-        for e in producers[v]:
-            for u in e.sources:
+        for eid, _ in producers[v]:
+            for u in edges[eid].sources:
                 if height[u] >= h:
                     h = height[u] + 1
         height[v] = h
@@ -329,13 +368,25 @@ def _forest_key(c: Cospan) -> tuple | None:
     shape: dict[int, int] = {}
     at = shape.__getitem__
 
-    def cones(es: list[Edge]) -> tuple:
-        found = [(e.label, tuple(map(at, e.sources))) for e in es]
-        return tuple(sorted(found) if len(found) > 1 else found)
+    def cone(eid: int, slot: int) -> tuple:
+        e = edges[eid]
+        if eid in waiting:
+            return e.label, tuple(map(at, e.sources)), slot
+        return e.label, tuple(map(at, e.sources))
+
+    def cones(pairs) -> tuple:
+        if len(pairs) == 1:
+            return (cone(*pairs[0]),)
+        return tuple(sorted([cone(eid, slot) for eid, slot in pairs]))
+
+    def in_cone_order(pairs) -> list[int]:
+        if len(pairs) < 2:
+            return [eid for eid, _ in pairs]
+        return [eid for _, eid in sorted((cone(*p), p[0]) for p in pairs)]
 
     table: list[tuple] = []
     for level in levels:
-        sigs = [(tuple(lefts.get(v, ())), cones(producers[v])) for v in level]
+        sigs = [(lefts.get(v, ()), cones(producers[v])) for v in level]
         if len(level) == 1:
             shape[level[0]] = len(table)
             table += sigs
@@ -345,11 +396,54 @@ def _forest_key(c: Cospan) -> tuple | None:
         table += distinct
         for v, sig in zip(level, sigs):
             shape[v] = rank[sig]
+    roots = cones([(eid, 0) for eid in free])
+    if not shared:
+        return ("forest", tuple(table), tuple(map(at, c.right)), roots)
+    # the shapes whose cone holds an edge with several targets: some
+    # producer cone has a slot, or a source of such a shape
+    deep: set[int] = set()
+    for s, (_, ks) in enumerate(table):
+        if len(set(ks)) < len(ks) and _tied(ks, deep):
+            return None
+        for k in ks:
+            if len(k) > 2 or not deep.isdisjoint(k[1]):
+                deep.add(s)
+                break
+    if len(set(roots)) < len(roots) and _tied(roots, deep):
+        return None
+    # nodes in the order they are numbered: the right positions, the
+    # sources of the target-less edges in cone order, then, for each node
+    # in turn, the sources of each producer numbered there, in cone order
+    nodes = list(c.right)
+    edge_no: dict[int, int] = {}
+    for eid in in_cone_order([(eid, 0) for eid in free]):
+        edge_no[eid] = len(edge_no)
+        nodes += edges[eid].sources
+    for v in nodes:
+        for eid in in_cone_order(producers[v]):
+            if eid not in edge_no:
+                edge_no[eid] = len(edge_no)
+                nodes += edges[eid].sources
+    node_no = {v: i for i, v in enumerate(nodes)}
+    num = node_no.__getitem__
     return (
-        "forest",
-        tuple(table),
-        tuple(map(shape.__getitem__, c.right)),
-        cones(free),
+        "shared",
+        len(nodes),
+        tuple(map(num, c.left)),
+        tuple(map(num, c.right)),
+        tuple(
+            (e.label, tuple(map(num, e.sources)), tuple(map(num, e.targets)))
+            for e in map(edges.__getitem__, edge_no)
+        ),
+    )
+
+
+def _tied(ks, deep: set[int]) -> bool:
+    """Two equal cones in sorted ks that hold an edge with several
+    targets: a slot, or a source shape in deep."""
+    return any(
+        a == b and (len(a) > 2 or not deep.isdisjoint(a[1]))
+        for a, b in zip(ks, ks[1:])
     )
 
 
@@ -359,7 +453,7 @@ def cospan_key(c: Cospan) -> tuple:
 
     Its values may change between versions and their order means
     nothing; sorts whose order reaches output use cospan_order_key."""
-    return _forest_key(c) or ("graph",) + cospan_order_key(c)
+    return _structural_key(c) or ("graph",) + cospan_order_key(c)
 
 
 def iso_equal(a: Cospan, b: Cospan) -> bool:

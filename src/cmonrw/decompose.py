@@ -8,6 +8,7 @@ slice, full factorisation into levels, and term readback.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -626,7 +627,14 @@ class LevelFactorisation:
 
 
 def factorise_into_levels(g: Cospan) -> LevelFactorisation:
-    """Stratify a cospan into levels of increasing merge depth."""
+    """Stratify a cospan into levels of increasing merge depth: g.levels,
+    worked out once per cospan, so readback_term(g) after this call reads
+    the same factorisation."""
+    return g.levels
+
+
+def peel_levels(g: Cospan) -> LevelFactorisation:
+    """factorise_into_levels, worked out afresh: one _peel per level."""
     orders = node_orders(g)
     n = len(g.right)
     sorted_pos = sorted(range(n), key=lambda p: (orders[g.right[p]], p))
@@ -659,9 +667,9 @@ def recompose_levels(lf: LevelFactorisation) -> Cospan:
 
 
 def _par2(a: Term, b: Term) -> Term:
-    if a == Id(0):
+    if a.__class__ is Id and not a.n:
         return b
-    if b == Id(0):
+    if b.__class__ is Id and not b.n:
         return a
     return Par(a, b)
 
@@ -674,12 +682,22 @@ def _seq2(a: Term, b: Term) -> Term:
     return Seq(a, b)
 
 
-def _swap_layer(width: int, pos: int) -> Term:
-    return _par2(_par2(Id(pos), Sym(1, 1)), Id(width - pos - 2))
+class _SwapLayers(dict):
+    """Swap layers by (width, position), each built on first use. One
+    table serves one readback: terms are immutable, so its slices and
+    permutations share their layers, and the table goes with the term."""
+
+    def __missing__(self, key: tuple[int, int]) -> Term:
+        width, pos = key
+        layer = _par2(_par2(Id(pos), Sym(1, 1)), Id(width - pos - 2))
+        self[key] = layer
+        return layer
 
 
-def perm_term(perm: FinFunction) -> Term:
-    """A generator-free term denoting the given permutation."""
+def perm_term(perm: FinFunction, swaps: _SwapLayers | None = None) -> Term:
+    """A generator-free term denoting the given permutation, its swap
+    layers taken from swaps when given."""
+    swaps = _SwapLayers() if swaps is None else swaps
     n = perm.dom
     if perm.cod != n or len(set(perm.table)) != n:
         raise PartitionMismatch("not a permutation")
@@ -691,7 +709,7 @@ def perm_term(perm: FinFunction) -> Term:
     for pos in range(n - 1, -1, -1):
         idx = occupants.index(inverse[pos])
         while idx < pos:
-            layers.append(_swap_layer(n, idx))
+            layers.append(swaps[n, idx])
             occupants[idx], occupants[idx + 1] = (
                 occupants[idx + 1],
                 occupants[idx],
@@ -714,13 +732,16 @@ def _merge_tree(count: int) -> Term:
     return tree
 
 
-def fn_to_cmon_term(f: FinFunction) -> Term:
-    """A generator-free term denoting the given function."""
+def fn_to_cmon_term(
+    f: FinFunction, swaps: _SwapLayers | None = None
+) -> Term:
+    """A generator-free term denoting the given function, its swap layers
+    taken from swaps when given."""
     order = sorted(range(f.dom), key=lambda i: (f.table[i], i))
     rank = [0] * f.dom
     for r, i in enumerate(order):
         rank[i] = r
-    sorter = perm_term(FinFunction(f.dom, f.dom, tuple(rank)))
+    sorter = perm_term(FinFunction(f.dom, f.dom, tuple(rank)), swaps)
     fibers = [0] * f.cod
     for j in f.table:
         fibers[j] += 1
@@ -730,27 +751,36 @@ def fn_to_cmon_term(f: FinFunction) -> Term:
     return _seq2(sorter, blocks)
 
 
-def _monogamous_readback(m: Cospan, sig: Signature) -> Term:
+def _monogamous_readback(
+    m: Cospan, sig: Signature, swaps: _SwapLayers
+) -> Term:
+    """The slice m as layers: each edge, least id first among those whose
+    sources are all on the wires, after bubbling its sources to the front,
+    then the wires bubbled into m.right's order."""
     if not is_monogamous(m):
         raise NotRightMonogamous("level slice is not monogamous")
+    edges = m.carrier.edges
+    ins, outs = m.carrier.index
     wires = list(m.left)
-    remaining = set(m.carrier.edges)
     layers: list[Term] = []
 
     def bubble_to(node: int, target_pos: int) -> None:
         idx = wires.index(node)
         while idx > target_pos:
-            layers.append(_swap_layer(len(wires), idx - 1))
+            layers.append(swaps[len(wires), idx - 1])
             wires[idx - 1], wires[idx] = wires[idx], wires[idx - 1]
             idx -= 1
 
-    while remaining:
-        eid = next(
-            eid
-            for eid in sorted(remaining)
-            if all(s in wires for s in m.carrier.edges[eid].sources)
-        )
-        e = m.carrier.edges[eid]
+    # m is monogamous: a node not in m.left has one producer, and comes
+    # onto the wires when that producer is placed
+    missing = {
+        eid: sum(1 for s in e.sources if ins[s]) for eid, e in edges.items()
+    }
+    ready = [eid for eid, n in missing.items() if not n]
+    heapq.heapify(ready)
+    while ready:
+        eid = heapq.heappop(ready)
+        e = edges[eid]
         if e.label not in sig:
             raise UnknownGenerator(f"generator '{e.label}' not declared")
         for i, s in enumerate(e.sources):
@@ -759,7 +789,11 @@ def _monogamous_readback(m: Cospan, sig: Signature) -> Term:
         layers.append(_par2(Gen(e.label, a, b), Id(len(wires) - a)))
         wires[:a] = []
         wires[:0] = list(e.targets)
-        remaining.discard(eid)
+        for t in e.targets:
+            for consumer, _ in outs[t]:
+                missing[consumer] -= 1
+                if not missing[consumer]:
+                    heapq.heappush(ready, consumer)
     for i, v in enumerate(m.right):
         bubble_to(v, i)
     term: Term = Id(len(m.left))
@@ -769,14 +803,16 @@ def _monogamous_readback(m: Cospan, sig: Signature) -> Term:
 
 
 def readback_term(g: Cospan, sig: Signature) -> Term:
-    """A term that evaluates back to g up to isomorphism."""
+    """A term that evaluates back to g up to isomorphism, read from g's
+    level factorisation (the one factorise_into_levels(g) returns)."""
     lf = factorise_into_levels(g)
+    swaps = _SwapLayers()
     term: Term = Id(0)
     for f in reversed(lf.factors):
-        d_term = fn_to_cmon_term(cospan_to_function(f.merges))
+        d_term = fn_to_cmon_term(cospan_to_function(f.merges), swaps)
         inner = _seq2(d_term, term)
         term = _seq2(
-            _monogamous_readback(f.slice, sig),
+            _monogamous_readback(f.slice, sig, swaps),
             _par2(Id(f.passthrough), inner),
         )
-    return _seq2(term, perm_term(lf.perm))
+    return _seq2(term, perm_term(lf.perm, swaps))

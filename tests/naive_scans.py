@@ -1,6 +1,8 @@
 """Edge scans that the incidence index replaced, kept as the reference the
 index is tested against. Every call scans all edges, even when it asks
-about one node, and bridging_edges searches the whole graph."""
+about one node, and bridging_edges searches the whole graph. The level
+factorisation and the readback that the one-pass versions replaced
+follow."""
 
 from __future__ import annotations
 
@@ -10,17 +12,22 @@ from cmonrw.cospan import (
     Connection,
     Cospan,
     FinFunction,
+    cospan_to_function,
     edge_conn,
     iface_conn,
+    is_monogamous,
 )
 from cmonrw.decompose import (
     LevelFactor,
     LevelFactorisation,
+    fn_to_cmon_term,
     level0_decompose,
     node_orders,
+    perm_term,
 )
-from cmonrw.errors import UnknownNode
+from cmonrw.errors import NotRightMonogamous, UnknownGenerator, UnknownNode
 from cmonrw.hypergraph import Edge, Hypergraph
+from cmonrw.sigterm import Gen, Id, Par, Seq, Signature, Sym, Term
 
 
 def in_degree(g: Hypergraph, v: int) -> int:
@@ -162,3 +169,82 @@ def factorise_into_levels(g: Cospan) -> LevelFactorisation:
         if not cur.carrier.nodes:
             return LevelFactorisation(tuple(factors), perm)
     raise RuntimeError("level factorisation did not terminate")
+
+
+# The slice readback that re-sorted the edges left for every edge it
+# placed, with a fresh swap layer per swap.
+
+
+def _par2(a: Term, b: Term) -> Term:
+    if a == Id(0):
+        return b
+    if b == Id(0):
+        return a
+    return Par(a, b)
+
+
+def _seq2(a: Term, b: Term) -> Term:
+    if isinstance(a, Id):
+        return b
+    if isinstance(b, Id):
+        return a
+    return Seq(a, b)
+
+
+def _swap_layer(width: int, pos: int) -> Term:
+    return _par2(_par2(Id(pos), Sym(1, 1)), Id(width - pos - 2))
+
+
+def monogamous_readback(m: Cospan, sig: Signature) -> Term:
+    """Each edge placed is the least id left whose sources are all on the
+    wires, found by scanning the sorted remaining ids."""
+    if not is_monogamous(m):
+        raise NotRightMonogamous("level slice is not monogamous")
+    wires = list(m.left)
+    remaining = set(m.carrier.edges)
+    layers: list[Term] = []
+
+    def bubble_to(node: int, target_pos: int) -> None:
+        idx = wires.index(node)
+        while idx > target_pos:
+            layers.append(_swap_layer(len(wires), idx - 1))
+            wires[idx - 1], wires[idx] = wires[idx], wires[idx - 1]
+            idx -= 1
+
+    while remaining:
+        eid = next(
+            eid
+            for eid in sorted(remaining)
+            if all(s in wires for s in m.carrier.edges[eid].sources)
+        )
+        e = m.carrier.edges[eid]
+        if e.label not in sig:
+            raise UnknownGenerator(f"generator '{e.label}' not declared")
+        for i, s in enumerate(e.sources):
+            bubble_to(s, i)
+        a, b = len(e.sources), len(e.targets)
+        layers.append(_par2(Gen(e.label, a, b), Id(len(wires) - a)))
+        wires[:a] = []
+        wires[:0] = list(e.targets)
+        remaining.discard(eid)
+    for i, v in enumerate(m.right):
+        bubble_to(v, i)
+    term: Term = Id(len(m.left))
+    for layer in layers:
+        term = _seq2(term, layer)
+    return term
+
+
+def readback_term(g: Cospan, sig: Signature) -> Term:
+    """decompose.readback_term over a fresh per-level factorisation, with
+    the re-sorting slice readback."""
+    lf = factorise_into_levels(g)
+    term: Term = Id(0)
+    for f in reversed(lf.factors):
+        d_term = fn_to_cmon_term(cospan_to_function(f.merges))
+        inner = _seq2(d_term, term)
+        term = _seq2(
+            monogamous_readback(f.slice, sig),
+            _par2(Id(f.passthrough), inner),
+        )
+    return _seq2(term, perm_term(lf.perm))

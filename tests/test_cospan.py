@@ -37,7 +37,7 @@ from cmonrw.cospan import (
 )
 from cmonrw.decompose import in_connections
 from cmonrw.errors import InterfaceMismatch, NotDiscrete, UnknownNode
-from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic
+from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic, terminal_nodes
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_scans
@@ -413,7 +413,8 @@ def test_key_partition_on_explicit_forest_shapes(case):
     assert len(partition(corpus, cospan_key)) == len(FOREST_CASES[case])
 
 
-FALLBACK_CASES = {
+# shapes with edges of several targets, each with near misses
+SHARED_CASES = {
     "multi-target edge": [
         eval_term(parse_term("c ; b", SIG3), SIG3),
         eval_term(parse_term("c ; sym_1_1 ; b", SIG3), SIG3),
@@ -423,6 +424,23 @@ FALLBACK_CASES = {
         _cospan([0, 1, 2], [("c", (0,), (1, 2))], (0,), (1, 2)),
         _cospan([0, 1, 2], [("c", (0,), (1, 1))], (0,), (1, 2)),
     ],
+}
+
+
+def is_structurally_keyed(c: Cospan) -> bool:
+    return cospan_key(c)[0] != "graph"
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_key_partition_on_explicit_shared_shapes(case):
+    rng = random.Random(case)
+    corpus = with_copies(rng, SHARED_CASES[case])
+    assert all(map(is_structurally_keyed, corpus))
+    assert not any(map(is_forest_keyed, corpus))
+    assert_same_partition(corpus)
+
+
+FALLBACK_CASES = {
     "not right-monogamous": [
         _cospan([0, 1], [("f", (0,), (1,))], (0,), (1, 1)),
         _cospan([0, 1], [("f", (0,), (1,))], (0,), (0, 1)),
@@ -455,6 +473,117 @@ def test_key_falls_back_outside_forests(case):
     assert_same_partition(corpus)
 
 
+# Two producers of a node, or two target-less edges, with equal cones that
+# hold an edge of several targets are a real tie: the key falls back.
+SIG_CBK = parse_signature(
+    "gen c : 1 -> 2\ngen b : 2 -> 1\ngen a : 1 -> 1\n"
+)
+TWO_SPLITS = "((eta ; c) + (eta ; c)) ; "
+
+
+def ev_cbk(text: str) -> Cospan:
+    return eval_term(parse_term(text, SIG_CBK), SIG_CBK)
+
+
+TIE_CASES = [
+    # crosswise: each merge takes one slot of both splits, a real tie
+    (ev_cbk(TWO_SPLITS + "(id_1 + sym_1_1 + id_1) ; (mu + mu)"), False),
+    # pairwise: each merge takes slot 0 of one split and slot 1 of the other
+    (ev_cbk(TWO_SPLITS + "(id_1 + sym_2_1) ; (mu + mu)"), True),
+    # the same two, built by hand
+    (_cospan(range(4), [("c", (0,), (2, 3)), ("c", (1,), (2, 3))], (), (2, 3)),
+     False),
+    (_cospan(range(4), [("c", (0,), (2, 3)), ("c", (1,), (3, 2))], (), (2, 3)),
+     True),
+    # target-less edges: both read both slots of one split each, or cross
+    (_cospan(
+        range(6),
+        [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
+         ("b2k", (2, 3), ()), ("b2k", (4, 5), ())],
+        (), (),
+    ), False),
+    (_cospan(
+        range(6),
+        [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
+         ("b2k", (2, 5), ()), ("b2k", (4, 3), ())],
+        (), (),
+    ), False),
+    # left positions tell the two splits apart, so nothing ties; the two
+    # are isomorphic
+    (_cospan(
+        range(6),
+        [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
+         ("b2k", (2, 5), ()), ("b2k", (4, 3), ())],
+        (0, 1), (),
+    ), True),
+    (_cospan(
+        range(6),
+        [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
+         ("b2k", (2, 5), ()), ("b2k", (4, 3), ())],
+        (1, 0), (),
+    ), True),
+    # three splits merged in a ring: every merge has one slot 0 and one
+    # slot 1, so all three look alike, yet the one on the output is fixed,
+    # and the other two, tied two edges further down, cannot be swapped
+    (_cospan(
+        range(9),
+        [("c", (0,), (3, 5)), ("c", (1,), (4, 3)), ("c", (2,), (5, 4)),
+         ("a", (3,), (6,)), ("a", (4,), (7,)),
+         ("a", (6,), (8,)), ("a", (7,), (8,))],
+        (), (8, 5),
+    ), False),
+    # equal tree cones beside a shared edge are swapped by an automorphism
+    (ev_cbk("((eta ; a) + (eta ; a) + (eta ; c)) ; (mu + mu) ; b ; c"), True),
+]
+
+
+def test_key_falls_back_on_real_ties_only():
+    rng = random.Random(7)
+    cospans = [c for c, _ in TIE_CASES]
+    for c, structural in TIE_CASES:
+        assert is_structurally_keyed(c) == structural
+    crosswise, pairwise = cospans[:2]
+    assert cospan_key(crosswise) != cospan_key(pairwise)
+    assert_same_partition(with_copies(rng, cospans, copies=3))
+
+
+SHARED_LABELS = (("c", 1, 2), ("c", 1, 2), ("b", 2, 1), ("k", 1, 0))
+
+
+def random_shared_cospan(rng: random.Random, max_nodes: int) -> Cospan:
+    """A random right-monogamous acyclic cospan over c : 1 -> 2,
+    b : 2 -> 1 and k : 1 -> 0, edges directed id-upward; an edge may
+    target one node twice and several edges one node."""
+    n = rng.randint(1, max_nodes)
+    unused = set(range(n))
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        label, m, k = rng.choice(SHARED_LABELS)
+        top = rng.randrange(n + 1) if k else n
+        pool = sorted(v for v in unused if v < top)
+        if len(pool) < m or (k and top == n):
+            continue
+        sources = tuple(rng.sample(pool, m))
+        targets = tuple(rng.choice(range(top, n)) for _ in range(k))
+        unused.difference_update(sources)
+        edges.append((label, sources, targets))
+    c = _cospan(range(n), edges, (), ())
+    right = sorted(terminal_nodes(c.carrier))
+    rng.shuffle(right)
+    left = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+    c = Cospan(c.carrier, left, tuple(right))
+    assert is_right_monogamous(c) and is_acyclic(c.carrier)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_key_partition_on_random_shared_cospans(seed):
+    rng = random.Random(seed)
+    base = [random_shared_cospan(rng, rng.randint(2, 8)) for _ in range(40)]
+    assert_same_partition(with_copies(rng, base))
+
+
 # --------------------------------------------------- deep and wide structures
 
 
@@ -475,6 +604,13 @@ def test_keys_of_3000_factor_chains_compare_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c and b != c
     assert len({a, b, c}) == 2
+    assert best_of(3, lambda: cospan_key(chain)) < 0.1
+
+
+def test_key_of_a_1000_edge_split_and_merge_chain_within_budget():
+    chain = eval_term(parse_term(" ; ".join(["c ; b"] * 500), SIG3), SIG3)
+    assert len(chain.carrier.edges) == 1000
+    assert is_structurally_keyed(chain)
     assert best_of(3, lambda: cospan_key(chain)) < 0.1
 
 

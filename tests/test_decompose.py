@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -413,3 +414,57 @@ def test_factorisation_validates_and_orders_once(monkeypatch):
             "validate_right_monogamous_acyclic": 1,
             "node_orders": 1,
         }
+
+
+SIG_PQRS = parse_signature(
+    "gen p : 1 -> 1\ngen q : 2 -> 1\ngen r : 1 -> 2\ngen s : 0 -> 1\n"
+)
+
+
+def test_readback_matches_the_re_sorting_reference():
+    rng = random.Random(2025)
+    cases = [(merge_fixture(), SIG_AB)]
+    cases += [
+        (eval_term(parse_term(src, SIG_AB), SIG_AB), SIG_AB)
+        for src in READBACK_CASES
+    ]
+    cases += [(random_rm_cospan(rng), SIG_PQRS) for _ in range(300)]
+    for c, sig in cases:
+        assert readback_term(c, sig) == naive_scans.readback_term(c, sig)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_readback_of_random_terms_matches_the_re_sorting_reference(seed):
+    rng = random.Random(seed)
+    c = eval_term(random_term(rng, SIG3), SIG3)
+    assert readback_term(c, SIG3) == naive_scans.readback_term(c, SIG3)
+
+
+def test_readback_reuses_the_factorisation(monkeypatch):
+    calls = Counter()
+    real = decompose.peel_levels
+
+    def counted(g):
+        calls["peel_levels"] += 1
+        return real(g)
+
+    monkeypatch.setattr(decompose, "peel_levels", counted)
+    c = eval_term(parse_term("((g ; mu) + a) ; f ; g ; mu", SIG_AB), SIG_AB)
+    lf = factorise_into_levels(c)
+    back = readback_term(c, SIG_AB)
+    assert factorise_into_levels(c) is lf
+    assert calls["peel_levels"] == 1
+    assert back == naive_scans.readback_term(c, SIG_AB)
+    assert iso_equal(eval_term(back, SIG_AB), c)
+
+
+def test_readback_of_an_8000_factor_chain_is_one_slice_in_linear_time():
+    sig = parse_signature("gen f : 1 -> 1\n")
+    c = eval_term(parse_term(" ; ".join(["f"] * 8000), sig), sig)
+    lf = factorise_into_levels(c)
+    assert len(lf.factors[0].slice.carrier.edges) == 8000
+    t0 = time.perf_counter()
+    back = readback_term(c, sig)
+    assert time.perf_counter() - t0 < 0.5
+    assert back.size == 2 * 8000 - 1

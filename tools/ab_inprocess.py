@@ -5,7 +5,9 @@ one workload's requests (as `perfbench/workloads.py` builds them for the
 seed), alternating which checkout goes first in each pair. A pass answers
 every request the way the benchmark's worker does: `dpo-rewrite` and
 `oracle-compare` through `cli.run` with `--format structured`,
-`equiv-readback` by the worker's library calls. Prints each pair's times,
+`equiv-readback` by the worker's library calls on a signature parsed once
+per checkout. As in the worker, only answering is timed: readback terms
+are printed after the clock stops. Prints each pair's times,
 the median ratio change/base, how many pairs the change won, and whether
 the two checkouts' answers were byte-identical.
 
@@ -54,19 +56,20 @@ def load(root: str) -> dict:
     return mods
 
 
-def answer(mods: dict, request: dict, files: dict, sig_text: str) -> str:
-    """The checkout's answer to one request, as text."""
+def answer(mods: dict, request: dict, files: dict, sig) -> tuple:
+    """The checkout's answer to one request, as the benchmark's worker
+    times it: the equality verdict and the readback term, or the exit
+    code, stdout and stderr of the CLI. sig is the checkout's parsed
+    signature of the workload."""
     if "args" not in request:  # equiv-readback: library calls
         sigterm, translate = mods["sigterm"], mods["translate"]
         cospan, decompose = mods["cospan"], mods["decompose"]
-        sig = sigterm.parse_signature(sig_text)
         ct = translate.eval_term(sigterm.parse_term(request["t"], sig), sig)
         cu = translate.eval_term(sigterm.parse_term(request["u"], sig), sig)
         key = cospan.cospan_key(ct)
         equal = key == cospan.cospan_key(cu)
         decompose.factorise_into_levels(ct)
-        back = decompose.readback_term(ct, sig)
-        return json.dumps([equal, sigterm.pretty_print(back)])
+        return equal, decompose.readback_term(ct, sig)
     argv = list(request["args"])
     i = argv.index("--rules") + 1
     argv[i] = files["rules"][argv[i]]
@@ -74,13 +77,24 @@ def answer(mods: dict, request: dict, files: dict, sig_text: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = mods["cli"].run(argv)
-    return json.dumps([code, out.getvalue(), err.getvalue()])
+    return code, out.getvalue(), err.getvalue()
 
 
-def one_pass(mods, batch, files, sig_text) -> tuple[float, list[str]]:
+def as_text(mods: dict, result: tuple) -> str:
+    """An answer as text, the readback term printed."""
+    if len(result) == 2:
+        equal, back = result
+        return json.dumps([equal, mods["sigterm"].pretty_print(back)])
+    return json.dumps(list(result))
+
+
+def one_pass(mods, batch, files, sig) -> tuple[float, list[str]]:
+    """The time to answer every request of batch, then the answers as
+    text, printed after the clock stops."""
     t0 = time.perf_counter()
-    answers = [answer(mods, r, files, sig_text) for r in batch]
-    return time.perf_counter() - t0, answers
+    results = [answer(mods, r, files, sig) for r in batch]
+    elapsed = time.perf_counter() - t0
+    return elapsed, [as_text(mods, r) for r in results]
 
 
 def main() -> int:
@@ -106,18 +120,22 @@ def main() -> int:
     sides = {"base": load(args.base), "change": load(args.change)}
     batch = workloads.requests(args.workload, args.seed)
     sig_text = workloads.SIGNATURES[args.workload]
+    sigs = {
+        name: mods["sigterm"].parse_signature(sig_text)
+        for name, mods in sides.items()
+    }
     with tempfile.TemporaryDirectory() as tmp:
         files = output_digest.write_files(tmp, args.workload, workloads)
         warm = workloads.warmup(args.workload)
         answers = {}
         for name, mods in sides.items():
-            one_pass(mods, warm, files, sig_text)
-            answers[name] = one_pass(mods, batch, files, sig_text)[1]
+            one_pass(mods, warm, files, sigs[name])
+            answers[name] = one_pass(mods, batch, files, sigs[name])[1]
         ratios, wins = [], 0
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             t = {
-                name: one_pass(sides[name], batch, files, sig_text)[0]
+                name: one_pass(sides[name], batch, files, sigs[name])[0]
                 for name in order
             }
             ratios.append(t["change"] / t["base"])
