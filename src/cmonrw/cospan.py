@@ -320,19 +320,23 @@ def _structural_key(c: Cospan) -> tuple | None:
     if not c.right_monogamous:
         return None
     edges = g.edges
-    producers: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
+    # each node's producer edges, an edge once however many of its target
+    # slots hold the node
+    producers: dict[int, list[int]] = {v: [] for v in g.nodes}
     free: list[int] = []
-    # per edge with several targets (and only those), its target slots
+    # per edge with several targets (and only those), its target nodes
     # not yet reached
     waiting: dict[int, int] = {}
     for eid, e in edges.items():
-        if len(e.targets) != 1:
-            if e.targets:
-                waiting[eid] = len(e.targets)
-            else:
-                free.append(eid)
-        for slot, t in enumerate(e.targets):
-            producers[t].append((eid, slot))
+        if len(e.targets) == 1:
+            producers[e.targets[0]].append(eid)
+        elif e.targets:
+            ts = set(e.targets)
+            waiting[eid] = len(ts)
+            for t in ts:
+                producers[t].append(eid)
+        else:
+            free.append(eid)
     shared = bool(waiting)
     lefts: dict[int, tuple[int, ...]] = {}
     for i, v in enumerate(c.left):
@@ -345,7 +349,7 @@ def _structural_key(c: Cospan) -> tuple | None:
     while stack:
         v = stack.pop()
         order.append(v)
-        for eid, _ in producers[v]:
+        for eid in producers[v]:
             if eid in waiting:
                 waiting[eid] -= 1
                 if waiting[eid]:
@@ -357,7 +361,7 @@ def _structural_key(c: Cospan) -> tuple | None:
     levels: list[list[int]] = []
     for v in reversed(order):
         h = 0
-        for eid, _ in producers[v]:
+        for eid in producers[v]:
             for u in edges[eid].sources:
                 if height[u] >= h:
                     h = height[u] + 1
@@ -368,25 +372,31 @@ def _structural_key(c: Cospan) -> tuple | None:
     shape: dict[int, int] = {}
     at = shape.__getitem__
 
-    def cone(eid: int, slot: int) -> tuple:
-        e = edges[eid]
-        if eid in waiting:
-            return e.label, tuple(map(at, e.sources)), slot
-        return e.label, tuple(map(at, e.sources))
+    def cones(eids: list[int], v: int | None = None) -> tuple:
+        """The cones of edges eids at node v (None for target-less ones),
+        one per target slot holding v, sorted."""
+        found = []
+        for eid in eids:
+            e = edges[eid]
+            k = (e.label, tuple(map(at, e.sources)))
+            if eid in waiting:
+                found += [k + (i,) for i, t in enumerate(e.targets) if t == v]
+            else:
+                found.append(k)
+        if len(found) > 1:
+            found.sort()
+        return tuple(found)
 
-    def cones(pairs) -> tuple:
-        if len(pairs) == 1:
-            return (cone(*pairs[0]),)
-        return tuple(sorted([cone(eid, slot) for eid, slot in pairs]))
-
-    def in_cone_order(pairs) -> list[int]:
-        if len(pairs) < 2:
-            return [eid for eid, _ in pairs]
-        return [eid for _, eid in sorted((cone(*p), p[0]) for p in pairs)]
+    def in_cone_order(eids: list[int], v: int | None = None) -> list[int]:
+        """eids by their least cone at v."""
+        if len(eids) < 2:
+            return eids
+        keyed = sorted((cones([eid], v), eid) for eid in eids)
+        return [eid for _, eid in keyed]
 
     table: list[tuple] = []
     for level in levels:
-        sigs = [(lefts.get(v, ()), cones(producers[v])) for v in level]
+        sigs = [(lefts.get(v, ()), cones(producers[v], v)) for v in level]
         if len(level) == 1:
             shape[level[0]] = len(table)
             table += sigs
@@ -396,7 +406,7 @@ def _structural_key(c: Cospan) -> tuple | None:
         table += distinct
         for v, sig in zip(level, sigs):
             shape[v] = rank[sig]
-    roots = cones([(eid, 0) for eid in free])
+    roots = cones(free)
     if not shared:
         return ("forest", tuple(table), tuple(map(at, c.right)), roots)
     # the shapes whose cone holds an edge with several targets: some
@@ -416,11 +426,11 @@ def _structural_key(c: Cospan) -> tuple | None:
     # in turn, the sources of each producer numbered there, in cone order
     nodes = list(c.right)
     edge_no: dict[int, int] = {}
-    for eid in in_cone_order([(eid, 0) for eid in free]):
+    for eid in in_cone_order(free):
         edge_no[eid] = len(edge_no)
         nodes += edges[eid].sources
     for v in nodes:
-        for eid in in_cone_order(producers[v]):
+        for eid in in_cone_order(producers[v], v):
             if eid not in edge_no:
                 edge_no[eid] = len(edge_no)
                 nodes += edges[eid].sources
