@@ -293,9 +293,11 @@ def test_connection_tuple_keeps_the_dataclass_hash_order_and_repr():
 
 
 # ------------------------------------------ cospan_key against the order key
-# cospan_key takes an AHU tree certificate on forests and the canonical form
-# elsewhere; cospan_order_key is the canonical form alone. Both decide
-# isomorphism, so they must induce the same partition of any corpus.
+# cospan_key takes an AHU tree certificate on forests, the cospan written
+# out in certificate order on other right-monogamous acyclic cospans without
+# a real tie, and the canonical form elsewhere; cospan_order_key is the
+# canonical form alone. Both decide isomorphism, so they must induce the
+# same partition of any corpus.
 
 SIG_FGHS = parse_signature(
     "gen f : 1 -> 1\ngen g : 1 -> 1\ngen h : 2 -> 1\ngen s : 0 -> 1\n"
@@ -495,17 +497,18 @@ TIE_CASES = [
      False),
     (_cospan(range(4), [("c", (0,), (2, 3)), ("c", (1,), (3, 2))], (), (2, 3)),
      True),
-    # target-less edges: both read both slots of one split each, or cross
+    # target-less edges d : 2 -> 0: each reads both slots of one split, or
+    # the two cross
     (_cospan(
         range(6),
         [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
-         ("b2k", (2, 3), ()), ("b2k", (4, 5), ())],
+         ("d", (2, 3), ()), ("d", (4, 5), ())],
         (), (),
     ), False),
     (_cospan(
         range(6),
         [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
-         ("b2k", (2, 5), ()), ("b2k", (4, 3), ())],
+         ("d", (2, 5), ()), ("d", (4, 3), ())],
         (), (),
     ), False),
     # left positions tell the two splits apart, so nothing ties; the two
@@ -513,13 +516,13 @@ TIE_CASES = [
     (_cospan(
         range(6),
         [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
-         ("b2k", (2, 5), ()), ("b2k", (4, 3), ())],
+         ("d", (2, 5), ()), ("d", (4, 3), ())],
         (0, 1), (),
     ), True),
     (_cospan(
         range(6),
         [("c", (0,), (2, 3)), ("c", (1,), (4, 5)),
-         ("b2k", (2, 5), ()), ("b2k", (4, 3), ())],
+         ("d", (2, 5), ()), ("d", (4, 3), ())],
         (1, 0), (),
     ), True),
     # three splits merged in a ring: every merge has one slot 0 and one
