@@ -205,26 +205,13 @@ def compose(a: Cospan, b: Cospan) -> Cospan:
 
 
 def tensor(a: Cospan, b: Cospan) -> Cospan:
-    """Place b beside a, disjointly."""
-    shift = (max(a.carrier.nodes) + 1) if a.carrier.nodes else 0
-    nodes = frozenset(a.carrier.nodes) | frozenset(
-        v + shift for v in b.carrier.nodes
-    )
-    edges: dict[int, Edge] = {}
-    for eid in sorted(a.carrier.edges):
-        edges[len(edges)] = a.carrier.edges[eid]
-    for eid in sorted(b.carrier.edges):
-        e = b.carrier.edges[eid]
-        edges[len(edges)] = Edge(
-            e.label,
-            tuple(v + shift for v in e.sources),
-            tuple(v + shift for v in e.targets),
-        )
-    g = Hypergraph(nodes, edges)
+    """Place b beside a, disjointly: the pushout that glues nothing."""
+    g, ra, rb = pushout(a.carrier, b.carrier, ())
+    ra, rb = ra.__getitem__, rb.__getitem__
     return Cospan(
         g,
-        a.left + tuple(v + shift for v in b.left),
-        a.right + tuple(v + shift for v in b.right),
+        (*map(ra, a.left), *map(rb, b.left)),
+        (*map(ra, a.right), *map(rb, b.right)),
     )
 
 

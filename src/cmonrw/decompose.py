@@ -40,6 +40,7 @@ from .errors import (
     NotRightMonogamous,
     NotTerminal,
     PartitionMismatch,
+    TypeMismatch,
     UnknownGenerator,
 )
 from .hypergraph import (
@@ -683,9 +684,10 @@ def _seq2(a: Term, b: Term) -> Term:
 
 
 class _SwapLayers(dict):
-    """Swap layers by (width, position), each built on first use. One
-    table serves one readback: terms are immutable, so its slices and
-    permutations share their layers, and the table goes with the term."""
+    """Swap layers by (width, position), each built on first use.
+    readback_term keeps one table for all its slices, perm_term one per
+    call: terms are immutable, so the terms built from a table share its
+    layers, and the table goes with them."""
 
     def __missing__(self, key: tuple[int, int]) -> Term:
         width, pos = key
@@ -694,10 +696,9 @@ class _SwapLayers(dict):
         return layer
 
 
-def perm_term(perm: FinFunction, swaps: _SwapLayers | None = None) -> Term:
-    """A generator-free term denoting the given permutation, its swap
-    layers taken from swaps when given."""
-    swaps = _SwapLayers() if swaps is None else swaps
+def perm_term(perm: FinFunction) -> Term:
+    """A generator-free term denoting the given permutation."""
+    swaps = _SwapLayers()
     n = perm.dom
     if perm.cod != n or len(set(perm.table)) != n:
         raise PartitionMismatch("not a permutation")
@@ -732,16 +733,13 @@ def _merge_tree(count: int) -> Term:
     return tree
 
 
-def fn_to_cmon_term(
-    f: FinFunction, swaps: _SwapLayers | None = None
-) -> Term:
-    """A generator-free term denoting the given function, its swap layers
-    taken from swaps when given."""
+def fn_to_cmon_term(f: FinFunction) -> Term:
+    """A generator-free term denoting the given function."""
     order = sorted(range(f.dom), key=lambda i: (f.table[i], i))
     rank = [0] * f.dom
     for r, i in enumerate(order):
         rank[i] = r
-    sorter = perm_term(FinFunction(f.dom, f.dom, tuple(rank)), swaps)
+    sorter = perm_term(FinFunction(f.dom, f.dom, tuple(rank)))
     fibers = [0] * f.cod
     for j in f.table:
         fibers[j] += 1
@@ -781,11 +779,16 @@ def _monogamous_readback(
     while ready:
         eid = heapq.heappop(ready)
         e = edges[eid]
+        a, b = len(e.sources), len(e.targets)
         if e.label not in sig:
             raise UnknownGenerator(f"generator '{e.label}' not declared")
+        if (declared := sig.arity(e.label)) != (a, b):
+            m, n = declared
+            raise TypeMismatch(
+                f"generator '{e.label}' used at {a}->{b} but declared {m}->{n}"
+            )
         for i, s in enumerate(e.sources):
             bubble_to(s, i)
-        a, b = len(e.sources), len(e.targets)
         layers.append(_par2(Gen(e.label, a, b), Id(len(wires) - a)))
         wires[:a] = []
         wires[:0] = list(e.targets)
@@ -809,10 +812,10 @@ def readback_term(g: Cospan, sig: Signature) -> Term:
     swaps = _SwapLayers()
     term: Term = Id(0)
     for f in reversed(lf.factors):
-        d_term = fn_to_cmon_term(cospan_to_function(f.merges), swaps)
+        d_term = fn_to_cmon_term(cospan_to_function(f.merges))
         inner = _seq2(d_term, term)
         term = _seq2(
             _monogamous_readback(f.slice, sig, swaps),
             _par2(Id(f.passthrough), inner),
         )
-    return _seq2(term, perm_term(lf.perm, swaps))
+    return _seq2(term, perm_term(lf.perm))

@@ -35,7 +35,6 @@ from .hypergraph import (
     Edge,
     Homomorphism,
     Hypergraph,
-    canonical_form,
     is_acyclic,
     is_convex,
     iter_homomorphisms,
@@ -117,19 +116,6 @@ def _convex_matches(rule: RewriteRule, host: Cospan) -> Iterator[Match]:
             yield Match(rule, hom)
 
 
-def complement_key(comp: Complement) -> tuple:
-    """Canonical identity of a complement with all four node lists pinned."""
-    return (
-        len(comp.c1),
-        len(comp.c2),
-        len(comp.d1),
-        len(comp.d2),
-        canonical_form(
-            comp.carrier, comp.c1 + comp.c2 + comp.d1 + comp.d2
-        ),
-    )
-
-
 def complement_is_valid(
     match: Match, host: Cospan, comp: Complement
 ) -> bool:
@@ -185,8 +171,9 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     distinct and disjoint, and match.hom plus the identity maps the
     re-glued lhs onto the host. Right-monogamy of (d1 + c2, d2 + c1)
     reads only edge sources and d2 + c1, which no pick moves, so it is
-    checked once per match. Candidates are keyed by complement_key and
-    sorted only when there is more than one."""
+    checked once per match. Several candidates are deduplicated and sorted
+    by cospan_order_key with c1 + c2 as left and d1 + d2 as right, which
+    pins all four node lists, as the match fixes every length."""
     rule = match.rule
     g = host.carrier
     a1_img = [match.hom.node_map[v] for v in rule.lhs.left]
@@ -288,7 +275,8 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
         return comps
     found: dict[tuple, Complement] = {}
     for comp in comps:
-        found.setdefault(complement_key(comp), comp)
+        pinned = Cospan(comp.carrier, comp.c1 + comp.c2, comp.d1 + comp.d2)
+        found.setdefault(cospan_order_key(pinned), comp)
     return [found[k] for k in sorted(found)]
 
 

@@ -25,7 +25,6 @@ from cmonrw.dpo import (
     Match,
     RewriteRule,
     apply_rewrite,
-    complement_key,
     rewrite_all,
 )
 from cmonrw.errors import (
@@ -34,7 +33,22 @@ from cmonrw.errors import (
     ResultNotRightMonogamous,
     UnknownNode,
 )
-from cmonrw.hypergraph import Edge, Hypergraph
+from cmonrw.hypergraph import Edge, Hypergraph, canonical_form
+
+
+def complement_key(comp: Complement) -> tuple:
+    """Canonical identity of a complement with all four node lists pinned:
+    the order boundary_complement kept before it sorted by
+    cospan_order_key."""
+    return (
+        len(comp.c1),
+        len(comp.c2),
+        len(comp.d1),
+        len(comp.d2),
+        canonical_form(
+            comp.carrier, comp.c1 + comp.c2 + comp.d1 + comp.d2
+        ),
+    )
 
 
 def full_product_complements(match: Match, host: Cospan) -> list[Complement]:

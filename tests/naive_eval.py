@@ -1,7 +1,8 @@
 """The pairwise fold that eval_term replaced, kept as the reference it is
 tested against: every Seq glues two whole carriers with compose's pushout,
 every Par places them side by side with tensor. Also the pushout over
-side-tagged node keys that cospan.pushout replaced."""
+side-tagged node keys that cospan.pushout replaced, and the tensor by id
+shifting that tensor's no-pairs pushout replaced."""
 
 from __future__ import annotations
 
@@ -57,6 +58,32 @@ def tagged_pushout(
                 tuple(rename[(side, v)] for v in e.targets),
             )
     return Hypergraph(frozenset(range(len(rep_rank))), edges), rename
+
+
+def shifted_tensor(a: Cospan, b: Cospan) -> Cospan:
+    """Place b beside a, b's node ids shifted past a's largest: for
+    operands numbered densely from 0, the carrier tensor builds. Where b
+    has ids below a's, a shifted node can land on one of a's."""
+    shift = (max(a.carrier.nodes) + 1) if a.carrier.nodes else 0
+    nodes = frozenset(a.carrier.nodes) | frozenset(
+        v + shift for v in b.carrier.nodes
+    )
+    edges: dict[int, Edge] = {}
+    for eid in sorted(a.carrier.edges):
+        edges[len(edges)] = a.carrier.edges[eid]
+    for eid in sorted(b.carrier.edges):
+        e = b.carrier.edges[eid]
+        edges[len(edges)] = Edge(
+            e.label,
+            tuple(v + shift for v in e.sources),
+            tuple(v + shift for v in e.targets),
+        )
+    g = Hypergraph(nodes, edges)
+    return Cospan(
+        g,
+        a.left + tuple(v + shift for v in b.left),
+        a.right + tuple(v + shift for v in b.right),
+    )
 
 
 MERGE = FinFunction(2, 1, (0, 0))

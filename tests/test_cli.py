@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmonrw import cli, cospan, dpo, oracle, sigterm
+from cmonrw import cli, cospan, oracle, sigterm
 from cmonrw.cli import run
 from cmonrw.cospan import cospan_from_document, cospan_key, iso_equal
 from cmonrw.hypergraph import canonical_form
@@ -338,7 +342,6 @@ def test_oracle_compare_computes_one_order_key_per_class(
         return canonical_form(*args, **kwargs)
 
     monkeypatch.setattr(cospan, "canonical_form", counting)
-    monkeypatch.setattr(dpo, "canonical_form", counting)
     rules = tmp_path / "one.rules"
     rules.write_text(f"rule r : {rule}\n")
     argv = [
@@ -764,3 +767,113 @@ def test_readback_of_a_wide_merge(ws, tmp_path, capsys, inputs):
     sig_obj = parse_signature(SIG_TEXT)
     back = eval_term(parse_term(captured.out, sig_obj), sig_obj)
     assert iso_equal(back, cospan_from_document(doc))
+
+
+def test_readback_rejects_an_edge_used_at_the_wrong_type(ws, tmp_path, capsys):
+    # f is declared 1 -> 1; an f edge with two sources reads back to no term
+    _, sig, _ = ws
+    doc = _doc(
+        nodes=[0, 1, 2],
+        edges=[_edge(sources=[0, 1], targets=[2])],
+        left=[0, 1],
+        right=[2],
+    )
+    csp = tmp_path / "mistyped.csp"
+    csp.write_text(json.dumps(doc))
+    assert run(["readback", "--cospan", str(csp), "--sig", sig]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [record] = map(json.loads, captured.err.splitlines())
+    assert record["code"] == "type-mismatch"
+
+
+FUZZ_RULES = "rule fg : f => g\nrule hm : h => mu\n"
+# k is declared nowhere; the others at SIG_TEXT's types
+FUZZ_LABELS = st.sampled_from(["f", "g", "h", "s", "k"])
+BAD_VALUES = st.sampled_from(["0", None, 1.5, True, {}, [None], [1.0]])
+
+
+@st.composite
+def fuzz_documents(draw) -> dict:
+    """A cospan document of at most 5 nodes, 4 edges and arity 2.
+
+    Edges take their sources from nodes no earlier edge consumes, and
+    right lists the nodes none consumes, so most documents are
+    right-monogamous; labels are any of FUZZ_LABELS at any arity. Some
+    documents then get a fault: an unknown node, a value of the wrong
+    type, a missing key, or a node consumed twice."""
+    nodes = list(range(draw(st.integers(0, 5))))
+    node = st.sampled_from(nodes) if nodes else st.nothing()
+    free = list(nodes)
+    edges = []
+    for eid in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, min(2, len(free))))
+        sources = draw(st.permutations(free))[:k]
+        free = [v for v in free if v not in sources]
+        targets = draw(st.lists(node, max_size=2)) if nodes else []
+        edges.append(_edge(id=eid, label=draw(FUZZ_LABELS),
+                           sources=sources, targets=targets))
+    doc = _doc(
+        nodes=nodes,
+        edges=edges,
+        left=draw(st.lists(node, max_size=2)) if nodes else [],
+        right=draw(st.permutations(free)),
+    )
+    fault = draw(st.sampled_from(
+        [None] * 4 + ["unknown-node", "bad-value", "missing-key", "reuse"]
+    ))
+    holders = [doc] + edges
+    holder = draw(st.sampled_from(holders))
+    key = draw(st.sampled_from(sorted(holder)))
+    if fault == "unknown-node":
+        lists = ["left", "right"] if holder is doc else ["sources", "targets"]
+        holder[draw(st.sampled_from(lists))].append(len(nodes) + 1)
+    elif fault == "bad-value":
+        holder[key] = draw(BAD_VALUES)
+    elif fault == "missing-key":
+        del holder[key]
+    elif fault == "reuse" and nodes:
+        doc["right"].append(draw(node))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_documents())
+def test_cli_on_fuzzed_documents_ends_in_an_answer_or_one_record(doc):
+    # no traceback: exit 0 with an answer, or exit 1 with one JSON record
+    # (check prints its verdict instead); a readback reads back the same
+    # cospan
+    sig = parse_signature(SIG_TEXT)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "sig").write_text(SIG_TEXT)
+        (tmp / "rules").write_text(FUZZ_RULES)
+        (tmp / "doc.csp").write_text(json.dumps(doc))
+        csp, on = str(tmp / "doc.csp"), ["--sig", str(tmp / "sig")]
+        host = ["--rules", str(tmp / "rules"), *on, "--host", csp]
+        for argv in (
+            ["check", "--cospan", csp],
+            ["factorize", "--cospan", csp],
+            ["readback", "--cospan", csp, *on],
+            ["match", *host],
+            ["rewrite", *host, "--all"],
+            ["rewrite", *host, "--strategy", "bfs"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out):
+                with contextlib.redirect_stderr(err):
+                    code = run(argv)
+            out, err = out.getvalue(), err.getvalue()
+            # well-formed arguments: never the usage error's exit 2
+            assert code in (0, 1), argv
+            if code == 0:
+                assert err == ""
+            elif argv[0] == "check" and not err:
+                assert out.startswith("right-monogamous: ")
+            else:
+                [record] = map(json.loads, err.splitlines())
+                assert set(record) >= {"code", "message"}
+            if argv[0] == "readback" and code == 0:
+                back = eval_term(parse_term(out, sig), sig)
+                given_doc = cospan_from_document(doc)
+                assert cospan_key(back) == cospan_key(given_doc)

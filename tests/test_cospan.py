@@ -41,7 +41,7 @@ from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic, terminal_nodes
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_scans
-from naive_eval import tagged_pushout
+from naive_eval import shifted_tensor, tagged_pushout
 
 
 def rand_fn(rng: random.Random, dom: int, cod: int) -> FinFunction:
@@ -207,6 +207,25 @@ def shuffled_copy(rng: random.Random, c: Cospan) -> Cospan:
     return Cospan(
         h, tuple(ren[v] for v in c.left), tuple(ren[v] for v in c.right)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tensor_matches_the_shifted_reference(seed):
+    # operands numbered densely from 0 give the reference's document, node
+    # for node and edge for edge; renamed copies, with negative or sparse
+    # ids, give an isomorphic cospan
+    rng = random.Random(seed)
+    a, b = random_rm_cospan(rng, 5), random_rm_cospan(rng, 5)
+    s, t = (eval_term(random_term(rng, SIG3), SIG3) for _ in range(2))
+    empty = identity_cospan(0)
+    for x, y in ((a, b), (s, t), (a, s), (empty, b), (t, empty)):
+        glued = tensor(x, y)
+        assert cospan_to_document(glued) == cospan_to_document(
+            shifted_tensor(x, y)
+        )
+        renamed = tensor(shuffled_copy(rng, x), shuffled_copy(rng, y))
+        assert iso_equal(renamed, glued)
 
 
 @given(st.integers(0, 2**32 - 1))

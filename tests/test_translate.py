@@ -198,7 +198,8 @@ def test_eval_term_makes_no_pairwise_gluing(monkeypatch, sig):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
     chain = parse_term(" ; ".join(["a"] * 40), sig)
-    tree = {"compose": 15, "pushout": 15, "tensor": 15}
+    # the fold's tensors glue through pushout too
+    tree = {"compose": 15, "pushout": 30, "tensor": 15}
     for t, folds in ((chain, {"compose": 39, "pushout": 39}),
                      (merge_tree(4), tree)):
         calls.clear()

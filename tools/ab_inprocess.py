@@ -39,21 +39,37 @@ REPO = os.path.dirname(HERE)
 MODULES = ("cli", "sigterm", "translate", "cospan", "decompose")
 
 
+def _cmonrw_names() -> list[str]:
+    return [m for m in sys.modules if m.split(".")[0] == "cmonrw"]
+
+
 def load(root: str) -> dict:
-    """cmonrw's modules imported from root/src, under their own names;
-    those of a checkout loaded earlier stay bound in its own dict."""
-    for name in [m for m in sys.modules if m.split(".")[0] == "cmonrw"]:
+    """Every cmonrw module imported from root/src, by its name without
+    the package prefix (the package itself as "cmonrw"); those of a
+    checkout loaded earlier stay bound in its own dict."""
+    for name in _cmonrw_names():
         del sys.modules[name]
     src = os.path.join(os.path.abspath(root), "src")
     sys.path.insert(0, src)
     try:
-        mods = {m: importlib.import_module(f"cmonrw.{m}") for m in MODULES}
+        for m in MODULES:
+            importlib.import_module(f"cmonrw.{m}")
     finally:
         sys.path.remove(src)
+    mods = {m.removeprefix("cmonrw."): sys.modules[m] for m in _cmonrw_names()}
     origin = os.path.realpath(mods["cli"].__file__)
     if not origin.startswith(os.path.realpath(src) + os.sep):
         raise ImportError(f"cmonrw imported from {origin}, not from {src}")
     return mods
+
+
+def bind(mods: dict) -> None:
+    """Make sys.modules name this checkout's cmonrw modules, so that an
+    import run lazily inside them (such as Cospan.levels importing
+    decompose) finds this checkout's module and not the other one's."""
+    for name in _cmonrw_names():
+        del sys.modules[name]
+    sys.modules.update({m.__name__: m for m in mods.values()})
 
 
 def answer(mods: dict, request: dict, files: dict, sig) -> tuple:
@@ -91,6 +107,7 @@ def as_text(mods: dict, result: tuple) -> str:
 def one_pass(mods, batch, files, sig) -> tuple[float, list[str]]:
     """The time to answer every request of batch, then the answers as
     text, printed after the clock stops."""
+    bind(mods)
     t0 = time.perf_counter()
     results = [answer(mods, r, files, sig) for r in batch]
     elapsed = time.perf_counter() - t0
