@@ -35,7 +35,12 @@ from .dpo import (
     parse_rules,
     rewrite_all,
 )
-from .errors import CmonrwError, IoFailure, StepBudgetExhausted
+from .errors import (
+    CmonrwError,
+    IoFailure,
+    OutOfMemory,
+    StepBudgetExhausted,
+)
 from .hypergraph import is_acyclic
 from .oracle import TermPool, enumerate_rewrite_keys
 from .sigterm import (
@@ -512,6 +517,13 @@ def run(argv=None) -> int:
         record = {"code": "io-failure", "message": f"{type(exc).__name__}: {exc}"}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1
+    except MemoryError:
+        # the record is written below the handler, once the traceback has
+        # let go of the frames that hold the memory
+        pass
+    exc = OutOfMemory(f"{args.subcommand} ran out of memory")
+    sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")
+    return 1
 
 
 def main() -> None:

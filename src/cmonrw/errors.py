@@ -127,6 +127,13 @@ class BoundTooSmall(CmonrwError):
     code = "bound-too-small"
 
 
+class OutOfMemory(CmonrwError):
+    """The process ran out of memory; the CLI reports it in place of the
+    MemoryError."""
+
+    code = "out-of-memory"
+
+
 class DocumentError(CmonrwError):
     """A cospan document of the wrong shape; location is its JSON path."""
 

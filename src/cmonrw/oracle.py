@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .errors import BoundTooSmall
@@ -39,11 +40,19 @@ class Law:
     closure search runs the law this way and builds no Terms. `variants(t)`
     is the Term view: it interns t into a fresh pool, runs `shapes` and
     builds the variants, in the same order. Like interning, it raises
-    TypeMismatch on an ill-typed t."""
+    TypeMismatch on an ill-typed t.
+
+    `roots` is the set of roots (see `TermPool.root`) at which the law can
+    yield a variant, None for every root. The search runs the law at no
+    other root."""
 
     name: str
     derived: bool
     shapes: Callable[[TermPool, int], Iterator[tuple]]
+    roots: frozenset[tuple] | None = None
+
+    def fires_at(self, root: tuple) -> bool:
+        return self.roots is None or root in self.roots
 
     def variants(self, t: Term) -> Iterator[Term]:
         pool = TermPool()
@@ -72,7 +81,8 @@ def _assoc(tag: int) -> Callable:
 
 def _unit(tag: int) -> Callable:
     """The unit law of the operator tag: for _SEQ, id_m ; t = t = t ; id_n
-    with t : m -> n, and for _PAR, id_0 + t = t = t + id_0."""
+    with t : m -> n, and for _PAR, id_0 + t = t = t + id_0. It wraps t only
+    where the wrap fits the pool's bound."""
 
     def shapes(pool: TermPool, key: int) -> Iterator[tuple]:
         shapes = pool._shapes
@@ -84,8 +94,10 @@ def _unit(tag: int) -> Callable:
                 yield shapes[shape[2]]
             if shapes[shape[2]] == right:
                 yield shapes[shape[1]]
-        yield tag, pool._keys[left], key
-        yield tag, key, pool._keys[right]
+        # a wrap is two nodes larger than t
+        if pool._sizes[key] + 2 <= pool.bound:
+            yield tag, pool._keys[left], key
+            yield tag, key, pool._keys[right]
 
     return shapes
 
@@ -211,13 +223,30 @@ _MU_UNIT_LEFT = (_SEQ, (_PAR, (_ETA,), _ID1_T), _MU_T)
 _MU_UNIT_RIGHT = (_SEQ, (_PAR, _ID1_T, (_ETA,)), _MU_T)
 
 
+def _roots(*patterns: tuple) -> frozenset[tuple]:
+    """The roots that match a pattern: (tag,) for an atom, and (tag, fst's
+    tag, snd's tag) for a ; or + node, where None matches any tag."""
+    tags = range(len(_CLASSES))
+    return frozenset(
+        root
+        for pattern in patterns
+        for root in product(*(tags if t is None else (t,) for t in pattern))
+    )
+
+
 def _template_size(template: tuple) -> int:
     if template[0] > _PAR:
         return 1
     return 1 + _template_size(template[1]) + _template_size(template[2])
 
 
-def _redex_swap(a: tuple, b: tuple) -> Callable:
+def _root_of(template: tuple) -> tuple:
+    if template[0] > _PAR:
+        return (template[0],)
+    return (template[0], template[1][0], template[2][0])
+
+
+def _redex_swap(name: str, a: tuple, b: tuple) -> Law:
     """The law that rewrites the redex a to b and b to a."""
     size_a, size_b = _template_size(a), _template_size(b)
 
@@ -229,28 +258,59 @@ def _redex_swap(a: tuple, b: tuple) -> Callable:
         if size == size_b and pool._matches(key, b):
             yield pool._shape_of(a)
 
-    return shapes
+    return Law(name, False, shapes, _roots(_root_of(a), _root_of(b)))
 
 
 LAWS: tuple[Law, ...] = (
-    Law("sequential-associativity", False, _assoc(_SEQ)),
-    Law("sequential-unit", False, _unit(_SEQ)),
-    Law("parallel-associativity", False, _assoc(_PAR)),
-    Law("parallel-unit", False, _unit(_PAR)),
-    Law("identity-fusion", False, _id_fusion),
-    Law("interchange", False, _interchange),
-    Law("symmetry-involution", False, _sym_involution),
-    Law("symmetry-naturality", False, _sym_naturality),
-    Law("symmetry-decomposition", False, _sym_decomposition),
-    Law("merge-commutativity", False, _redex_swap(_MU_T, _MU_SWAPPED)),
     Law(
-        "merge-associativity",
+        "sequential-associativity",
         False,
-        _redex_swap(_MU_ASSOC_LEFT, _MU_ASSOC_RIGHT),
+        _assoc(_SEQ),
+        _roots((_SEQ, _SEQ, None), (_SEQ, None, _SEQ)),
     ),
-    Law("merge-unit-left", False, _redex_swap(_MU_UNIT_LEFT, _ID1_T)),
-    Law("merge-unit-right", False, _redex_swap(_MU_UNIT_RIGHT, _ID1_T)),
-    Law("symmetry-unit", True, _sym_unit),
+    Law("sequential-unit", False, _unit(_SEQ)),
+    Law(
+        "parallel-associativity",
+        False,
+        _assoc(_PAR),
+        _roots((_PAR, _PAR, None), (_PAR, None, _PAR)),
+    ),
+    Law("parallel-unit", False, _unit(_PAR)),
+    Law(
+        "identity-fusion",
+        False,
+        _id_fusion,
+        _roots((_PAR, _ID, _ID), (_ID,)),
+    ),
+    Law(
+        "interchange",
+        False,
+        _interchange,
+        _roots((_PAR, _SEQ, _SEQ), (_SEQ, _PAR, _PAR)),
+    ),
+    Law(
+        "symmetry-involution",
+        False,
+        _sym_involution,
+        _roots((_SEQ, _SYM, _SYM), (_ID,)),
+    ),
+    Law(
+        "symmetry-naturality",
+        False,
+        _sym_naturality,
+        _roots((_SEQ, _PAR, _SYM), (_SEQ, _SYM, _PAR)),
+    ),
+    Law(
+        "symmetry-decomposition",
+        False,
+        _sym_decomposition,
+        _roots((_SYM,), (_SEQ, _PAR, _PAR)),
+    ),
+    _redex_swap("merge-commutativity", _MU_T, _MU_SWAPPED),
+    _redex_swap("merge-associativity", _MU_ASSOC_LEFT, _MU_ASSOC_RIGHT),
+    _redex_swap("merge-unit-left", _MU_UNIT_LEFT, _ID1_T),
+    _redex_swap("merge-unit-right", _MU_UNIT_RIGHT, _ID1_T),
+    Law("symmetry-unit", True, _sym_unit, _roots((_SYM,), (_ID,))),
 )
 
 
@@ -292,7 +352,8 @@ class TermPool:
     them: the search builds and hashes no Term. `term` builds a key's Term
     on request, and `intern` keeps the Terms it is given (seeds and rule
     sides). Per-key root-law variants and per-slack subterm variant lists
-    are memoised, so each subterm's variants are worked out once. A root
+    are memoised, so each subterm's variants are worked out once; at a key
+    only the laws that can fire at its root run (`laws_at`). A root
     variant above the bound is never interned, though its children are.
     Without a bound the pool keeps every variant."""
 
@@ -303,6 +364,7 @@ class TermPool:
         self._sizes = self._keys.sizes
         self._types = self._keys.types
         self._terms: dict[int, Term] = {}
+        self._laws_at: dict[tuple, tuple[Law, ...]] = {}
         self._root_variants: dict[int, tuple[int, ...]] = {}
         self._within: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -390,6 +452,23 @@ class TermPool:
             self._keys[self._shape_of(template[2])],
         )
 
+    def root(self, key: int) -> tuple:
+        """The tags at key's root: (tag,) for an atom, and (tag, fst's
+        tag, snd's tag) for a ; or + node."""
+        shape = self._shapes[key]
+        if shape[0] > _PAR:
+            return shape[:1]
+        shapes = self._shapes
+        return shape[0], shapes[shape[1]][0], shapes[shape[2]][0]
+
+    def laws_at(self, root: tuple) -> tuple[Law, ...]:
+        """The laws of LAWS that fire at the root, in LAWS order."""
+        laws = self._laws_at.get(root)
+        if laws is None:
+            laws = tuple(law for law in LAWS if law.fires_at(root))
+            self._laws_at[root] = laws
+        return laws
+
     def _root_variant_keys(self, key: int) -> tuple[int, ...]:
         """Keys of the root-law variants of key that fit the bound, in LAWS
         order."""
@@ -398,7 +477,7 @@ class TermPool:
             sizes, bound = self._sizes, self.bound
             key_of = self._keys
             keys = []
-            for law in LAWS:
+            for law in self.laws_at(self.root(key)):
                 for shape in law.shapes(self, key):
                     if (
                         shape[0] > _PAR
@@ -542,20 +621,42 @@ def enumerate_rewrite_keys(
         return out
 
     hits_by_factor: dict[int, list[tuple[int, int]]] = {}
+
+    def hits_of(factor: int) -> list[tuple[int, int]]:
+        hits = hits_by_factor.get(factor)
+        if hits is None:
+            hits = hits_by_factor[factor] = hits_in(factor)
+        return hits
+
+    # a member's rewrites depend only on its chain, so each distinct chain
+    # is matched once, in order of first appearance
+    chains = dict.fromkeys(
+        tuple(pool.factors(member, _SEQ)) for member in closure.keys
+    )
     found: list[set[int]] = [set() for _ in rules]
-    for member in closure.keys:
-        chain = pool.factors(member, _SEQ)
-        for i, factor in enumerate(chain):
-            hits = hits_by_factor.get(factor)
-            if hits is None:
-                hits = hits_by_factor[factor] = hits_in(factor)
-            for r, replacement in hits:
-                rebuilt = replacement if i == 0 else chain[0]
-                for j in range(1, len(chain)):
-                    part = replacement if j == i else chain[j]
-                    rebuilt = key_of[_SEQ, rebuilt, part]
-                found[r].add(rebuilt)
+    for chain in chains:
+        for r, rewrite in _chain_rewrites(pool, chain, hits_of):
+            found[r].add(rewrite)
     return pool, [frozenset(keys) for keys in found]
+
+
+def _chain_rewrites(
+    pool: TermPool,
+    chain: tuple[int, ...],
+    hits_of: Callable[[int], list[tuple[int, int]]],
+) -> Iterator[tuple[int, int]]:
+    """(rule index, rewrite key) for each rewrite of a member whose ;-chain
+    is chain: a factor with a hit replaced by the hit's replacement, the
+    chain rebuilt nested to the left. hits_of(factor) gives the factor's
+    (rule index, replacement key) pairs."""
+    key_of = pool._keys
+    for i, factor in enumerate(chain):
+        for r, replacement in hits_of(factor):
+            rebuilt = replacement if i == 0 else chain[0]
+            for j in range(1, len(chain)):
+                part = replacement if j == i else chain[j]
+                rebuilt = key_of[_SEQ, rebuilt, part]
+            yield r, rebuilt
 
 
 def enumerate_rewrites_bruteforce(

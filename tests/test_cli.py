@@ -150,6 +150,35 @@ def test_rewrite_bfs_reaches_normal_form(ws, capsys):
     assert iso_equal(cospan_from_document(forms[0]), expected)
 
 
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (cli, "eval_term", ["translate", "--term", "id_3"]),
+        (oracle, "axiom_closure", ["oracle-compare", "--host", "id_3"]),
+    ],
+)
+def test_running_out_of_memory_ends_in_one_record(
+    ws, capsys, monkeypatch, module, name, argv
+):
+    # where translate and oracle-compare run out of memory on id_n at
+    # large n
+    _, sig, rules = ws
+    if argv[0] == "oracle-compare":
+        argv = argv + ["--rules", rules, "--bound", "4"]
+    monkeypatch.setattr(module, name, _exhausted)
+    capsys.readouterr()
+    assert run(argv + ["--sig", sig]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"code": "out-of-memory", "message": f"{argv[0]} ran out of memory"}
+    ]
+
+
 def test_rewrite_budget_exhaustion_is_machine_readable(ws, tmp_path, capsys):
     _, sig, _ = ws
     comm = tmp_path / "comm.txt"

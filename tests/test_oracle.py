@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -332,6 +334,11 @@ def test_closure_at_the_seeds_own_size_is_truncated(seed):
     assert axiom_closure(seed, term_size(seed)).truncated
 
 
+def root_of(t):
+    pool = oracle.TermPool()
+    return pool.root(pool.intern(t))
+
+
 def test_root_laws_run_once_per_distinct_subterm(monkeypatch):
     applied = {law.name: [] for law in LAWS}
 
@@ -340,14 +347,124 @@ def test_root_laws_run_once_per_distinct_subterm(monkeypatch):
             applied[law.name].append(pool.term(key))
             return law.shapes(pool, key)
 
-        return Law(law.name, law.derived, shapes)
+        return dataclasses.replace(law, shapes=shapes)
 
     monkeypatch.setattr(oracle, "LAWS", tuple(counting(law) for law in LAWS))
     cl = axiom_closure(Seq(Seq(F, F), F), 9)
     everywhere = {s for m in cl.members for s in subterms(m)}
     for name, terms in applied.items():
         assert len(terms) == len(set(terms)), name
-        assert set(terms) == everywhere, name
+    for law in LAWS:
+        # each law runs at exactly the roots it declares, and the raw law
+        # yields nothing at a subterm it skipped
+        listed = {s for s in everywhere if law.fires_at(root_of(s))}
+        assert set(applied[law.name]) == listed, law.name
+        for s in everywhere - listed:
+            assert list(law.variants(s)) == [], (law.name, s)
+    assert any(set(applied[law.name]) != everywhere for law in LAWS)
+
+
+def full_root_shapes(pool, key):
+    """The root shapes of every law of LAWS at key, in LAWS order."""
+    return [shape for law in LAWS for shape in law.shapes(pool, key)]
+
+
+def undispatched_root_variant_keys(pool, key):
+    """TermPool._root_variant_keys before laws were dispatched by root:
+    every law runs, unit wraps are built at any size, and the variants
+    above the bound are dropped afterwards."""
+    bound, pool.bound = pool.bound, math.inf
+    try:
+        shapes = full_root_shapes(pool, key)
+    finally:
+        pool.bound = bound
+    sizes = pool._sizes
+    return tuple(
+        pool._keys[shape]
+        for shape in shapes
+        if shape[0] > oracle._PAR
+        or 1 + sizes[shape[1]] + sizes[shape[2]] <= bound
+    )
+
+
+def assert_dispatch_matches_full_laws(pool):
+    """On every key of the pool, the dispatched laws' root shapes are the
+    full list of LAWS, element for element, and the root variants are
+    those of the search before dispatch."""
+    for key in range(len(pool._shapes)):
+        dispatched = pool.laws_at(pool.root(key))
+        shapes = [s for law in dispatched for s in law.shapes(pool, key)]
+        assert shapes == full_root_shapes(pool, key), key
+        expected = undispatched_root_variant_keys(pool, key)
+        assert pool._root_variant_keys(key) == expected, key
+
+
+def test_dispatched_laws_match_full_laws_on_benchmark_closures(unary_sig):
+    keys = 0
+    for host, rules in BENCH_HOSTS.items():
+        t = parse_term(host, unary_sig)
+        pairs = [
+            tuple(parse_term(side, unary_sig) for side in rule.split("=>"))
+            for rule in rules
+        ]
+        pool, _ = oracle.enumerate_rewrite_keys(pairs, t, term_size(t) + 4)
+        keys += len(pool._shapes)
+        assert_dispatch_matches_full_laws(pool)
+    assert keys > 100000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_dispatched_laws_match_full_laws_on_random_terms(seed, slack):
+    t = random_term(random.Random(seed), SIG3, max_generators=3, max_width=3)
+    pool = oracle.TermPool(term_size(t) + slack)
+    pool.intern(t)
+    assert_dispatch_matches_full_laws(pool)
+
+
+# terms of this signature have odd sizes, so at an odd bound no key is
+# one node short of it
+@pytest.mark.parametrize("bound", [9, 10])
+def test_closure_wraps_within_the_bound_and_matches_each_chain_once(
+    bound, unary_sig, monkeypatch
+):
+    wraps = {"fit": 0, "above": 0}
+
+    def counting(law):
+        def shapes(pool, key):
+            for shape in law.shapes(pool, key):
+                if shape[0] <= oracle._PAR and key in shape[1:]:
+                    fits = pool.size(key) + 2 <= bound
+                    wraps["fit" if fits else "above"] += 1
+                yield shape
+
+        return dataclasses.replace(law, shapes=shapes)
+
+    units = ("sequential-unit", "parallel-unit")
+    monkeypatch.setattr(
+        oracle,
+        "LAWS",
+        tuple(counting(law) if law.name in units else law for law in LAWS),
+    )
+    host = parse_term("(f ; g) ; f", unary_sig)
+    closure = axiom_closure(host, bound)
+    assert wraps["above"] == 0 and wraps["fit"] > 0
+
+    matched = []
+    chain_rewrites = oracle._chain_rewrites
+
+    def counting_chains(pool, chain, hits_of):
+        matched.append(chain)
+        return chain_rewrites(pool, chain, hits_of)
+
+    monkeypatch.setattr(oracle, "_chain_rewrites", counting_chains)
+    rule = tuple(parse_term(side, unary_sig) for side in ("f", "g"))
+    pool, [found] = oracle.enumerate_rewrite_keys([rule], host, bound)
+    pool_chains = {tuple(pool.factors(k, oracle._SEQ)) for k in closure.keys}
+    # the closures are built alike, so they number their keys alike
+    assert pool._shapes[: len(closure.pool._shapes)] == closure.pool._shapes
+    assert len(matched) == len(set(matched)) == len(pool_chains)
+    assert len(closure.keys) > len(pool_chains) and found
 
 
 def assert_laws_match_reference(t):

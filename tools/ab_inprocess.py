@@ -19,6 +19,13 @@ sees the same machine speed on both sides of a pair, so alternating pairs
 cancel most of a shared VM's speed swings; the benchmark proper measures
 each side in fresh processes. Re-runs itself under PYTHONHASHSEED=0, as the
 benchmark's workers do. Standard library only.
+
+Module state persists across the passes here, while the benchmark starts
+a fresh worker for every pass. So a change that keeps work between
+requests in module state reads better here than it will there: a memo of
+oracle closures across requests read a ratio of 0.19 in this tool but cut
+`oracle-compare` `wall_s` by only about 23% in `perfbench/run.py`, whose
+passes each pay for filling the memo again.
 """
 
 from __future__ import annotations
