@@ -61,7 +61,28 @@ class Law:
             yield pool.term(pool._keys[shape])
 
 
-def _assoc(tag: int) -> Callable:
+def _roots(*patterns: tuple) -> frozenset[tuple]:
+    """The roots that match a pattern: (tag,) for an atom, and (tag, fst's
+    tag, snd's tag) for a ; or + node, where None matches any tag."""
+    tags = range(len(_CLASSES))
+    return frozenset(
+        root
+        for pattern in patterns
+        for root in product(*(tags if t is None else (t,) for t in pattern))
+    )
+
+
+def _law(name: str, *patterns: tuple, derived: bool = False) -> Callable:
+    """Decorator: the Law `name` with the decorated function as its
+    `shapes`, firing at the roots that match the patterns (`_roots`)."""
+
+    def make(shapes: Callable[[TermPool, int], Iterator[tuple]]) -> Law:
+        return Law(name, derived, shapes, _roots(*patterns))
+
+    return make
+
+
+def _assoc(name: str, tag: int) -> Law:
     """The associativity law of the operator tag, _SEQ or _PAR."""
 
     def shapes(pool: TermPool, key: int) -> Iterator[tuple]:
@@ -76,10 +97,10 @@ def _assoc(tag: int) -> Callable:
             if sb[0] == tag:
                 yield tag, key_of[tag, a, sb[1]], sb[2]
 
-    return shapes
+    return Law(name, False, shapes, _roots((tag, tag, None), (tag, None, tag)))
 
 
-def _unit(tag: int) -> Callable:
+def _unit(name: str, tag: int) -> Law:
     """The unit law of the operator tag: for _SEQ, id_m ; t = t = t ; id_n
     with t : m -> n, and for _PAR, id_0 + t = t = t + id_0. It wraps t only
     where the wrap fits the pool's bound."""
@@ -99,9 +120,10 @@ def _unit(tag: int) -> Callable:
             yield tag, pool._keys[left], key
             yield tag, key, pool._keys[right]
 
-    return shapes
+    return Law(name, False, shapes)
 
 
+@_law("identity-fusion", (_PAR, _ID, _ID), (_ID,))
 def _id_fusion(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
@@ -115,6 +137,7 @@ def _id_fusion(pool: TermPool, key: int) -> Iterator[tuple]:
             yield _PAR, key_of[_ID, i], key_of[_ID, n - i]
 
 
+@_law("interchange", (_PAR, _SEQ, _SEQ), (_SEQ, _PAR, _PAR))
 def _interchange(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
@@ -131,6 +154,7 @@ def _interchange(pool: TermPool, key: int) -> Iterator[tuple]:
             yield _PAR, key_of[_SEQ, s, s2], key_of[_SEQ, u, u2]
 
 
+@_law("symmetry-involution", (_SEQ, _SYM, _SYM), (_ID,))
 def _sym_involution(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
@@ -149,6 +173,7 @@ def _sym_involution(pool: TermPool, key: int) -> Iterator[tuple]:
             yield _SEQ, key_of[_SYM, i, n - i], key_of[_SYM, n - i, i]
 
 
+@_law("symmetry-naturality", (_SEQ, _PAR, _SYM), (_SEQ, _SYM, _PAR))
 def _sym_naturality(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
@@ -172,6 +197,7 @@ def _sym_naturality(pool: TermPool, key: int) -> Iterator[tuple]:
                 yield _SEQ, key_of[_PAR, s, ident], key_of[_SYM, n, si[1]]
 
 
+@_law("symmetry-decomposition", (_SYM,), (_SEQ, _PAR, _PAR))
 def _sym_decomposition(pool: TermPool, key: int) -> Iterator[tuple]:
     shapes = pool._shapes
     shape = shapes[key]
@@ -200,6 +226,7 @@ def _sym_decomposition(pool: TermPool, key: int) -> Iterator[tuple]:
                 yield _SYM, a[1], a[2] + b[1]
 
 
+@_law("symmetry-unit", (_SYM,), (_ID,), derived=True)
 def _sym_unit(pool: TermPool, key: int) -> Iterator[tuple]:
     shape = pool._shapes[key]
     if shape[0] == _SYM:
@@ -221,17 +248,6 @@ _MU_ASSOC_LEFT = (_SEQ, (_PAR, _MU_T, _ID1_T), _MU_T)
 _MU_ASSOC_RIGHT = (_SEQ, (_PAR, _ID1_T, _MU_T), _MU_T)
 _MU_UNIT_LEFT = (_SEQ, (_PAR, (_ETA,), _ID1_T), _MU_T)
 _MU_UNIT_RIGHT = (_SEQ, (_PAR, _ID1_T, (_ETA,)), _MU_T)
-
-
-def _roots(*patterns: tuple) -> frozenset[tuple]:
-    """The roots that match a pattern: (tag,) for an atom, and (tag, fst's
-    tag, snd's tag) for a ; or + node, where None matches any tag."""
-    tags = range(len(_CLASSES))
-    return frozenset(
-        root
-        for pattern in patterns
-        for root in product(*(tags if t is None else (t,) for t in pattern))
-    )
 
 
 def _template_size(template: tuple) -> int:
@@ -262,55 +278,20 @@ def _redex_swap(name: str, a: tuple, b: tuple) -> Law:
 
 
 LAWS: tuple[Law, ...] = (
-    Law(
-        "sequential-associativity",
-        False,
-        _assoc(_SEQ),
-        _roots((_SEQ, _SEQ, None), (_SEQ, None, _SEQ)),
-    ),
-    Law("sequential-unit", False, _unit(_SEQ)),
-    Law(
-        "parallel-associativity",
-        False,
-        _assoc(_PAR),
-        _roots((_PAR, _PAR, None), (_PAR, None, _PAR)),
-    ),
-    Law("parallel-unit", False, _unit(_PAR)),
-    Law(
-        "identity-fusion",
-        False,
-        _id_fusion,
-        _roots((_PAR, _ID, _ID), (_ID,)),
-    ),
-    Law(
-        "interchange",
-        False,
-        _interchange,
-        _roots((_PAR, _SEQ, _SEQ), (_SEQ, _PAR, _PAR)),
-    ),
-    Law(
-        "symmetry-involution",
-        False,
-        _sym_involution,
-        _roots((_SEQ, _SYM, _SYM), (_ID,)),
-    ),
-    Law(
-        "symmetry-naturality",
-        False,
-        _sym_naturality,
-        _roots((_SEQ, _PAR, _SYM), (_SEQ, _SYM, _PAR)),
-    ),
-    Law(
-        "symmetry-decomposition",
-        False,
-        _sym_decomposition,
-        _roots((_SYM,), (_SEQ, _PAR, _PAR)),
-    ),
+    _assoc("sequential-associativity", _SEQ),
+    _unit("sequential-unit", _SEQ),
+    _assoc("parallel-associativity", _PAR),
+    _unit("parallel-unit", _PAR),
+    _id_fusion,
+    _interchange,
+    _sym_involution,
+    _sym_naturality,
+    _sym_decomposition,
     _redex_swap("merge-commutativity", _MU_T, _MU_SWAPPED),
     _redex_swap("merge-associativity", _MU_ASSOC_LEFT, _MU_ASSOC_RIGHT),
     _redex_swap("merge-unit-left", _MU_UNIT_LEFT, _ID1_T),
     _redex_swap("merge-unit-right", _MU_UNIT_RIGHT, _ID1_T),
-    Law("symmetry-unit", True, _sym_unit, _roots((_SYM,), (_ID,))),
+    _sym_unit,
 )
 
 
