@@ -609,15 +609,22 @@ def enumerate_rewrite_keys(
             hits = hits_by_factor[factor] = hits_in(factor)
         return hits
 
-    # a member's rewrites depend only on its chain, so each distinct chain
-    # is matched once, in order of first appearance
-    chains = dict.fromkeys(
-        tuple(pool.factors(member, _SEQ)) for member in closure.keys
-    )
+    def nested_left(key: int) -> bool:
+        while shapes[key][0] == _SEQ:
+            if shapes[shapes[key][2]][0] == _SEQ:
+                return False
+            key = shapes[key][1]
+        return True
+
+    # a member's rewrites depend only on its chain, and associativity keeps
+    # a member's size, so the closure holds the left-nested member of each
+    # of its chains: matching those alone matches each chain once
     found: list[set[int]] = [set() for _ in rules]
-    for chain in chains:
-        for r, rewrite in _chain_rewrites(pool, chain, hits_of):
-            found[r].add(rewrite)
+    for member in closure.keys:
+        if nested_left(member):
+            chain = tuple(pool.factors(member, _SEQ))
+            for r, rewrite in _chain_rewrites(pool, chain, hits_of):
+                found[r].add(rewrite)
     return pool, [frozenset(keys) for keys in found]
 
 
