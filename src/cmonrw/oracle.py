@@ -601,14 +601,6 @@ def enumerate_rewrite_keys(
             out.append((r, replacement))
         return out
 
-    hits_by_factor: dict[int, list[tuple[int, int]]] = {}
-
-    def hits_of(factor: int) -> list[tuple[int, int]]:
-        hits = hits_by_factor.get(factor)
-        if hits is None:
-            hits = hits_by_factor[factor] = hits_in(factor)
-        return hits
-
     def nested_left(key: int) -> bool:
         while shapes[key][0] == _SEQ:
             if shapes[shapes[key][2]][0] == _SEQ:
@@ -619,32 +611,23 @@ def enumerate_rewrite_keys(
     # a member's rewrites depend only on its chain, and associativity keeps
     # a member's size, so the closure holds the left-nested member of each
     # of its chains: matching those alone matches each chain once
+    hits_by_factor: dict[int, list[tuple[int, int]]] = {}
     found: list[set[int]] = [set() for _ in rules]
     for member in closure.keys:
-        if nested_left(member):
-            chain = tuple(pool.factors(member, _SEQ))
-            for r, rewrite in _chain_rewrites(pool, chain, hits_of):
-                found[r].add(rewrite)
+        if not nested_left(member):
+            continue
+        chain = pool.factors(member, _SEQ)
+        for i, factor in enumerate(chain):
+            hits = hits_by_factor.get(factor)
+            if hits is None:
+                hits = hits_by_factor[factor] = hits_in(factor)
+            for r, replacement in hits:
+                rebuilt = replacement if i == 0 else chain[0]
+                for j in range(1, len(chain)):
+                    part = replacement if j == i else chain[j]
+                    rebuilt = key_of[_SEQ, rebuilt, part]
+                found[r].add(rebuilt)
     return pool, [frozenset(keys) for keys in found]
-
-
-def _chain_rewrites(
-    pool: TermPool,
-    chain: tuple[int, ...],
-    hits_of: Callable[[int], list[tuple[int, int]]],
-) -> Iterator[tuple[int, int]]:
-    """(rule index, rewrite key) for each rewrite of a member whose ;-chain
-    is chain: a factor with a hit replaced by the hit's replacement, the
-    chain rebuilt nested to the left. hits_of(factor) gives the factor's
-    (rule index, replacement key) pairs."""
-    key_of = pool._keys
-    for i, factor in enumerate(chain):
-        for r, replacement in hits_of(factor):
-            rebuilt = replacement if i == 0 else chain[0]
-            for j in range(1, len(chain)):
-                part = replacement if j == i else chain[j]
-                rebuilt = key_of[_SEQ, rebuilt, part]
-            yield r, rebuilt
 
 
 def enumerate_rewrites_bruteforce(

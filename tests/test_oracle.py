@@ -450,21 +450,25 @@ def test_closure_wraps_within_the_bound_and_matches_each_chain_once(
     closure = axiom_closure(host, bound)
     assert wraps["above"] == 0 and wraps["fit"] > 0
 
+    # the matcher flattens the ;-chain of each member it matches
     matched = []
-    chain_rewrites = oracle._chain_rewrites
+    factors = oracle.TermPool.factors
 
-    def counting_chains(pool, chain, hits_of):
-        matched.append(chain)
-        return chain_rewrites(pool, chain, hits_of)
+    def counting_factors(pool, key, tag):
+        chain = factors(pool, key, tag)
+        if tag == oracle._SEQ:
+            matched.append(tuple(chain))
+        return chain
 
-    monkeypatch.setattr(oracle, "_chain_rewrites", counting_chains)
     rule = tuple(parse_term(side, unary_sig) for side in ("f", "g"))
+    monkeypatch.setattr(oracle.TermPool, "factors", counting_factors)
     pool, [found] = oracle.enumerate_rewrite_keys([rule], host, bound)
-    pool_chains = {tuple(pool.factors(k, oracle._SEQ)) for k in closure.keys}
+    monkeypatch.undo()
     # the closures are built alike, so they number their keys alike
     assert pool._shapes[: len(closure.pool._shapes)] == closure.pool._shapes
-    assert len(matched) == len(set(matched)) == len(pool_chains)
-    assert len(closure.keys) > len(pool_chains) and found
+    chains = {tuple(pool.factors(k, oracle._SEQ)) for k in closure.keys}
+    assert len(matched) == len(set(matched)) == len(chains)
+    assert len(closure.keys) > len(chains) and found
 
 
 def assert_laws_match_reference(t):
