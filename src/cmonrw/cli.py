@@ -517,9 +517,10 @@ def run(argv=None) -> int:
         record = {"code": "io-failure", "message": f"{type(exc).__name__}: {exc}"}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1
-    except MemoryError:
-        # the record is written below the handler, once the traceback has
-        # let go of the frames that hold the memory
+    except (MemoryError, OverflowError):
+        # OverflowError: a width such as id_100000000000000000000 that no
+        # list can hold. The record is written below the handler, once the
+        # traceback has let go of the frames that hold the memory
         pass
     exc = OutOfMemory(f"{args.subcommand} ran out of memory")
     sys.stderr.write(json.dumps(exc.record(), sort_keys=True) + "\n")

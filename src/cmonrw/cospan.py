@@ -527,22 +527,15 @@ def cospan_from_document(doc) -> Cospan:
 def cospan_to_dot(c: Cospan) -> str:
     """DOT rendering with the two interfaces drawn as labelled rails."""
     lines = ["digraph cospan {", "  rankdir=LR;"]
-    lines.append("  subgraph cluster_left {")
-    lines.append('    label="left"; color=blue;')
-    for i in range(len(c.left)):
-        lines.append(f'    l{i} [shape=plaintext, label="{i}"];')
-    if len(c.left) > 1:
-        chain = " -> ".join(f"l{i}" for i in range(len(c.left)))
-        lines.append(f"    {chain} [style=invis];")
-    lines.append("  }")
-    lines.append("  subgraph cluster_right {")
-    lines.append('    label="right"; color=blue;')
-    for i in range(len(c.right)):
-        lines.append(f'    r{i} [shape=plaintext, label="{i}"];')
-    if len(c.right) > 1:
-        chain = " -> ".join(f"r{i}" for i in range(len(c.right)))
-        lines.append(f"    {chain} [style=invis];")
-    lines.append("  }")
+    for side, rail in (("left", c.left), ("right", c.right)):
+        lines.append(f"  subgraph cluster_{side} {{")
+        lines.append(f'    label="{side}"; color=blue;')
+        for i in range(len(rail)):
+            lines.append(f'    {side[0]}{i} [shape=plaintext, label="{i}"];')
+        if len(rail) > 1:
+            chain = " -> ".join(f"{side[0]}{i}" for i in range(len(rail)))
+            lines.append(f"    {chain} [style=invis];")
+        lines.append("  }")
     lines.extend(graph_dot_lines(c.carrier))
     for i, v in enumerate(c.left):
         lines.append(f"  l{i} -> n{v} [style=dashed, arrowhead=none];")

@@ -8,7 +8,6 @@ slice, full factorisation into levels, and term readback.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,8 +39,6 @@ from .errors import (
     NotRightMonogamous,
     NotTerminal,
     PartitionMismatch,
-    TypeMismatch,
-    UnknownGenerator,
 )
 from .hypergraph import (
     Hypergraph,
@@ -752,13 +749,14 @@ def fn_to_cmon_term(f: FinFunction) -> Term:
 def _monogamous_readback(
     m: Cospan, sig: Signature, swaps: _SwapLayers
 ) -> Term:
-    """The slice m as layers: each edge, least id first among those whose
-    sources are all on the wires, after bubbling its sources to the front,
-    then the wires bubbled into m.right's order."""
+    """The slice m as layers: each edge in m.carrier.ranks order, after
+    bubbling its sources to the front, then the wires bubbled into
+    m.right's order. m is monogamous: a node not in m.left has one
+    producer and comes onto the wires when that producer is placed, so
+    ranks takes each edge once all its sources are on the wires."""
     if not is_monogamous(m):
         raise NotRightMonogamous("level slice is not monogamous")
     edges = m.carrier.edges
-    ins, outs = m.carrier.index
     wires = list(m.left)
     layers: list[Term] = []
 
@@ -769,34 +767,15 @@ def _monogamous_readback(
             wires[idx - 1], wires[idx] = wires[idx], wires[idx - 1]
             idx -= 1
 
-    # m is monogamous: a node not in m.left has one producer, and comes
-    # onto the wires when that producer is placed
-    missing = {
-        eid: sum(1 for s in e.sources if ins[s]) for eid, e in edges.items()
-    }
-    ready = [eid for eid, n in missing.items() if not n]
-    heapq.heapify(ready)
-    while ready:
-        eid = heapq.heappop(ready)
+    for eid in m.carrier.ranks:
         e = edges[eid]
         a, b = len(e.sources), len(e.targets)
-        if e.label not in sig:
-            raise UnknownGenerator(f"generator '{e.label}' not declared")
-        if (declared := sig.arity(e.label)) != (a, b):
-            m, n = declared
-            raise TypeMismatch(
-                f"generator '{e.label}' used at {a}->{b} but declared {m}->{n}"
-            )
+        sig.check(e.label, a, b)
         for i, s in enumerate(e.sources):
             bubble_to(s, i)
         layers.append(_par2(Gen(e.label, a, b), Id(len(wires) - a)))
         wires[:a] = []
         wires[:0] = list(e.targets)
-        for t in e.targets:
-            for consumer, _ in outs[t]:
-                missing[consumer] -= 1
-                if not missing[consumer]:
-                    heapq.heappush(ready, consumer)
     for i, v in enumerate(m.right):
         bubble_to(v, i)
     term: Term = Id(len(m.left))

@@ -20,7 +20,7 @@ comments and blank lines ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import TermSyntaxError, TypeMismatch, UnknownGenerator
 
@@ -42,30 +42,43 @@ class Signature:
     """Ordered generator declarations, each ``(name, arity, coarity)``."""
 
     generators: tuple[tuple[str, int, int], ...] = ()
+    _arities: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple((str(n), int(m), int(c)) for n, m, c in self.generators)
         object.__setattr__(self, "generators", gens)
-        seen = set()
+        arities = {}
         for name, m, n in gens:
             if not _NAME_RE.fullmatch(name):
                 raise TermSyntaxError(f"bad generator name {name!r}")
             if is_reserved_name(name):
                 raise TermSyntaxError(f"generator name {name!r} is reserved")
-            if name in seen:
+            if name in arities:
                 raise TermSyntaxError(f"duplicate generator {name!r}")
             if m < 0 or n < 0:
                 raise TermSyntaxError(f"negative arity for {name!r}")
-            seen.add(name)
+            arities[name] = (m, n)
+        object.__setattr__(self, "_arities", arities)
 
     def __contains__(self, name: str) -> bool:
-        return any(g[0] == name for g in self.generators)
+        return name in self._arities
 
     def arity(self, name: str) -> tuple[int, int]:
-        for gname, m, n in self.generators:
-            if gname == name:
-                return m, n
-        raise UnknownGenerator(f"generator {name!r} not declared")
+        if name not in self._arities:
+            raise UnknownGenerator(f"generator {name!r} not declared")
+        return self._arities[name]
+
+    def check(self, name: str, dom: int, cod: int) -> None:
+        """Raise UnknownGenerator unless name is declared, and TypeMismatch
+        unless it is declared at dom->cod."""
+        if name not in self._arities:
+            raise UnknownGenerator(f"generator '{name}' not declared")
+        m, n = self._arities[name]
+        if (m, n) != (dom, cod):
+            raise TypeMismatch(
+                f"generator '{name}' used at {dom}->{cod} but declared "
+                f"{m}->{n}"
+            )
 
 
 def parse_signature(text: str) -> Signature:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .cospan import Cospan
-from .errors import TypeMismatch, UnknownGenerator
 from .hypergraph import Edge, Hypergraph, UnionFind
 from .sigterm import (
     Gen,
@@ -35,11 +34,9 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
     An ill-typed term raises as term_type does; a well-typed term then
     raises for its leftmost undeclared or mistyped generator."""
     term_type(t)
-    arities = {name: (m, n) for name, m, n in sig.generators}
     uf = UnionFind()
     count = 0  # wire instances allocated so far
     edges: list[tuple[str, range, range]] = []
-    bad_generator: Exception | None = None
     done: list[tuple[list[int], list[int]]] = []  # boundaries of subterms
     stack: list = [t]
     while stack:
@@ -59,13 +56,12 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
         elif isinstance(node, (Seq, Par)):
             stack += (node, _JOIN, node.snd, node.fst)
         elif isinstance(node, Gen):
+            sig.check(node.name, node.dom, node.cod)
             ins = range(count, count + node.dom)
             outs = range(count + node.dom, count + node.dom + node.cod)
             count += node.dom + node.cod
             edges.append((node.name, ins, outs))
             done.append((list(ins), list(outs)))
-            if bad_generator is None:
-                bad_generator = _generator_error(node, arities)
         elif isinstance(node, Id):
             wires = range(count, count + node.n)
             count += node.n
@@ -80,8 +76,6 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
         else:  # Eta
             done.append(([], [count]))
             count += 1
-    if bad_generator is not None:
-        raise bad_generator
     [(left, right)] = done
     number: dict[int, int] = {}
     node_of = [
@@ -103,16 +97,3 @@ def eval_term(t: Term, sig: Signature) -> Cospan:
         tuple(node_of[i] for i in left),
         tuple(node_of[i] for i in right),
     )
-
-
-def _generator_error(g: Gen, arities: dict) -> Exception | None:
-    if g.name not in arities:
-        return UnknownGenerator(f"generator '{g.name}' not declared")
-    m, n = arities[g.name]
-    if (m, n) != (g.dom, g.cod):
-        return TypeMismatch(
-            f"generator '{g.name}' used at {g.dom}->{g.cod} but declared "
-            f"{m}->{n}"
-        )
-    return None
-

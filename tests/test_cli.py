@@ -58,10 +58,12 @@ def test_check_structured_format(ws, capsys):
 
 
 def test_translate_output_is_byte_identical(ws, capsys):
+    # across runs, and across formats: the cospan document is the only one
     _, sig, _ = ws
-    assert run(["translate", "--sig", sig, "--term", "(f + f) ; h"]) == 0
+    argv = ["translate", "--sig", sig, "--term", "(f + f) ; h", "--format"]
+    assert run(argv + ["text"]) == 0
     first = capsys.readouterr().out
-    assert run(["translate", "--sig", sig, "--term", "(f + f) ; h"]) == 0
+    assert run(argv + ["structured"]) == 0
     assert capsys.readouterr().out == first
     doc = json.loads(first)
     assert set(doc) == {"nodes", "edges", "left", "right"}
@@ -177,6 +179,37 @@ def test_running_out_of_memory_ends_in_one_record(
     assert [json.loads(line) for line in err.splitlines()] == [
         {"code": "out-of-memory", "message": f"{argv[0]} ran out of memory"}
     ]
+
+
+HUGE = "100000000000000000000"  # 10**20 wires: more than a list can hold
+
+
+@pytest.mark.parametrize(
+    "declared, host",
+    [("", f"id_{HUGE}"), ("", f"sym_1_{HUGE}"), (f"gen w : {HUGE} -> 1", "w")],
+    ids=["id", "sym", "signature"],
+)
+def test_a_width_too_large_to_hold_ends_in_one_record(
+    ws, capsys, declared, host
+):
+    tmp_path, _, rules = ws
+    sig = tmp_path / "huge.sig"
+    sig.write_text(SIG_TEXT + declared + "\n")
+    on = ["--sig", str(sig)]
+    with_rules = ["--rules", rules, *on, "--host", host]
+    for argv in (
+        ["translate", *on, "--term", host],
+        ["match", *with_rules],
+        ["rewrite", *with_rules],
+        ["oracle-compare", *with_rules, "--bound", "4"],
+    ):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"code": "out-of-memory",
+             "message": f"{argv[0]} ran out of memory"}
+        ]
 
 
 def test_rewrite_budget_exhaustion_is_machine_readable(ws, tmp_path, capsys):
@@ -799,21 +832,27 @@ def test_readback_of_a_wide_merge(ws, tmp_path, capsys, inputs):
 
 
 def test_readback_rejects_an_edge_used_at_the_wrong_type(ws, tmp_path, capsys):
-    # f is declared 1 -> 1; an f edge with two sources reads back to no term
+    # f is declared 1 -> 1 and k nowhere: an f or k edge with two sources
+    # reads back to no term, with the record translate gives for the term
     _, sig, _ = ws
-    doc = _doc(
-        nodes=[0, 1, 2],
-        edges=[_edge(sources=[0, 1], targets=[2])],
-        left=[0, 1],
-        right=[2],
-    )
-    csp = tmp_path / "mistyped.csp"
-    csp.write_text(json.dumps(doc))
-    assert run(["readback", "--cospan", str(csp), "--sig", sig]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [record] = map(json.loads, captured.err.splitlines())
-    assert record["code"] == "type-mismatch"
+    for label, record in [
+        ("f", {"code": "type-mismatch",
+               "message": "generator 'f' used at 2->1 but declared 1->1"}),
+        ("k", {"code": "unknown-generator",
+               "message": "generator 'k' not declared"}),
+    ]:
+        doc = _doc(
+            nodes=[0, 1, 2],
+            edges=[_edge(label=label, sources=[0, 1], targets=[2])],
+            left=[0, 1],
+            right=[2],
+        )
+        csp = tmp_path / "mistyped.csp"
+        csp.write_text(json.dumps(doc))
+        assert run(["readback", "--cospan", str(csp), "--sig", sig]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(ln) for ln in captured.err.splitlines()] == [record]
 
 
 FUZZ_RULES = "rule fg : f => g\nrule hm : h => mu\n"
@@ -906,3 +945,104 @@ def test_cli_on_fuzzed_documents_ends_in_an_answer_or_one_record(doc):
                 back = eval_term(parse_term(out, sig), sig)
                 given_doc = cospan_from_document(doc)
                 assert cospan_key(back) == cospan_key(given_doc)
+
+
+# atoms SIG_TEXT declares or the grammar builds in; k, undeclared; two
+# too wide to hold; two malformed; w, which some signature lines add
+FUZZ_ATOMS = st.sampled_from(
+    ["f", "g", "h", "s", "mu", "eta", "id_1", "id_2", "sym_1_1"] * 3
+    + ["id_0", "k", f"id_{HUGE}", f"sym_1_{HUGE}", "id_", "sym_1", "w"]
+)
+# lines a signature file may add to SIG_TEXT's
+FUZZ_SIG_LINES = st.sampled_from(
+    ["gen w : 1 -> 1", "# comment"] * 4
+    + [f"gen w : {HUGE} -> 1", "gen mu : 2 -> 1", "gen f : 1 -> 1",
+       "gen f 1 -> 1", "gen 1f : 1 -> 1", "gen id_3 : 1 -> 1", "gen"]
+)
+FUZZ_GOOD_RULES = st.sampled_from(
+    ["f => g", "h => mu", "mu => sym_1_1 ; mu", "f ; f => f", "s => eta",
+     "(id_1 + s) ; h => f"]
+)
+
+
+@st.composite
+def fuzz_term_text(draw) -> str:
+    """Up to four atoms joined by ';' or '+', parenthesised where the
+    operator changes and else at random; sometimes a stray token (an
+    unbalanced or doubled operator, a bad character) goes at a random
+    place."""
+    text, last = draw(FUZZ_ATOMS), None
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from([" ; ", " + "]))
+        if last not in (None, op) or draw(st.booleans()):
+            text = f"({text})"
+        text, last = text + op + draw(FUZZ_ATOMS), op
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        stray = draw(st.sampled_from(["(", ")", ";", "+", "!", " ; ;", "-"]))
+        text = text[:at] + stray + text[at:]
+    return text
+
+
+@st.composite
+def fuzz_rule_file(draw) -> str:
+    """Up to three rule lines: most well typed, some with fuzzed sides,
+    some malformed or with a repeated name."""
+    lines = []
+    for i in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from([f"r{i}"] * 4 + ["r0"]))
+        lhs, rhs = draw(fuzz_term_text()), draw(fuzz_term_text())
+        lines.append(draw(st.sampled_from([
+            *[f"rule {name} : {draw(FUZZ_GOOD_RULES)}"] * 4,
+            f"rule {name} : {lhs} => {rhs}",
+            f"rule {name} : {lhs} => {lhs}",
+            f"rule {name} : {lhs}",
+            f"rule : {lhs} => {rhs}",
+        ])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(FUZZ_SIG_LINES, max_size=1),
+    fuzz_rule_file(),
+    fuzz_term_text(),
+    st.integers(0, 7),
+)
+def test_cli_on_fuzzed_text_ends_in_an_answer_or_one_record(
+    sig_lines, rules_text, host, bound
+):
+    # no exception escapes run: exit 0, exit 1 with one JSON record (or
+    # oracle-compare's disagreement verdict on stdout), or the usage
+    # error's exit 2 for a host text that starts like an option. bfs goes
+    # one step deep: a rule with an edgeless side, such as id_1 => f,
+    # grows its frontier tenfold a step, and bfs has no state budget yet
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "sig").write_text(SIG_TEXT + "\n".join(sig_lines) + "\n")
+        (tmp / "rules").write_text(rules_text)
+        on = ["--sig", str(tmp / "sig")]
+        with_rules = ["--rules", str(tmp / "rules"), *on, "--host", host]
+        for argv in (
+            ["translate", *on, "--term", host],
+            ["match", *with_rules],
+            ["rewrite", *with_rules, "--all"],
+            ["rewrite", *with_rules, "--strategy=bfs", "--max-steps=1"],
+            ["oracle-compare", *with_rules, "--bound", str(bound)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out):
+                with contextlib.redirect_stderr(err):
+                    try:
+                        code = run(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2), argv
+            if code == 0:
+                assert err == ""
+            elif code == 1 and argv[0] == "oracle-compare" and not err:
+                assert "\nsymmetric difference: " in out
+            elif code == 1:
+                [record] = map(json.loads, err.splitlines())
+                assert set(record) >= {"code", "message"}

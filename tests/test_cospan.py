@@ -253,6 +253,37 @@ def test_dot_output_has_interface_rails():
     assert dot == cospan_to_dot(identity_cospan(2))
 
 
+def test_dot_output_of_one_edge_is_pinned_byte_for_byte():
+    # two inputs chain their rail, the one output has no chain
+    c = Cospan(Hypergraph({0, 1, 2}, {0: Edge("h", (0, 1), (2,))}),
+               (0, 1), (2,))
+    assert cospan_to_dot(c) == (
+        "digraph cospan {\n"
+        "  rankdir=LR;\n"
+        "  subgraph cluster_left {\n"
+        '    label="left"; color=blue;\n'
+        '    l0 [shape=plaintext, label="0"];\n'
+        '    l1 [shape=plaintext, label="1"];\n'
+        "    l0 -> l1 [style=invis];\n"
+        "  }\n"
+        "  subgraph cluster_right {\n"
+        '    label="right"; color=blue;\n'
+        '    r0 [shape=plaintext, label="0"];\n'
+        "  }\n"
+        '  n0 [shape=point, xlabel="0"];\n'
+        '  n1 [shape=point, xlabel="1"];\n'
+        '  n2 [shape=point, xlabel="2"];\n'
+        '  e0 [shape=box, label="h"];\n'
+        '  n0 -> e0 [headlabel="0"];\n'
+        '  n1 -> e0 [headlabel="1"];\n'
+        '  e0 -> n2 [headlabel="0"];\n'
+        "  l0 -> n0 [style=dashed, arrowhead=none];\n"
+        "  l1 -> n1 [style=dashed, arrowhead=none];\n"
+        "  n2 -> r0 [style=dashed, arrowhead=none];\n"
+        "}\n"
+    )
+
+
 def test_monogamy_predicates():
     # merge node: in-degree 2 through mu is right-monogamous, not monogamous
     mu = function_to_cospan(FinFunction(2, 1, (0, 0)))

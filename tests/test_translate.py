@@ -68,6 +68,18 @@ def test_eval_checks_generator_against_signature(sig):
         eval_term(Gen("f", 1, 1), sig)  # declared 2 -> 1
 
 
+def test_eval_names_the_leftmost_bad_generator(sig):
+    zz, f = Gen("zz", 1, 1), Gen("f", 1, 1)  # undeclared; declared 2 -> 1
+    with pytest.raises(UnknownGenerator) as exc:
+        eval_term(Seq(zz, f), sig)
+    assert exc.value.message == "generator 'zz' not declared"
+    with pytest.raises(TypeMismatch) as exc:
+        eval_term(Seq(f, zz), sig)
+    assert exc.value.message == (
+        "generator 'f' used at 1->1 but declared 2->1"
+    )
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_eval_output_is_right_monogamous_acyclic(seed):
     rng = random.Random(seed)
