@@ -26,6 +26,7 @@ from .hypergraph import (
     canonical_form,
     graph_dot_lines,
     is_acyclic,
+    renamed_edges,
     terminal_nodes,
 )
 
@@ -181,11 +182,9 @@ def pushout(
     for rename, g, offset in zip(renames, (a, b), (0, shift)):
         for v in sorted(g.nodes):
             rename[v] = number.setdefault(uf.find(offset + v), len(number))
-        at = rename.__getitem__
-        edges += [
-            Edge(e.label, tuple(map(at, e.sources)), tuple(map(at, e.targets)))
-            for _, e in sorted(g.edges.items())
-        ]
+        edges += renamed_edges(
+            (e for _, e in sorted(g.edges.items())), rename
+        )
     carrier = Hypergraph(frozenset(range(len(number))), dict(enumerate(edges)))
     return carrier, *renames
 

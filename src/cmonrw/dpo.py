@@ -7,6 +7,8 @@ import itertools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .cospan import (
     Connection,
@@ -38,6 +40,7 @@ from .hypergraph import (
     is_acyclic,
     is_convex,
     iter_homomorphisms,
+    renamed_edges,
 )
 from .sigterm import Signature, parse_term, term_type
 from .translate import eval_term
@@ -90,13 +93,20 @@ class Complement:
 
 @dataclass(frozen=True)
 class RewriteStep:
-    """One applied rewrite: rule, where it matched, what remained, result."""
+    """One applied rewrite: rule, where it matched, result. complement,
+    built when first read, is the one the result was glued into: element
+    index of boundary_complement(match, host)."""
 
     rule: RewriteRule
     match: Match
-    complement: Complement
     result: Cospan
     key: tuple  # cospan_key(result), the key steps are deduplicated by
+    host: Cospan
+    index: int
+
+    @cached_property
+    def complement(self) -> Complement:
+        return boundary_complement(self.match, self.host)[self.index]
 
 
 def enumerate_convex_matches(rule: RewriteRule, host: Cospan) -> list[Match]:
@@ -146,14 +156,42 @@ def complement_is_valid(
     return iso_equal(_glue_into_complement(rule.lhs, comp), host)
 
 
-def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
-    """Every valid complement for the match, deterministically ordered.
+class _Cut(NamedTuple):
+    """A match cut out of its host: what every complement of the match
+    shares, and the in-slot picks that tell them apart.
+
+    survivors are the host nodes outside the match image, sorted; edges
+    are the surviving host edges in id order, each out-connection at a
+    boundary node moved to its c2 copy and each in-connection there not
+    yet picked; picks are the candidates' assignments of in-slots to
+    copies, in boundary_complement's order before deduplication."""
+
+    survivors: tuple[int, ...]
+    edges: dict[int, Edge]
+    left: tuple[int, ...]
+    c1: tuple[int, ...]
+    c2: tuple[int, ...]
+    d2: tuple[int, ...]
+    picks: list[dict[Connection, int]]
+
+    def complement(self, to: dict[Connection, int]) -> Complement:
+        """The complement that the assignment picks."""
+        edges, d1 = reattach(self.edges, self.left, to)
+        nodes = frozenset(self.survivors).union(self.c1, self.c2)
+        return Complement(
+            Hypergraph(nodes, edges), self.c1, self.c2, d1, self.d2
+        )
+
+
+def _cut(match: Match, host: Cospan) -> _Cut | None:
+    """The match cut out of the host, or None when it has no complement.
 
     The match image is cut out; each boundary node is replaced by fresh
     copies (one c1 copy per lhs input position, one shared c2 copy per
     output-image node). Surviving out-connections must land on the c2 copy;
     each surviving in-connection picks any copy, and every combination is
-    a complement.
+    a complement. Only the edges at image nodes change, so they are read
+    from the host's incidence index.
 
     Combinations are built once per symmetry class of twin producers:
     remaining edges with equal label, sources and targets. Swapping two
@@ -167,15 +205,20 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     keeps the representative the full product of picks would keep: n+1
     candidates instead of 2^n where n twins feed a node with two copies.
 
-    Every candidate is valid by construction. c1 and c2 are fresh,
-    distinct and disjoint, and match.hom plus the identity maps the
-    re-glued lhs onto the host. Right-monogamy of (d1 + c2, d2 + c1)
-    reads only edge sources and d2 + c1, which no pick moves, so it is
-    checked once per match. Several candidates are deduplicated and sorted
-    by cospan_order_key with c1 + c2 as left and d1 + d2 as right, which
-    pins all four node lists, as the match fixes every length."""
+    A match has complements only in a right-monogamous host, and there
+    every candidate's rearrangement (d1 + c2, d2 + c1) is right-monogamous,
+    so the cut reads the host's flag once. The check counts each node's
+    consumers, edge sources and right positions, which no pick moves. The
+    lhs is right-monogamous and a match merges only lhs outputs, so no
+    image edge consumes an output image node, and an image edge consumes
+    every other input image node. A surviving node keeps its consumers, a
+    c1 copy has one (its c1 position), and a c2 copy has its node's. So a
+    host that fails the check makes every candidate fail it, or has an
+    out-connection at a node without a c2 copy, which no candidate can
+    take."""
     rule = match.rule
     g = host.carrier
+    ins, outs = g.index
     a1_img = [match.hom.node_map[v] for v in rule.lhs.left]
     a2_img = [match.hom.node_map[v] for v in rule.lhs.right]
     boundary = set(a1_img) | set(a2_img)
@@ -183,12 +226,40 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
     img_edges = set(match.hom.edge_map.values())
     deleted = img_nodes - boundary
 
+    stranded = [
+        eid
+        for v in deleted
+        for eid, _ in ins[v] + outs[v]
+        if eid not in img_edges
+    ]
+    if stranded:
+        eid = min(stranded)
+        e = g.edges[eid]
+        v = next(v for v in e.sources + e.targets if v in deleted)
+        raise DanglingEdge(f"edge {eid} touches deleted node {v}")
+    for v in host.left + host.right:
+        if v in deleted:
+            raise DanglingEdge(f"host interface touches deleted node {v}")
+    if not host.right_monogamous:
+        return None
+
     base = max(g.nodes) + 1 if g.nodes else 0
     c1 = tuple(range(base, base + len(a1_img)))
     c2_of: dict[int, int] = {}
     for w in sorted(set(a2_img)):
         c2_of[w] = base + len(a1_img) + len(c2_of)
     c2 = tuple(c2_of[w] for w in a2_img)
+    d2 = tuple(c2_of.get(v, v) for v in host.right)
+
+    edges = dict(sorted(g.edges.items()))
+    for eid in img_edges:
+        del edges[eid]
+    for w in c2_of:
+        for eid, _ in outs[w]:
+            if eid not in img_edges:
+                e = edges[eid]
+                sources = tuple(c2_of.get(v, v) for v in e.sources)
+                edges[eid] = Edge(e.label, sources, e.targets)
 
     def copies(v: int) -> list[int]:
         opts = [c1[z] for z, w in enumerate(a1_img) if w == v]
@@ -196,42 +267,23 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
             opts.append(c2_of[v])
         return opts
 
-    # One pass over the surviving edges in id order. None may touch a
-    # deleted node. An out-connection at a boundary node moves to its c2
-    # copy, and blocks the match when there is none; an edge with no such
-    # source keeps its Edge object. Each in-connection at a boundary node
-    # is an in-slot, grouped in per-producer blocks: twins share one
-    # entry, and each left-interface slot is an entry of its own.
+    # Each in-connection at a boundary node is an in-slot, grouped in
+    # per-producer blocks: twins share one entry, and each left-interface
+    # slot is an entry of its own.
     in_slots: dict[Connection, int] = {}
     producers: dict[Edge | Connection, list[list[Connection]]] = {}
-    out_edges: dict[int, Edge] = {}
-    blocked = False
-    for eid, e in sorted(g.edges.items()):
-        if eid in img_edges:
-            continue
-        for v in e.sources + e.targets:
-            if v in deleted:
-                raise DanglingEdge(f"edge {eid} touches deleted node {v}")
-        sources = tuple(c2_of.get(v, v) for v in e.sources)
-        blocked = blocked or not boundary.isdisjoint(sources)
-        out_edges[eid] = (
-            e if sources == e.sources else Edge(e.label, sources, e.targets)
-        )
-        block = [
-            edge_conn(eid, si)
-            for si, v in enumerate(e.targets)
-            if v in boundary
-        ]
-        for conn in block:
-            in_slots[conn] = e.targets[conn.slot]
-        if block:
-            producers.setdefault(e, []).append(block)
-    for v in host.left + host.right:
-        if v in deleted:
-            raise DanglingEdge(f"host interface touches deleted node {v}")
-    d2 = tuple(c2_of.get(v, v) for v in host.right)
-    if blocked or not boundary.isdisjoint(d2):
-        return []
+    slots = sorted(
+        (eid, slot, w)
+        for w in boundary
+        for eid, slot in ins[w]
+        if eid not in img_edges
+    )
+    for eid, group in itertools.groupby(slots, key=lambda s: s[0]):
+        block = []
+        for _, slot, w in group:
+            block.append(edge_conn(eid, slot))
+            in_slots[block[-1]] = w
+        producers.setdefault(g.edges[eid], []).append(block)
     for p, v in enumerate(host.left):
         if v in boundary:
             in_slots[iface_conn(p)] = v
@@ -250,34 +302,47 @@ def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
         ]
 
     classes = map(orbit_picks, producers.values())
-    assignments = sorted(
+    picks = sorted(
         (
             dict(itertools.chain.from_iterable(parts))
             for parts in itertools.product(*classes)
         ),
         key=lambda to: [to[c] for c in in_slots],
     )
+    survivors = tuple(sorted(g.nodes - img_nodes))
+    return _Cut(survivors, edges, host.left, c1, c2, d2, picks)
 
-    carrier_nodes = (
-        frozenset(g.nodes - img_nodes)
-        | frozenset(c1)
-        | frozenset(c2_of.values())
-    )
-    comps: list[Complement] = []
-    for to in assignments:
-        edges, d1 = reattach(out_edges, host.left, to)
-        comps.append(
-            Complement(Hypergraph(carrier_nodes, edges), c1, c2, d1, d2)
-        )
-    if not is_right_monogamous(Cospan(comps[0].carrier, (), d2 + c1)):
-        return []
-    if len(comps) == 1:
-        return comps
-    found: dict[tuple, Complement] = {}
-    for comp in comps:
+
+def _candidates(
+    cut: _Cut,
+) -> list[tuple[dict[Connection, int], Complement | None]]:
+    """The cut's picks, one per complement up to isomorphism, each with
+    its complement when one was built. A single pick is taken as it is,
+    with none. Several are built, deduplicated and sorted by
+    cospan_order_key of their complements with c1 + c2 as left and
+    d1 + d2 as right, which pins all four node lists, as the match fixes
+    every length."""
+    if len(cut.picks) == 1:
+        return [(cut.picks[0], None)]
+    found: dict[tuple, tuple[dict[Connection, int], Complement]] = {}
+    for to in cut.picks:
+        comp = cut.complement(to)
         pinned = Cospan(comp.carrier, comp.c1 + comp.c2, comp.d1 + comp.d2)
-        found.setdefault(cospan_order_key(pinned), comp)
+        found.setdefault(cospan_order_key(pinned), (to, comp))
     return [found[k] for k in sorted(found)]
+
+
+def boundary_complement(match: Match, host: Cospan) -> list[Complement]:
+    """Every valid complement for the match, deterministically ordered: one
+    per candidate of the match's cut (see _cut and _candidates).
+
+    Every candidate is valid by construction. c1 and c2 are fresh,
+    distinct and disjoint, and match.hom plus the identity maps the
+    re-glued lhs onto the host."""
+    cut = _cut(match, host)
+    if cut is None:
+        return []
+    return [comp or cut.complement(to) for to, comp in _candidates(cut)]
 
 
 def _glue_into_complement(cos: Cospan, comp: Complement) -> Cospan:
@@ -295,12 +360,43 @@ def _glue_into_complement(cos: Cospan, comp: Complement) -> Cospan:
     )
 
 
-def apply_rewrite(
-    rule: RewriteRule, match: Match, complement: Complement
+def _glue_into_cut(
+    rhs: Cospan, cut: _Cut, to: dict[Connection, int]
 ) -> Cospan:
-    """Glue the rhs into a validated complement; the result keeps its
+    """_glue_into_complement(rhs, cut.complement(to)), written straight from
+    the cut: no complement carrier and one renaming of each edge.
+
+    The numbering is pushout's. rhs output positions that share a c2 copy
+    are one node, and each c1 copy glues one rhs input, so the classes are
+    rhs's nodes up to the c2 copies; they are numbered in the order of
+    their first rhs node, and every copy lies in one. The surviving host
+    nodes follow in sorted order, then rhs edges in id order and the
+    surviving edges in id order."""
+    first: dict[int, int] = {}  # c2 copy -> first rhs node glued to it
+    cls = {v: first.setdefault(w, v) for v, w in zip(rhs.right, cut.c2)}
+    number: dict[int, int] = {}
+    of_rhs = {
+        v: number.setdefault(cls.get(v, v), len(number))
+        for v in sorted(rhs.carrier.nodes)
+    }
+    of_cut = dict(zip(cut.survivors, itertools.count(len(number))))
+    of_cut.update(zip(cut.c1, map(of_rhs.__getitem__, rhs.left)))
+    of_cut.update(zip(cut.c2, map(of_rhs.__getitem__, rhs.right)))
+    edges, d1 = reattach(cut.edges, cut.left, to)
+    rhs_edges = (e for _, e in sorted(rhs.carrier.edges.items()))
+    glued = renamed_edges(rhs_edges, of_rhs)
+    glued += renamed_edges(edges.values(), of_cut)
+    carrier = Hypergraph(
+        frozenset(range(len(number) + len(cut.survivors))),
+        dict(enumerate(glued)),
+    )
+    at = of_cut.__getitem__
+    return Cospan(carrier, tuple(map(at, d1)), tuple(map(at, cut.d2)))
+
+
+def _checked(rule: RewriteRule, result: Cospan) -> Cospan:
+    """The result, once it is right-monogamous and acyclic; it keeps its
     checks, so steps from it do not repeat them."""
-    result = _glue_into_complement(rule.rhs, complement)
     if not result.right_monogamous:
         raise ResultNotRightMonogamous(
             f"rule {rule.name!r} produced a non-right-monogamous result"
@@ -310,17 +406,30 @@ def apply_rewrite(
     return result
 
 
+def apply_rewrite(
+    rule: RewriteRule, match: Match, complement: Complement
+) -> Cospan:
+    """Glue the rhs into a given complement and check the result."""
+    return _checked(rule, _glue_into_complement(rule.rhs, complement))
+
+
 def _results(rules: list[RewriteRule], host: Cospan) -> Iterator:
-    """(rule, match, complement, result) for each complement of each convex
-    match into a validated host, rule by rule, built only when asked for."""
+    """(rule, match, index, result) for each complement of each convex
+    match into a validated host, rule by rule, built only when asked for:
+    index is the complement's place in boundary_complement's list. Each
+    result is glued straight from the match's cut; a complement is built
+    only where a match has several candidates to deduplicate."""
     for rule in rules:
         for match in _convex_matches(rule, host):
             try:
-                comps = boundary_complement(match, host)
+                cut = _cut(match, host)
             except DanglingEdge:
                 continue
-            for comp in comps:
-                yield rule, match, comp, apply_rewrite(rule, match, comp)
+            if cut is None:
+                continue
+            for index, (to, _) in enumerate(_candidates(cut)):
+                result = _glue_into_cut(rule.rhs, cut, to)
+                yield rule, match, index, _checked(rule, result)
 
 
 def iter_rewrites(
@@ -331,11 +440,11 @@ def iter_rewrites(
     is asked for, and the host is validated when iteration starts."""
     validate_right_monogamous_acyclic(host)
     seen: set[tuple] = set()
-    for rule, match, comp, result in _results(rules, host):
+    for rule, match, index, result in _results(rules, host):
         key = cospan_key(result)
         if key not in seen:
             seen.add(key)
-            yield RewriteStep(rule, match, comp, result, key)
+            yield RewriteStep(rule, match, result, key, host, index)
 
 
 def rewrite_all(

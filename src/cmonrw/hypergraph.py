@@ -88,6 +88,15 @@ class Hypergraph:
         return Hypergraph(sub.nodes, {e: self.edges[e] for e in sub.edges})
 
 
+def renamed_edges(edges, new: dict[int, int]) -> list[Edge]:
+    """Each edge with every endpoint v moved to new[v]."""
+    at = new.__getitem__
+    return [
+        Edge(e.label, tuple(map(at, e.sources)), tuple(map(at, e.targets)))
+        for e in edges
+    ]
+
+
 @dataclass(frozen=True)
 class SubHypergraph:
     """A sub-hypergraph of an ambient graph, given by id subsets."""
@@ -254,6 +263,28 @@ def _shape(e: Edge) -> tuple[str, int, int]:
     return e.label, len(e.sources), len(e.targets)
 
 
+def _path_lengths(g: Hypergraph) -> tuple[dict, dict] | None:
+    """Per edge, the most edges on a path into it and on a path out of
+    it, in one pass each way over the topological order; None when g is
+    cyclic."""
+    if g.ranks is None:
+        return None
+    ins, outs = g.index
+    up: dict[int, int] = {}
+    for eid in g.ranks:
+        up[eid] = max(
+            (up[f] + 1 for v in g.edges[eid].sources for f, _ in ins[v]),
+            default=0,
+        )
+    down: dict[int, int] = {}
+    for eid in reversed(g.ranks):
+        down[eid] = max(
+            (down[f] + 1 for v in g.edges[eid].targets for f, _ in outs[v]),
+            default=0,
+        )
+    return up, down
+
+
 def find_homomorphisms(
     pattern: Hypergraph, host: Hypergraph, merge_allowed=frozenset()
 ) -> list[Homomorphism]:
@@ -273,7 +304,11 @@ def iter_homomorphisms(
     order and then one per pattern node no edge touches, each level trying
     host edges or nodes in id order. A pattern edge with an endpoint
     already mapped tries only the host edges at that endpoint's image in
-    the same slot."""
+    the same slot. When both graphs are acyclic and the pattern has two
+    edges or more, a host edge is tried only where its longest paths in
+    and out are at least the pattern edge's: a map injective on edges
+    takes a path to a path of the same length, so this skips no map and
+    keeps the order."""
     merge_allowed = frozenset(merge_allowed)
     by_label: dict[str, list[int]] = {}
     for hid in sorted(host.edges):
@@ -285,6 +320,11 @@ def iter_homomorphisms(
     touched = {v for e in pedges for v in e.sources + e.targets}
     loose = [v for v in sorted(pattern.nodes) if v not in touched]
     host_nodes = sorted(host.nodes)
+    lengths = None
+    if n_edges > 1:
+        lengths = _path_lengths(pattern), _path_lengths(host)
+        if None in lengths:
+            lengths = None
     if not pedges and not loose:
         yield Homomorphism(pattern, host, {}, {})
         return
@@ -321,9 +361,7 @@ def iter_homomorphisms(
             return None
         return new
 
-    def options(k: int) -> list[int]:
-        if k >= n_edges:
-            return host_nodes
+    def candidates(k: int) -> list[int]:
         pe = pedges[k]
         if k:  # only an edge after the first can have an endpoint mapped
             for via, ends in ((inc.outs, pe.sources), (inc.ins, pe.targets)):
@@ -331,6 +369,17 @@ def iter_homomorphisms(
                     if pv in nmap:
                         return [h for h, s in via[nmap[pv]] if s == slot]
         return by_label.get(pe.label, [])
+
+    def options(k: int) -> list[int]:
+        if k >= n_edges:
+            return host_nodes
+        if lengths is None:
+            return candidates(k)
+        (p_up, p_down), (h_up, h_down) = lengths
+        up, down = p_up[pids[k]], p_down[pids[k]]
+        return [
+            h for h in candidates(k) if h_up[h] >= up and h_down[h] >= down
+        ]
 
     def choose(k: int, opt: int) -> list[int] | None:
         if k >= n_edges:

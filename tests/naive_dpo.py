@@ -3,12 +3,15 @@ kept as the reference it is tested against: every surviving in-connection
 at a boundary node picks any copy of that node, independently, so n twin
 producers feeding a node with two copies give 2^n candidates, each one
 built, validated and keyed. Also the validity check by isomorphism alone,
-which every complement boundary_complement returns must pass, and leftmost
-normalisation by the first step of rewrite_all."""
+which every complement boundary_complement returns must pass, leftmost
+normalisation by the first step of rewrite_all, and rewrite results glued
+into each complement by a pushout, as they were built before they came
+straight from the match's cut."""
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from cmonrw import dpo
 from cmonrw.cospan import (
@@ -25,6 +28,8 @@ from cmonrw.dpo import (
     Match,
     RewriteRule,
     apply_rewrite,
+    boundary_complement,
+    enumerate_convex_matches,
     rewrite_all,
 )
 from cmonrw.errors import (
@@ -178,3 +183,22 @@ def leftmost_trace(
         if not steps or len(trace) - 1 == max_steps:
             return trace, bool(steps)
         trace.append(steps[0].result)
+
+
+def glued_results(
+    rules: list[RewriteRule], host: Cospan
+) -> Iterator[tuple[RewriteRule, Match, int, Complement, Cospan]]:
+    """(rule, match, index, complement, result) for every complement of
+    every convex match, rule by rule, in rewriting's order: index is the
+    complement's place in boundary_complement's list, and the result is
+    the rhs glued into it by a pushout and checked (apply_rewrite)."""
+    for rule in rules:
+        for match in enumerate_convex_matches(rule, host):
+            try:
+                comps = boundary_complement(match, host)
+            except DanglingEdge:
+                continue
+            for index, comp in enumerate(comps):
+                yield rule, match, index, comp, apply_rewrite(
+                    rule, match, comp
+                )

@@ -572,6 +572,46 @@ def test_rewrite_output_matches_pinned_bytes(tmp_path, capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+GLUE_PINNED = os.path.join(
+    os.path.dirname(__file__), "data", "rewrite_outputs_glue.json"
+)
+GLUE_SIG_TEXT = SIG_TEXT + "gen c : 1 -> 2\n"
+GLUE_RULES = {
+    "hmu": "rule hmu : h => mu\n",
+    "fid": "rule fid : f => id_1\n",
+    "feta": "rule feta : f => (s + f) ; mu\n",
+    "chf": "rule chf : c ; h => f\n",
+    "idf": "rule idf : id_1 => f\n",
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    _pinned_cases(GLUE_PINNED),
+    ids=lambda c: f"{c['rules']}:{c['mode']}:{c['host']}",
+)
+def test_gluing_rewrite_output_matches_pinned_bytes(tmp_path, capsys, case):
+    # outputs recorded while each result was glued into a complement by a
+    # pushout: rhs sides that glue interface nodes (mu, id_1, a merge fed
+    # by a fresh s, an edgeless lhs) on hosts whose left interface meets
+    # the match. The rules that never terminate run two steps deep, and
+    # their budget record is pinned too
+    sig = tmp_path / "sig.txt"
+    sig.write_text(GLUE_SIG_TEXT)
+    rules = tmp_path / "rules.txt"
+    rules.write_text(GLUE_RULES[case["rules"]])
+    argv = [
+        "rewrite", "--sig", str(sig), "--rules", str(rules),
+        "--host", case["host"], *PINNED_MODES[case["mode"]],
+        "--format", "structured",
+    ]
+    if "max_steps" in case:
+        argv += ["--max-steps", str(case["max_steps"])]
+    assert run(argv) == case["exit"]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+
+
 ORACLE_PINNED = os.path.join(
     os.path.dirname(__file__), "data", "oracle_outputs.json"
 )

@@ -11,8 +11,9 @@ import pytest
 
 from cmonrw import cospan, dpo, hypergraph
 from corpus import SIG3, random_rm_cospan, random_term
-from cmonrw.cospan import Cospan
+from cmonrw.cospan import Cospan, is_right_monogamous
 from cmonrw.dpo import (
+    Match,
     RewriteRule,
     boundary_complement,
     enumerate_convex_matches,
@@ -20,6 +21,7 @@ from cmonrw.dpo import (
     rewrite_all,
 )
 from cmonrw.errors import DanglingEdge
+from cmonrw.hypergraph import Edge, Hypergraph, is_convex, iter_homomorphisms
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 from naive_dpo import (
@@ -174,21 +176,26 @@ def test_twins_into_an_output_image_node(host_text, lhs_text):
 
 
 def test_rewrite_all_glues_once_per_step_and_never_validates(monkeypatch):
-    # boundary_complement returns complements valid by construction, so a
-    # rewrite step glues the rhs once and nothing checks the complement
+    # a result is glued straight from its match's cut: one carrier per
+    # result and no pushout. A complement is built only where a match has
+    # several candidates to deduplicate, once per candidate, and nothing
+    # checks a complement
     calls = dict.fromkeys(
-        ["apply_rewrite", "pushout", "complement_is_valid", "iso_equal"], 0
+        [
+            "pushout",
+            "complement_is_valid",
+            "iso_equal",
+            "Complement",
+            "Hypergraph",
+            "cospan_key",
+        ],
+        0,
     )
-    per_step = []
 
     def counting(name, fn):
         def wrapper(*args):
             calls[name] += 1
-            before = calls["pushout"]
-            out = fn(*args)
-            if name == "apply_rewrite":
-                per_step.append(calls["pushout"] - before)
-            return out
+            return fn(*args)
 
         return wrapper
 
@@ -198,13 +205,32 @@ def test_rewrite_all_glues_once_per_step_and_never_validates(monkeypatch):
     cases += [(TWO_SLOT_HOST, "(mu + mu) ; h"), (TWO_SLOT_HOST, "mu + mu")]
     cases += [(h, lhs) for h in MIXED_HOSTS for lhs in MIXED_LHS]
     cases += OUTPUT_IMAGE_CASES
+    cases += [(" ; ".join(["f"] * 6), "f"), ("(f + f) ; h ; g", "f ; g")]
+    seen = {"single": 0, "several": 0}
     for host_text, lhs_text in cases:
-        lhs = _ev(lhs_text)
-        rewrite_all([RewriteRule(lhs, lhs, "self")], _ev(host_text))
-    assert calls["apply_rewrite"] > len(cases)
-    assert per_step == [1] * calls["apply_rewrite"]
-    assert calls["pushout"] == calls["apply_rewrite"]
-    assert calls["complement_is_valid"] == 0 and calls["iso_equal"] == 0
+        lhs, host = _ev(lhs_text), _ev(host_text)
+        rule = RewriteRule(lhs, lhs, "self")
+        # per match, the candidates boundary_complement builds and the
+        # complements it keeps
+        built, kept = [], []
+        for match in enumerate_convex_matches(rule, host):
+            before = calls["Complement"]
+            try:
+                kept.append(len(boundary_complement(match, host)))
+            except DanglingEdge:
+                continue
+            built.append(calls["Complement"] - before)
+            seen["several" if built[-1] > 1 else "single"] += 1
+        for name in calls:
+            calls[name] = 0
+        rewrite_all([rule], host)
+        compared = sum(n for n in built if n > 1)
+        assert calls["cospan_key"] == sum(kept)
+        assert calls["Complement"] == compared
+        assert calls["Hypergraph"] == sum(kept) + compared
+        assert calls["pushout"] == 0
+        assert calls["complement_is_valid"] == calls["iso_equal"] == 0
+    assert seen["single"] > 10 and seen["several"] > 10
 
 
 def counting_canonical_forms(monkeypatch) -> list:
@@ -292,3 +318,47 @@ def test_random_rm_cospans_some_with_twins():
         for lhs in rules:
             found += assert_same_complements(lhs, host)
     assert twins >= 5 and found > 300
+
+
+def _spoilt(rng: random.Random, host: Cospan) -> Cospan:
+    """The host with its right leg or a consumer changed, so that it is
+    no longer right-monogamous: an output listed twice, an output dropped,
+    or a new p edge from a node, consumed or an output already, to a new
+    output."""
+    g, right = host.carrier, host.right
+    kind = rng.randrange(3)
+    if kind == 0 and right:
+        return Cospan(g, host.left, right + right[:1])
+    if kind == 1 and right:
+        return Cospan(g, host.left, right[1:])
+    new = max(g.nodes) + 1
+    edges = dict(g.edges)
+    edges[len(edges)] = Edge("p", (rng.choice(sorted(g.nodes)),), (new,))
+    return Cospan(Hypergraph(g.nodes | {new}, edges), host.left, right + (new,))
+
+
+def test_hosts_that_are_not_right_monogamous_give_the_full_product():
+    # a cut reads the host's own right-monogamy flag in place of checking
+    # each complement's rearrangement; on hosts that fail it, the full
+    # product (which checks every candidate) must find no complement either
+    rng = random.Random(19)
+    rules = [
+        _ev(text, RM_SIG)
+        for text in ["p", "q", "r", "s", "mu", "mu ; p", "r ; q", "id_1"]
+    ]
+    spoilt = compared = 0
+    for _ in range(300):
+        host = _spoilt(rng, random_rm_cospan(rng))
+        spoilt += not is_right_monogamous(host)
+        for lhs in rules:
+            for hom in iter_homomorphisms(
+                lhs.carrier, host.carrier, frozenset(lhs.right)
+            ):
+                images = set(hom.node_map.values()), set(hom.edge_map.values())
+                if not is_convex(host.carrier, *images):
+                    continue
+                match = Match(RewriteRule(lhs, lhs, "self"), hom)
+                new = _outcome(boundary_complement, match, host)
+                assert new == _outcome(full_product_complements, match, host)
+                compared += 1
+    assert spoilt == 300 and compared > 300

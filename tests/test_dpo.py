@@ -601,9 +601,12 @@ def test_lazy_leftmost_follows_rewrite_alls_first_step(seed):
 
 def test_a_rewrite_step_passes_over_its_host_once(ev, monkeypatch):
     # one incidence index and one topological order per graph, shared by
-    # validation, matching and every convexity check; one right-monogamy
-    # check per result, shared by apply_rewrite, the key and the next
-    # step's validation; and leftmost never keys a result
+    # validation, matching and every convexity check; one carrier per
+    # result, glued from the match's cut with no pushout, and complements
+    # built only where a match has several candidates (none for f => g or
+    # f ; f => g on a chain, where each match has one);
+    # one right-monogamy check per result, shared by the result check, the
+    # key and the next step's validation; and leftmost never keys a result
     ranked, incidences = [], []
     order, incidence = hypergraph.Hypergraph.ranks.func, hypergraph.incidence
 
@@ -611,68 +614,94 @@ def test_a_rewrite_step_passes_over_its_host_once(ev, monkeypatch):
         ranked.append(g)
         return order(g)
 
-    def building(g):
+    def indexing(g):
         incidences.append(g)
         return incidence(g)
 
     ranks = functools.cached_property(ranking)
     ranks.__set_name__(hypergraph.Hypergraph, "ranks")
     monkeypatch.setattr(hypergraph.Hypergraph, "ranks", ranks)
-    monkeypatch.setattr(hypergraph, "incidence", building)
-    checked, results, keyed = [], [], []
+    monkeypatch.setattr(hypergraph, "incidence", indexing)
+    checked, results, keyed, carriers, comps, pushed = [], [], [], [], [], []
+    make_carrier, make_complement = dpo.Hypergraph, dpo.Complement
+    check_result = dpo._checked
 
     def checking(c):
         checked.append(c)
         return is_right_monogamous(c)
 
-    def applying(*args):
-        results.append(apply_rewrite(*args))
+    def accepting(rule, result):
+        results.append(check_result(rule, result))
         return results[-1]
 
     def keying(c):
         keyed.append(c)
         return cospan_key(c)
 
+    def building(*args):
+        carriers.append(make_carrier(*args))
+        return carriers[-1]
+
+    def complementing(*args):
+        comps.append(make_complement(*args))
+        return comps[-1]
+
+    def pushing(*args):
+        pushed.append(args)
+        return pushout(*args)
+
     for module in (cospan, dpo):
         monkeypatch.setattr(module, "is_right_monogamous", checking)
-    monkeypatch.setattr(dpo, "apply_rewrite", applying)
+    monkeypatch.setattr(dpo, "_checked", accepting)
     monkeypatch.setattr(dpo, "cospan_key", keying)
+    monkeypatch.setattr(dpo, "Hypergraph", building)
+    monkeypatch.setattr(dpo, "Complement", complementing)
+    monkeypatch.setattr(dpo, "pushout", pushing)
 
     def once_each(seen, expected):
         return sorted(map(id, seen)) == sorted(map(id, expected))
 
+    def one_carrier_per_result():
+        built = [r.carrier for r in results] + [c.carrier for c in comps]
+        return once_each(carriers, built) and pushed == []
+
     fg = RewriteRule(ev("f"), ev("g"), "fg")
     ffg = RewriteRule(ev("f ; f"), ev("g"), "ffg")
     mufh = RewriteRule(ev("mu ; f"), ev("h"), "mufh")
+    chain = " ; ".join(["f"] * 12)
     hosts = [
-        " ; ".join(["f"] * 12),
+        chain,
         "(((s + s) ; mu) + ((s + s) ; mu)) ; mu ; f",
         "((((s ; f) + (s ; f)) ; mu) + (s ; f)) ; mu",
     ]
+    compared = 0
     for text in hosts:
         for rules in ([fg], [ffg, fg], [mufh, fg]):
             host = ev(text)
-            ranked.clear()
-            incidences.clear()
-            checked.clear()
-            results.clear()
+            for seen in (ranked, incidences, checked, results, carriers, comps):
+                seen.clear()
             steps = list(iter_rewrites(rules, host))
             assert steps and len(results) >= len(steps)
-            carriers = [host.carrier] + [r.carrier for r in results]
-            assert once_each(ranked, carriers)
-            assert once_each(incidences, carriers)
+            assert one_carrier_per_result()
+            if text == chain and mufh not in rules:
+                assert comps == []
+            compared += len(comps)
+            graphs = [host.carrier] + [r.carrier for r in results]
+            assert once_each(ranked, graphs)
+            assert once_each(incidences, graphs)
             assert once_each(
                 [c for c in checked if c is host or c in results],
                 [host] + results,
             )
+    # mu ; f has two candidates at each f of the chain
+    assert compared
     for strategy in ("leftmost", "bfs"):
         host = ev("f ; f ; f ; f ; f")
-        keyed.clear()
-        checked.clear()
-        results.clear()
+        for seen in (keyed, checked, results, carriers, comps):
+            seen.clear()
         (out,) = normalize([fg], host, strategy)
         assert iso_equal(out, ev("g ; g ; g ; g ; g"))
-        assert results
+        assert results and comps == [] and one_carrier_per_result()
         assert once_each([c for c in checked if c in results], results)
         if strategy == "leftmost":
             assert keyed == []

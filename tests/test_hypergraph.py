@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_rm_cospan
+from cmonrw import hypergraph
 from cmonrw.errors import NotASubhypergraph
 from cmonrw.hypergraph import (
     Edge,
@@ -230,6 +231,33 @@ def test_homomorphism_search_on_long_chains():
     pattern, host = chain(*["f"] * 40), chain(*["f"] * 60)
     assert homs_view(find_homomorphisms(pattern, host)) == homs_view(
         naive_match.find_homomorphisms(pattern, host)
+    )
+
+
+def test_a_chain_matched_into_itself_tries_one_edge_per_level(monkeypatch):
+    # a host edge whose paths in or out are shorter than the pattern
+    # edge's is never tried: a 300-edge chain into itself tries each host
+    # edge once (two shape reads per try), where trying every start would
+    # walk the chain from each of them
+    tried = []
+    shape = hypergraph._shape
+
+    def counting(e):
+        tried.append(e)
+        return shape(e)
+
+    monkeypatch.setattr(hypergraph, "_shape", counting)
+    g = chain(*["f"] * 300)
+    (hom,) = find_homomorphisms(g, g)
+    assert hom.edge_map == {i: i for i in range(300)}
+    assert len(tried) == 2 * 300
+    # a cyclic host gets no pruning, and the search stays exact
+    loop = Hypergraph(
+        frozenset([0, 1]),
+        {0: Edge("f", (0,), (1,)), 1: Edge("f", (1,), (0,))},
+    )
+    assert homs_view(find_homomorphisms(chain("f", "f"), loop)) == homs_view(
+        naive_match.find_homomorphisms(chain("f", "f"), loop)
     )
 
 
