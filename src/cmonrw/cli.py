@@ -23,7 +23,6 @@ from .cospan import (
     cospan_order_key,
     cospan_to_document,
     cospan_to_dot,
-    is_right_monogamous,
     tensor,
 )
 from .decompose import factorise_into_levels, readback_term
@@ -124,7 +123,7 @@ def _emit(text: str, out_path: str | None = None) -> None:
 
 def _cmd_check(args) -> int:
     c = _load_cospan(args.cospan)
-    rm = is_right_monogamous(c)
+    rm = c.right_monogamous
     ac = is_acyclic(c.carrier)
     if args.format == "structured":
         _emit(_doc_json({"right-monogamous": rm, "acyclic": ac}))

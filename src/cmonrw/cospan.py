@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     Cyclic,
@@ -27,11 +27,7 @@ from .hypergraph import (
     graph_dot_lines,
     is_acyclic,
     renamed_edges,
-    terminal_nodes,
 )
-
-if TYPE_CHECKING:
-    from .decompose import LevelFactorisation
 
 
 @dataclass(frozen=True)
@@ -53,9 +49,6 @@ class FinFunction:
                 raise InterfaceMismatch(
                     f"entry {i} maps to {j}, outside codomain {self.cod}"
                 )
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
 
     def compose(self, other: "FinFunction") -> "FinFunction":
         """self ; other (apply self first)."""
@@ -87,14 +80,6 @@ class Cospan:
     def right_monogamous(self) -> bool:
         """is_right_monogamous(self), worked out once for every reader."""
         return is_right_monogamous(self)
-
-    @cached_property
-    def levels(self) -> LevelFactorisation:
-        """decompose.peel_levels(self), worked out once for every reader:
-        factorise_into_levels and readback_term."""
-        from .decompose import peel_levels  # decompose imports this module
-
-        return peel_levels(self)
 
     @property
     def arity(self) -> int:
@@ -237,24 +222,23 @@ def cospan_to_function(c: Cospan) -> FinFunction:
 
 
 def is_right_monogamous(c: Cospan) -> bool:
-    """Right leg mono, image exactly the terminal nodes, out-degree <= 1."""
-    if len(set(c.right)) != len(c.right):
-        return False
-    if frozenset(c.right) != terminal_nodes(c.carrier):
-        return False
-    seen: set[int] = set()
+    """Every node has exactly one consumer, an edge source or a right
+    position: out-degree <= 1, and the right leg lists each node that no
+    edge consumes once and no other. One pass over the edges."""
+    consumed: set[int] = set()
     for e in c.carrier.edges.values():
         for v in e.sources:
-            if v in seen:
+            if v in consumed:
                 return False
-            seen.add(v)
-    return True
+            consumed.add(v)
+    right = set(c.right)
+    return len(right) == len(c.right) and right == c.carrier.nodes - consumed
 
 
 def is_monogamous(c: Cospan) -> bool:
     """Both legs mono, matching the no-input and no-output nodes exactly,
     with every node used at most once as a source and once as a target."""
-    if not is_right_monogamous(c):
+    if not c.right_monogamous:
         return False
     if len(set(c.left)) != len(c.left):
         return False

@@ -8,6 +8,7 @@ slice, full factorisation into levels, and term readback.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +25,6 @@ from .cospan import (
     iface_conn,
     identity_cospan,
     is_monogamous,
-    is_right_monogamous,
     reattach,
     tensor,
     validate_right_monogamous_acyclic,
@@ -168,7 +168,7 @@ def complete_cut(
     c: Cospan, cuts: list[Cut]
 ) -> tuple[Cospan, FinFunction]:
     """Apply one cut per terminal node; reconnect maps compose blockwise."""
-    if not is_right_monogamous(c):
+    if not c.right_monogamous:
         raise NotRightMonogamous("cospan is not right-monogamous")
     by_node = _cuts_by_node(cuts, PartitionMismatch)
     terms = terminal_nodes(c.carrier)
@@ -433,9 +433,8 @@ def gluing_choice_points(weak, inout) -> dict[int, int]:
     up_cut, recon_in, _, _, copies_of = _strong_parts(weak, inout)
     out = {}
     for q in range(k, len(up_cut.right)):
-        lnode = ext.left[recon_in.table[q] - k]
-        copies = copies_of.get(lnode)
-        if copies is not None and len(copies) > 1:
+        copies = copies_of.get(ext.left[recon_in.table[q] - k], ())
+        if len(copies) > 1:
             out[q - k] = len(copies)
     return out
 
@@ -463,19 +462,14 @@ def strong_decompose(
     wires = tuple(wire_base + i for i in range(k))
     mid_left = list(wires)
     for q in range(k, n_mid):
+        # an uncut node is its own one copy
         lnode = ext.left[recon_in.table[q] - k]
-        copies = copies_of.get(lnode)
+        copies = copies_of.get(lnode, (lnode,))
         pos = q - k
-        if copies is None:
+        if len(copies) == 1:
             if gluing.get(pos, 0) != 0:
                 raise IncompatibleGluing(
-                    f"position {pos} attaches to an uncut node"
-                )
-            mid_left.append(lnode)
-        elif len(copies) == 1:
-            if gluing.get(pos, 0) != 0:
-                raise IncompatibleGluing(
-                    f"position {pos} has a single copy to attach to"
+                    f"position {pos} has a single node to attach to"
                 )
             mid_left.append(copies[0])
         else:
@@ -624,11 +618,17 @@ class LevelFactorisation:
     perm: FinFunction
 
 
+# peel_levels(g) for each live cospan g; a Cospan hashes by identity
+_LEVELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def factorise_into_levels(g: Cospan) -> LevelFactorisation:
-    """Stratify a cospan into levels of increasing merge depth: g.levels,
-    worked out once per cospan, so readback_term(g) after this call reads
-    the same factorisation."""
-    return g.levels
+    """Stratify a cospan into levels of increasing merge depth, worked out
+    once per cospan, so readback_term(g) after this call reads the same
+    factorisation."""
+    if g not in _LEVELS:
+        _LEVELS[g] = peel_levels(g)
+    return _LEVELS[g]
 
 
 def peel_levels(g: Cospan) -> LevelFactorisation:

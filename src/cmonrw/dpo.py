@@ -409,8 +409,15 @@ def _checked(rule: RewriteRule, result: Cospan) -> Cospan:
 def apply_rewrite(
     rule: RewriteRule, match: Match, complement: Complement
 ) -> Cospan:
-    """Glue the rhs into a given complement and check the result."""
-    return _checked(rule, _glue_into_complement(rule.rhs, complement))
+    """Glue the rhs into a given complement and check the result:
+    InterfaceMismatch when c1 or c2 does not fit the rule, UnknownNode when
+    an interface node is not in the complement's carrier."""
+    comp = complement
+    if (len(comp.c1), len(comp.c2)) != (rule.rhs.arity, rule.rhs.coarity):
+        raise InterfaceMismatch(f"complement does not fit rule {rule.name!r}")
+    # the interface cospan checks that each of its nodes is in the carrier
+    Cospan(comp.carrier, comp.c1 + comp.d1, comp.c2 + comp.d2)
+    return _checked(rule, _glue_into_complement(rule.rhs, comp))
 
 
 def _results(rules: list[RewriteRule], host: Cospan) -> Iterator:
@@ -424,8 +431,6 @@ def _results(rules: list[RewriteRule], host: Cospan) -> Iterator:
             try:
                 cut = _cut(match, host)
             except DanglingEdge:
-                continue
-            if cut is None:
                 continue
             for index, (to, _) in enumerate(_candidates(cut)):
                 result = _glue_into_cut(rule.rhs, cut, to)

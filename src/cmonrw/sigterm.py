@@ -92,8 +92,17 @@ def parse_signature(text: str) -> Signature:
         if m is None:
             raise TermSyntaxError(f"bad signature line {lineno}: {raw!r}",
                                   location=lineno)
-        gens.append((m.group(1), int(m.group(2)), int(m.group(3))))
+        gens.append((m.group(1), _width(m.group(2)), _width(m.group(3))))
     return Signature(tuple(gens))
+
+
+def _width(digits: str) -> int:
+    """int(digits), or OverflowError past int()'s digit limit: the error a
+    width too large to hold gives once it is used."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise OverflowError(f"a {len(digits)}-digit width") from None
 
 
 class _Text(str):
@@ -320,13 +329,13 @@ def _atom(name: str, pos: int, sig: Signature) -> Term:
         if m is None:
             raise TermSyntaxError(f"malformed identity atom {name!r}",
                                   location=pos)
-        return Id(int(m.group(1)))
+        return Id(_width(m.group(1)))
     if name.startswith("sym_"):
         m = _SYM_RE.fullmatch(name)
         if m is None:
             raise TermSyntaxError(f"malformed symmetry atom {name!r}",
                                   location=pos)
-        return Sym(int(m.group(1)), int(m.group(2)))
+        return Sym(_width(m.group(1)), _width(m.group(2)))
     if name not in sig:
         raise UnknownGenerator(f"generator {name!r} not declared",
                                location=pos)

@@ -26,7 +26,7 @@ from cmonrw.decompose import (
     perm_term,
 )
 from cmonrw.errors import NotRightMonogamous, UnknownGenerator, UnknownNode
-from cmonrw.hypergraph import Edge, Hypergraph
+from cmonrw.hypergraph import Edge, Hypergraph, terminal_nodes
 from cmonrw.sigterm import Gen, Id, Par, Seq, Signature, Sym, Term
 
 
@@ -42,6 +42,23 @@ def out_degree(g: Hypergraph, v: int) -> int:
     if v not in g.nodes:
         raise UnknownNode(f"node {v} not in graph")
     return sum(1 for e in g.edges.values() for s in e.sources if s == v)
+
+
+def is_right_monogamous(c: Cospan) -> bool:
+    """Right leg mono, image exactly the terminal nodes, out-degree <= 1:
+    two walks over the edges, one in terminal_nodes and one counting
+    out-degrees."""
+    if len(set(c.right)) != len(c.right):
+        return False
+    if frozenset(c.right) != terminal_nodes(c.carrier):
+        return False
+    seen: set[int] = set()
+    for e in c.carrier.edges.values():
+        for v in e.sources:
+            if v in seen:
+                return False
+            seen.add(v)
+    return True
 
 
 def in_connections(c: Cospan, v: int) -> tuple[Connection, ...]:

@@ -182,12 +182,20 @@ def test_running_out_of_memory_ends_in_one_record(
 
 
 HUGE = "100000000000000000000"  # 10**20 wires: more than a list can hold
+LONG = "9" * 5000  # more digits than int() reads
 
 
 @pytest.mark.parametrize(
     "declared, host",
-    [("", f"id_{HUGE}"), ("", f"sym_1_{HUGE}"), (f"gen w : {HUGE} -> 1", "w")],
-    ids=["id", "sym", "signature"],
+    [
+        ("", f"id_{HUGE}"),
+        ("", f"sym_1_{HUGE}"),
+        (f"gen w : {HUGE} -> 1", "w"),
+        ("", f"id_{LONG}"),
+        ("", f"sym_{LONG}_1"),
+        (f"gen w : 1 -> {LONG}", "w"),
+    ],
+    ids=["id", "sym", "signature", "id-digits", "sym-digits", "sig-digits"],
 )
 def test_a_width_too_large_to_hold_ends_in_one_record(
     ws, capsys, declared, host

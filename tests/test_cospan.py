@@ -292,6 +292,48 @@ def test_monogamy_predicates():
     assert is_monogamous(identity_cospan(2))
 
 
+def _altered(rng: random.Random, c: Cospan) -> Cospan:
+    """c with one change to its right leg or its edges. Some keep it
+    right-monogamous (a shuffled right leg, a new edge from a fresh node
+    to a fresh output); the others spoil it: an output listed twice or
+    dropped, a consumed node listed as an output, a second consumer for a
+    node, or a fresh node nothing consumes."""
+    g, right = c.carrier, c.right
+    fresh = max(g.nodes) + 1
+    edges = dict(g.edges)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Cospan(g, c.left, right + (rng.choice(sorted(g.nodes)),))
+    if kind == 1 and right:
+        i = rng.randrange(len(right))
+        return Cospan(g, c.left, right[:i] + right[i + 1:])
+    if kind == 2:
+        source = rng.choice(sorted(g.nodes))
+        edges[len(edges)] = Edge("p", (source,), (fresh,))
+        nodes, right = g.nodes | {fresh}, right + (fresh,)
+    elif kind == 3:
+        nodes = g.nodes | {fresh}
+    elif kind == 4:
+        edges[len(edges)] = Edge("p", (fresh,), (fresh + 1,))
+        nodes, right = g.nodes | {fresh, fresh + 1}, right + (fresh + 1,)
+    else:
+        nodes, right = g.nodes, tuple(rng.sample(right, len(right)))
+    return Cospan(Hypergraph(nodes, edges), c.left, right)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_right_monogamy_agrees_with_the_two_walk_reference(seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(400):
+        c = random_rm_cospan(rng)
+        assert is_right_monogamous(c) and naive_scans.is_right_monogamous(c)
+        altered = _altered(rng, c)
+        verdicts.append(is_right_monogamous(altered))
+        assert verdicts[-1] == naive_scans.is_right_monogamous(altered)
+    assert 100 < verdicts.count(False) < 350
+
+
 def _connections(c: Cospan) -> list[Connection]:
     return [conn for conns in in_connections(c).values() for conn in conns]
 

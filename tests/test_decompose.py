@@ -51,7 +51,12 @@ from cmonrw.decompose import (
     strong_decompose,
     weak_decompose,
 )
-from cmonrw.errors import BadInterfaceOrder, NotTerminal, PartitionMismatch
+from cmonrw.errors import (
+    BadInterfaceOrder,
+    IncompatibleGluing,
+    NotTerminal,
+    PartitionMismatch,
+)
 from cmonrw.hypergraph import Edge, Hypergraph, SubHypergraph, terminal_nodes
 from cmonrw.sigterm import Eta, Id, Mu, Par, Seq, parse_signature, parse_term
 from cmonrw.translate import eval_term
@@ -177,7 +182,10 @@ def test_weak_decomposition_frozen_shape():
     assert iso_equal(recompose_weak(wd), c)
 
 
-def test_strong_decomposition_frozen_gluings():
+def strong_fixture():
+    """The weak fixture, its weak decomposition, and cuts on both sides
+    under which middle positions 2 and 3 each choose between two copies
+    and positions 0 and 1 have one node to attach to."""
     c, sub, tau = weak_fixture()
     wd = weak_decompose(c, sub, tau)
     omega_in = [
@@ -193,7 +201,11 @@ def test_strong_decomposition_frozen_gluings():
     omega_out = [
         Cut(2, (frozenset([edge_conn(0, 0)]), frozenset([edge_conn(0, 1)])))
     ]
-    inout = (omega_in, omega_out)
+    return c, wd, (omega_in, omega_out)
+
+
+def test_strong_decomposition_frozen_gluings():
+    c, wd, inout = strong_fixture()
     assert gluing_choice_points(wd, inout) == {2: 2, 3: 2}
     middles = set()
     for g0, g1 in product(range(2), range(2)):
@@ -201,6 +213,23 @@ def test_strong_decomposition_frozen_gluings():
         assert iso_equal(recompose_strong(parts), c)
         middles.add(cospan_key(parts[1]))
     assert len(middles) == 4
+
+
+def test_strong_decomposition_rejects_gluings_that_do_not_fit():
+    c, wd, inout = strong_fixture()
+    for gluing, message in [
+        ({2: 0, 3: 0, 4: 0}, "gluing position 4 out of range"),
+        ({-1: 0, 2: 0, 3: 0}, "gluing position -1 out of range"),
+        ({0: 1, 2: 0, 3: 0}, "position 0 has a single node to attach to"),
+        ({1: 1, 2: 0, 3: 0}, "position 1 has a single node to attach to"),
+        ({2: 0}, "position 3 needs a gluing choice among 2 copies"),
+        ({2: 0, 3: 2}, "gluing index 2 at position 3 out of range"),
+    ]:
+        with pytest.raises(IncompatibleGluing) as raised:
+            strong_decompose(wd, inout, gluing)
+        assert raised.value.message == message
+    parts = strong_decompose(wd, inout, {0: 0, 1: 0, 2: 1, 3: 0})
+    assert iso_equal(recompose_strong(parts), c)
 
 
 def test_strong_decomposition_trivial_cuts():

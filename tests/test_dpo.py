@@ -35,11 +35,14 @@ from cmonrw.dpo import (
     rewrite_all,
 )
 from cmonrw.errors import (
+    Cyclic,
     DanglingEdge,
     InterfaceMismatch,
+    ResultNotRightMonogamous,
     StepBudgetExhausted,
     TermSyntaxError,
     TypeMismatch,
+    UnknownNode,
 )
 from cmonrw.hypergraph import Edge, Hypergraph, find_homomorphisms, is_convex
 from cmonrw.sigterm import Mu, Seq, Sym, parse_term
@@ -180,6 +183,66 @@ def test_complement_validity_and_mutations(ev):
                 assert not complement_is_valid(match, host, bad), kind
                 kinds.add(kind)
     assert "merge-c1-pair" in kinds and "c1-grows-outputs" in kinds
+
+
+def _chain_complements(ev):
+    """f => g with each of its matches into f ; f and the one complement
+    of each."""
+    rule = RewriteRule(ev("f"), ev("g"), "fg")
+    host = ev("f ; f")
+    found = []
+    for match in enumerate_convex_matches(rule, host):
+        (comp,) = boundary_complement(match, host)
+        found.append((match, comp))
+    assert len(found) == 2
+    return rule, host, found
+
+
+def _with_missing_node(comp: Complement) -> list[Complement]:
+    """comp with each of its four node lists pointed at a node outside
+    its carrier."""
+    missing = max(comp.carrier.nodes) + 1
+    return [
+        replace(comp, **{name: (missing,) * len(getattr(comp, name))})
+        for name in ("c1", "c2", "d1", "d2")
+    ]
+
+
+def test_complement_check_rejects_wrong_lengths_and_unknown_nodes(ev):
+    rule, host, found = _chain_complements(ev)
+    for match, comp in found:
+        assert complement_is_valid(match, host, comp)
+        wrong_lengths = [
+            replace(comp, c1=()),
+            replace(comp, c2=comp.c2 * 2),
+            replace(comp, d1=()),
+            replace(comp, d2=comp.d2 * 2),
+        ]
+        for bad in wrong_lengths + _with_missing_node(comp):
+            assert not complement_is_valid(match, host, bad), bad
+
+
+def test_apply_rewrite_raises_typed_errors(ev):
+    rule, host, found = _chain_complements(ev)
+    results = []
+    for match, comp in found:
+        results.append(apply_rewrite(rule, match, comp))
+        for bad in replace(comp, c1=()), replace(comp, c2=comp.c2 * 2):
+            with pytest.raises(InterfaceMismatch):
+                apply_rewrite(rule, match, bad)
+        for bad in _with_missing_node(comp):
+            with pytest.raises(UnknownNode):
+                apply_rewrite(rule, match, bad)
+        # g glued from c1 back to c1 is a loop; c1 listed as the output is
+        # consumed twice, by g and by the right leg
+        with pytest.raises(Cyclic):
+            apply_rewrite(rule, match, replace(comp, c2=comp.c1))
+        with pytest.raises(ResultNotRightMonogamous):
+            apply_rewrite(rule, match, replace(comp, d2=comp.c1))
+    assert sorted(
+        [iso_equal(r, ev("g ; f")), iso_equal(r, ev("f ; g"))]
+        for r in results
+    ) == [[False, True], [True, False]]
 
 
 def test_leftmost_normalizes_chain(ev):

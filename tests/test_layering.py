@@ -234,3 +234,93 @@ def test_the_check_sees_functions_only_the_tests_use(tmp_path):
 
 def test_no_public_function_serves_only_the_tests():
     assert functions_used_only_by_tests(ROOT) == []
+
+
+def package_imports(source: str) -> list[tuple[str, bool]]:
+    """(module, at top level) for each cmonrw module the source imports;
+    relative imports count as cmonrw, and `from . import m` names m."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "cmonrw":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                targets = [module.split(".")[0]]
+            else:
+                targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("cmonrw.")
+            ]
+        else:
+            continue
+        found += [(t, id(node) in top) for t in targets]
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the module graph, as the modules along it with the
+    first repeated at the end, or [] when it has none."""
+    state: dict[str, str] = {}
+    path: list[str] = []
+
+    def visit(m: str) -> list[str]:
+        state[m] = "open"
+        path.append(m)
+        for n in sorted(graph.get(m, ())):
+            if state.get(n) == "open":
+                return path[path.index(n):] + [n]
+            if n not in state and (cycle := visit(n)):
+                return cycle
+        state[m] = "done"
+        path.pop()
+        return []
+
+    for m in sorted(graph):
+        if m not in state and (cycle := visit(m)):
+            return cycle
+    return []
+
+
+def test_the_check_sees_nested_imports_and_cycles():
+    source = (
+        "from __future__ import annotations\n"
+        "from typing import TYPE_CHECKING\n"
+        "from .errors import Cyclic\n"
+        "from cmonrw.hypergraph import Edge\n"
+        "import cmonrw.sigterm\n"
+        "if TYPE_CHECKING:\n"
+        "    from .decompose import LevelFactorisation\n"
+        "def f():\n"
+        "    from . import dpo, oracle\n"
+    )
+    assert package_imports(source) == [
+        ("errors", True),
+        ("hypergraph", True),
+        ("sigterm", True),
+        ("decompose", False),
+        ("dpo", False),
+        ("oracle", False),
+    ]
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == [
+        "b", "c", "b"
+    ]
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    graph, nested = {}, []
+    for path in MODULES:
+        imports = package_imports(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {m for m, _ in imports}
+        nested += [f"{path.stem} -> {m}" for m, top in imports if not top]
+    assert MODULES
+    assert nested == []
+    assert import_cycle(graph) == []

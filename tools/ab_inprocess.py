@@ -72,8 +72,10 @@ def load(root: str) -> dict:
 
 def bind(mods: dict) -> None:
     """Make sys.modules name this checkout's cmonrw modules, so that an
-    import run lazily inside them (such as Cospan.levels importing
-    decompose) finds this checkout's module and not the other one's."""
+    import run lazily inside them finds this checkout's module and not
+    the other one's. The package imports nothing lazily now, but an
+    older base checkout does: there Cospan.levels imports decompose on
+    first use."""
     for name in _cmonrw_names():
         del sys.modules[name]
     sys.modules.update({m.__name__: m for m in mods.values()})
