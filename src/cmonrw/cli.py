@@ -36,6 +36,7 @@ from .dpo import (
 )
 from .errors import (
     CmonrwError,
+    DocumentError,
     IoFailure,
     OutOfMemory,
     StepBudgetExhausted,
@@ -77,8 +78,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}", location=path)
 
 
+def _document_int(digits: str) -> int:
+    """A document integer; one longer than int() takes is malformed."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(
+            f"$ must hold integers of at most {limit} digits", location="$"
+        ) from None
+
+
 def _load_cospan(path: str) -> Cospan:
-    return cospan_from_document(json.loads(_read_file(path)))
+    text = _read_file(path)
+    return cospan_from_document(json.loads(text, parse_int=_document_int))
 
 
 def _load_term(text: str | None, path: str | None, sig: Signature) -> Term:

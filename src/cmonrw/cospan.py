@@ -2,7 +2,9 @@
 
 A cospan packages a carrier hypergraph with two interface maps: ``left``
 lists the input boundary nodes in order, ``right`` the output boundary.
-Composition glues output boundary to input boundary node-by-node.
+Composition glues output boundary to input boundary node-by-node. Checks
+and keys read the carrier's ``Hypergraph.index`` (degrees, producers) and
+``Hypergraph.ranks`` (acyclicity, heights).
 """
 
 from __future__ import annotations
@@ -223,29 +225,23 @@ def cospan_to_function(c: Cospan) -> FinFunction:
 
 def is_right_monogamous(c: Cospan) -> bool:
     """Every node has exactly one consumer, an edge source or a right
-    position: out-degree <= 1, and the right leg lists each node that no
-    edge consumes once and no other. One pass over the edges."""
-    consumed: set[int] = set()
-    for e in c.carrier.edges.values():
-        for v in e.sources:
-            if v in consumed:
-                return False
-            consumed.add(v)
+    position, and the right leg lists no node twice: out-degrees read
+    from the carrier's incidence index."""
     right = set(c.right)
-    return len(right) == len(c.right) and right == c.carrier.nodes - consumed
+    return len(right) == len(c.right) and all(
+        len(uses) + (v in right) == 1
+        for v, uses in c.carrier.index.outs.items()
+    )
 
 
 def is_monogamous(c: Cospan) -> bool:
-    """Both legs mono, matching the no-input and no-output nodes exactly,
-    with every node used at most once as a source and once as a target."""
-    if not c.right_monogamous:
-        return False
-    if len(set(c.left)) != len(c.left):
-        return False
-    ins = c.carrier.index.ins
-    if frozenset(c.left) != {v for v, conns in ins.items() if not conns}:
-        return False
-    return all(len(conns) <= 1 for conns in ins.values())
+    """Right-monogamous, and every node has exactly one producer, an edge
+    target slot or a left position: in-degrees read from the carrier's
+    incidence index, and the left leg lists no node twice."""
+    left = set(c.left)
+    return c.right_monogamous and len(left) == len(c.left) and all(
+        len(ps) + (v in left) == 1 for v, ps in c.carrier.index.ins.items()
+    )
 
 
 def cospan_order_key(c: Cospan) -> tuple:
@@ -263,18 +259,18 @@ def _structural_key(c: Cospan) -> tuple | None:
     when c is not right-monogamous, is cyclic or has a real tie.
 
     In a right-monogamous cospan every node has exactly one consumer, an
-    edge source or a right position, so reading the carrier backward from
-    its roots reaches every node once unless it is cyclic. The roots are
-    the right positions in order and the edges with no target, unordered.
-    A node carries its left positions, and its producers (edge target
-    slots) are unordered; an edge's sources are ordered.
+    edge source or a right position. The roots are the right positions in
+    order and the edges with no target, unordered. A node carries its left
+    positions, and its producers (its target slots in the incidence index)
+    are unordered; an edge's sources are ordered.
 
     Node shapes are numbered level by level from the leaves, each level's
     distinct signatures in sorted order: Aho, Hopcroft and Ullman's tree
-    certificates. A signature holds the node's left positions and the
-    sorted cones of its producers, a cone being an edge's label and
-    source shapes, plus the slot it is reached through when the edge has
-    several targets.
+    certificates. Acyclicity and each node's level, its height, come from
+    one pass over the carrier's ranks. A signature holds the node's left
+    positions and the sorted cones of its producers, a cone being an
+    edge's label and source shapes, plus the slot it is reached through
+    when the edge has several targets.
 
     When every edge has at most one target the carrier is a forest, and
     the table and root shapes are the key: equal iff c is isomorphic.
@@ -287,86 +283,47 @@ def _structural_key(c: Cospan) -> tuple | None:
     the encoding unchanged. Any other tie gives None; whether one exists
     depends on the shapes alone, so isomorphic cospans agree on it."""
     g = c.carrier
-    if not c.right_monogamous:
+    if not c.right_monogamous or g.ranks is None:
         return None
-    edges = g.edges
-    # each node's producer edges, an edge once however many of its target
-    # slots hold the node
-    producers: dict[int, list[int]] = {v: [] for v in g.nodes}
+    edges, ins = g.edges, g.index.ins
+    height = dict.fromkeys(g.nodes, 0)
     free: list[int] = []
-    # per edge with several targets (and only those), its target nodes
-    # not yet reached
-    waiting: dict[int, int] = {}
-    for eid, e in edges.items():
-        if len(e.targets) == 1:
-            producers[e.targets[0]].append(eid)
-        elif e.targets:
-            ts = set(e.targets)
-            waiting[eid] = len(ts)
-            for t in ts:
-                producers[t].append(eid)
-        else:
+    several: set[int] = set()  # the edges with several targets
+    for eid in g.ranks:
+        e = edges[eid]
+        h = max(map(height.__getitem__, e.sources), default=-1) + 1
+        for t in e.targets:
+            if height[t] < h:
+                height[t] = h
+        if len(e.targets) > 1:
+            several.add(eid)
+        elif not e.targets:
             free.append(eid)
-    shared = bool(waiting)
+    levels = [[] for _ in range(max(height.values(), default=-1) + 1)]
+    for v, h in height.items():
+        levels[h].append(v)
     lefts: dict[int, tuple[int, ...]] = {}
     for i, v in enumerate(c.left):
         lefts[v] = lefts.get(v, ()) + (i,)
-    # consumers before producers: an edge once all its targets are, and a
-    # node once its one consumer is; no node on a cycle comes
-    order: list[int] = []
-    stack = [v for eid in free for v in edges[eid].sources]
-    stack += c.right
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for eid in producers[v]:
-            if eid in waiting:
-                waiting[eid] -= 1
-                if waiting[eid]:
-                    continue
-            stack.extend(edges[eid].sources)
-    if len(order) != len(g.nodes):
-        return None
-    height: dict[int, int] = {}
-    levels: list[list[int]] = []
-    for v in reversed(order):
-        h = 0
-        for eid in producers[v]:
-            for u in edges[eid].sources:
-                if height[u] >= h:
-                    h = height[u] + 1
-        height[v] = h
-        if h == len(levels):
-            levels.append([])
-        levels[h].append(v)
     shape: dict[int, int] = {}
     at = shape.__getitem__
 
-    def cones(eids: list[int], v: int | None = None) -> tuple:
-        """The cones of edges eids at node v (None for target-less ones),
-        one per target slot holding v, sorted."""
-        found = []
-        for eid in eids:
-            e = edges[eid]
-            k = (e.label, tuple(map(at, e.sources)))
-            if eid in waiting:
-                found += [k + (i,) for i, t in enumerate(e.targets) if t == v]
-            else:
-                found.append(k)
-        if len(found) > 1:
-            found.sort()
-        return tuple(found)
-
-    def in_cone_order(eids: list[int], v: int | None = None) -> list[int]:
-        """eids by their least cone at v."""
-        if len(eids) < 2:
-            return eids
-        keyed = sorted((cones([eid], v), eid) for eid in eids)
-        return [eid for _, eid in keyed]
+    def cone(eid: int, slot: int) -> tuple:
+        """The cone of edge eid at target slot slot, which only an edge
+        with several targets records."""
+        e = edges[eid]
+        k = (e.label, tuple(map(at, e.sources)))
+        return k + (slot,) if eid in several else k
 
     table: list[tuple] = []
     for level in levels:
-        sigs = [(lefts.get(v, ()), cones(producers[v], v)) for v in level]
+        sigs = []
+        for v in level:
+            ks = []
+            for eid, i in ins[v]:
+                ks.append(cone(eid, i))
+            ks.sort()
+            sigs.append((lefts.get(v, ()), tuple(ks)))
         if len(level) == 1:
             shape[level[0]] = len(table)
             table += sigs
@@ -376,8 +333,9 @@ def _structural_key(c: Cospan) -> tuple | None:
         table += distinct
         for v, sig in zip(level, sigs):
             shape[v] = rank[sig]
-    roots = cones(free)
-    if not shared:
+    free_cones = sorted((cone(eid, 0), eid) for eid in free)
+    roots = tuple(k for k, _ in free_cones)
+    if not several:
         return ("forest", tuple(table), tuple(map(at, c.right)), roots)
     # the shapes whose cone holds an edge with several targets: some
     # producer cone has a slot, or a source of such a shape
@@ -394,13 +352,17 @@ def _structural_key(c: Cospan) -> tuple | None:
     # nodes in the order they are numbered: the right positions, the
     # sources of the target-less edges in cone order, then, for each node
     # in turn, the sources of each producer numbered there, in cone order
+    # (an edge at several slots of a node by its least cone there)
     nodes = list(c.right)
     edge_no: dict[int, int] = {}
-    for eid in in_cone_order(free):
+    for _, eid in free_cones:
         edge_no[eid] = len(edge_no)
         nodes += edges[eid].sources
     for v in nodes:
-        for eid in in_cone_order(producers[v], v):
+        producers = ins[v]
+        if len(producers) > 1:
+            producers = sorted(producers, key=lambda p: (cone(*p), p[0]))
+        for eid, _ in producers:
             if eid not in edge_no:
                 edge_no[eid] = len(edge_no)
                 nodes += edges[eid].sources

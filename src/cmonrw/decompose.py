@@ -43,7 +43,6 @@ from .errors import (
 from .hypergraph import (
     Hypergraph,
     SubHypergraph,
-    edge_topological_order,
     is_convex,
     reachable,
     terminal_nodes,
@@ -76,7 +75,7 @@ def _orders(
     # node_orders of a validated c whose in_connections are conns
     la = {v for v, cs in conns.items() if len(cs) != 1}
     order = {v: (1 if v in la else 0) for v in c.carrier.nodes}
-    for eid in edge_topological_order(c.carrier):
+    for eid in c.carrier.ranks:
         e = c.carrier.edges[eid]
         lvl = max((order[u] for u in e.sources), default=0)
         for t in e.targets:

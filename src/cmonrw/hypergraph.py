@@ -1,9 +1,10 @@
 """Directed hypergraphs with labelled, ordered-endpoint edges.
 
-Provides an incidence index that path analysis, acyclicity and convexity of
-sub-hypergraphs are read from, homomorphism search with controlled node
-merging, and a canonical form that decides isomorphism with pinned interface
-nodes.
+Each graph owns its incidence index and one edge order (``index``,
+``ranks``), which reachability, terminal nodes, acyclicity, convexity and
+homomorphism search (with controlled node merging) read; a canonical form
+decides isomorphism with pinned interface nodes. ``Edge`` and
+``Hypergraph`` take endpoint tuples and ``Edge`` values as given.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ class Edge:
     sources: tuple[int, ...]
     targets: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "targets", tuple(self.targets))
-
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
@@ -43,12 +40,7 @@ class Hypergraph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        edges = {
-            int(k): v if isinstance(v, Edge) else Edge(*v)
-            for k, v in dict(self.edges).items()
-        }
-        object.__setattr__(self, "edges", edges)
-        for eid, e in edges.items():
+        for eid, e in self.edges.items():
             for v in e.sources + e.targets:
                 if v not in self.nodes:
                     raise UnknownNode(f"edge {eid} touches missing node {v}")
@@ -60,8 +52,9 @@ class Hypergraph:
 
     @cached_property
     def ranks(self) -> dict[int, int] | None:
-        """Each edge's position in edge_topological_order, or None when
-        cyclic; built once, on first use, from the incidence index."""
+        """Each edge's position in one topological order, the smallest
+        ready id first, or None when cyclic; built once, on first use,
+        from the incidence index."""
         inc = self.index
         # per edge, the producer target slots feeding it not yet ranked
         waiting = dict.fromkeys(self.edges, 0)
@@ -103,10 +96,6 @@ class SubHypergraph:
 
     nodes: frozenset[int]
     edges: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
 
     def validate_in(self, g: Hypergraph) -> None:
         if not self.nodes <= g.nodes:
@@ -201,10 +190,7 @@ def incidence(g: Hypergraph) -> Incidence:
 
 def terminal_nodes(g: Hypergraph) -> frozenset[int]:
     """Nodes with out-degree zero."""
-    used: set[int] = set()
-    for e in g.edges.values():
-        used.update(e.sources)
-    return frozenset(g.nodes - used)
+    return frozenset(v for v, uses in g.index.outs.items() if not uses)
 
 
 def _reach(g: Hypergraph, seeds, forward: bool, keep) -> set[int]:
@@ -226,12 +212,6 @@ def _reach(g: Hypergraph, seeds, forward: bool, keep) -> set[int]:
 def reachable(g: Hypergraph, seeds, *, forward: bool = True) -> set[int]:
     """Nodes reachable from seeds (seeds included)."""
     return _reach(g, seeds, forward, lambda eid: True)
-
-
-def edge_topological_order(g: Hypergraph) -> tuple[int, ...] | None:
-    """Edges ordered so producers precede consumers, the smallest ready id
-    first; None when impossible."""
-    return None if g.ranks is None else tuple(g.ranks)
 
 
 def is_acyclic(g: Hypergraph) -> bool:

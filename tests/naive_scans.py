@@ -26,7 +26,7 @@ from cmonrw.decompose import (
     perm_term,
 )
 from cmonrw.errors import NotRightMonogamous, UnknownGenerator, UnknownNode
-from cmonrw.hypergraph import Edge, Hypergraph, terminal_nodes
+from cmonrw.hypergraph import Edge, Hypergraph
 from cmonrw.sigterm import Gen, Id, Par, Seq, Signature, Sym, Term
 
 
@@ -46,11 +46,12 @@ def out_degree(g: Hypergraph, v: int) -> int:
 
 def is_right_monogamous(c: Cospan) -> bool:
     """Right leg mono, image exactly the terminal nodes, out-degree <= 1:
-    two walks over the edges, one in terminal_nodes and one counting
-    out-degrees."""
+    two walks over the edges, one collecting the consumed nodes and one
+    counting out-degrees."""
     if len(set(c.right)) != len(c.right):
         return False
-    if frozenset(c.right) != terminal_nodes(c.carrier):
+    consumed = {v for e in c.carrier.edges.values() for v in e.sources}
+    if frozenset(c.right) != c.carrier.nodes - consumed:
         return False
     seen: set[int] = set()
     for e in c.carrier.edges.values():
@@ -59,6 +60,151 @@ def is_right_monogamous(c: Cospan) -> bool:
                 return False
             seen.add(v)
     return True
+
+
+def structural_key(c: Cospan) -> tuple | None:
+    """cospan._structural_key as it was before it read the incidence
+    index and ranks: its own producer map, a backward walk from the roots
+    whose length is the cycle test, and a height pass over that walk."""
+    g = c.carrier
+    if not is_right_monogamous(c):
+        return None
+    edges = g.edges
+    # each node's producer edges, an edge once however many of its target
+    # slots hold the node
+    producers: dict[int, list[int]] = {v: [] for v in g.nodes}
+    free: list[int] = []
+    # per edge with several targets (and only those), its target nodes
+    # not yet reached
+    waiting: dict[int, int] = {}
+    for eid, e in edges.items():
+        if len(e.targets) == 1:
+            producers[e.targets[0]].append(eid)
+        elif e.targets:
+            ts = set(e.targets)
+            waiting[eid] = len(ts)
+            for t in ts:
+                producers[t].append(eid)
+        else:
+            free.append(eid)
+    shared = bool(waiting)
+    lefts: dict[int, tuple[int, ...]] = {}
+    for i, v in enumerate(c.left):
+        lefts[v] = lefts.get(v, ()) + (i,)
+    # consumers before producers: an edge once all its targets are, and a
+    # node once its one consumer is; no node on a cycle comes
+    order: list[int] = []
+    stack = [v for eid in free for v in edges[eid].sources]
+    stack += c.right
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for eid in producers[v]:
+            if eid in waiting:
+                waiting[eid] -= 1
+                if waiting[eid]:
+                    continue
+            stack.extend(edges[eid].sources)
+    if len(order) != len(g.nodes):
+        return None
+    height: dict[int, int] = {}
+    levels: list[list[int]] = []
+    for v in reversed(order):
+        h = 0
+        for eid in producers[v]:
+            for u in edges[eid].sources:
+                if height[u] >= h:
+                    h = height[u] + 1
+        height[v] = h
+        if h == len(levels):
+            levels.append([])
+        levels[h].append(v)
+    shape: dict[int, int] = {}
+    at = shape.__getitem__
+
+    def cones(eids: list[int], v: int | None = None) -> tuple:
+        """The cones of edges eids at node v (None for target-less ones),
+        one per target slot holding v, sorted."""
+        found = []
+        for eid in eids:
+            e = edges[eid]
+            k = (e.label, tuple(map(at, e.sources)))
+            if eid in waiting:
+                found += [k + (i,) for i, t in enumerate(e.targets) if t == v]
+            else:
+                found.append(k)
+        if len(found) > 1:
+            found.sort()
+        return tuple(found)
+
+    def in_cone_order(eids: list[int], v: int | None = None) -> list[int]:
+        """eids by their least cone at v."""
+        if len(eids) < 2:
+            return eids
+        keyed = sorted((cones([eid], v), eid) for eid in eids)
+        return [eid for _, eid in keyed]
+
+    table: list[tuple] = []
+    for level in levels:
+        sigs = [(lefts.get(v, ()), cones(producers[v], v)) for v in level]
+        if len(level) == 1:
+            shape[level[0]] = len(table)
+            table += sigs
+            continue
+        distinct = sorted(set(sigs))
+        rank = {sig: len(table) + i for i, sig in enumerate(distinct)}
+        table += distinct
+        for v, sig in zip(level, sigs):
+            shape[v] = rank[sig]
+    roots = cones(free)
+    if not shared:
+        return ("forest", tuple(table), tuple(map(at, c.right)), roots)
+    # the shapes whose cone holds an edge with several targets: some
+    # producer cone has a slot, or a source of such a shape
+    deep: set[int] = set()
+    for s, (_, ks) in enumerate(table):
+        if len(set(ks)) < len(ks) and _tied(ks, deep):
+            return None
+        for k in ks:
+            if len(k) > 2 or not deep.isdisjoint(k[1]):
+                deep.add(s)
+                break
+    if len(set(roots)) < len(roots) and _tied(roots, deep):
+        return None
+    # nodes in the order they are numbered: the right positions, the
+    # sources of the target-less edges in cone order, then, for each node
+    # in turn, the sources of each producer numbered there, in cone order
+    nodes = list(c.right)
+    edge_no: dict[int, int] = {}
+    for eid in in_cone_order(free):
+        edge_no[eid] = len(edge_no)
+        nodes += edges[eid].sources
+    for v in nodes:
+        for eid in in_cone_order(producers[v], v):
+            if eid not in edge_no:
+                edge_no[eid] = len(edge_no)
+                nodes += edges[eid].sources
+    node_no = {v: i for i, v in enumerate(nodes)}
+    num = node_no.__getitem__
+    return (
+        "shared",
+        len(nodes),
+        tuple(map(num, c.left)),
+        tuple(map(num, c.right)),
+        tuple(
+            (e.label, tuple(map(num, e.sources)), tuple(map(num, e.targets)))
+            for e in map(edges.__getitem__, edge_no)
+        ),
+    )
+
+
+def _tied(ks, deep: set[int]) -> bool:
+    """Two equal cones in sorted ks that hold an edge with several
+    targets: a slot, or a source shape in deep."""
+    return any(
+        a == b and (len(a) > 2 or not deep.isdisjoint(a[1]))
+        for a, b in zip(ks, ks[1:])
+    )
 
 
 def in_connections(c: Cospan, v: int) -> tuple[Connection, ...]:

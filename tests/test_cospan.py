@@ -37,7 +37,13 @@ from cmonrw.cospan import (
 )
 from cmonrw.decompose import in_connections
 from cmonrw.errors import InterfaceMismatch, NotDiscrete, UnknownNode
-from cmonrw.hypergraph import Edge, Hypergraph, is_acyclic, terminal_nodes
+from cmonrw.hypergraph import (
+    Edge,
+    Hypergraph,
+    is_acyclic,
+    reachable,
+    terminal_nodes,
+)
 from cmonrw.sigterm import parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_scans
@@ -332,6 +338,34 @@ def test_one_pass_right_monogamy_agrees_with_the_two_walk_reference(seed):
         verdicts.append(is_right_monogamous(altered))
         assert verdicts[-1] == naive_scans.is_right_monogamous(altered)
     assert 100 < verdicts.count(False) < 350
+
+
+# the shapes a degree-based check is easiest to get wrong, with the verdict
+RIGHT_MONOGAMY_CASES = {
+    "edge with sources (v, v)": (
+        ([0, 1], [("h", (0, 0), (1,))], (0,), (1,)), False
+    ),
+    "node twice on the right leg": (
+        ([0, 1], [("f", (0,), (1,))], (0,), (1, 1)), False
+    ),
+    "consumed node on the right leg": (
+        ([0, 1], [("f", (0,), (1,))], (0,), (0, 1)), False
+    ),
+    "isolated node off the right leg": (
+        ([0, 1, 2], [("f", (0,), (1,))], (0,), (1,)), False
+    ),
+    "right-monogamous cycle": (
+        ([0, 1], [("f", (0,), (1,)), ("g", (1,), (0,))], (), ()), True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RIGHT_MONOGAMY_CASES))
+def test_right_monogamy_edge_cases_agree_with_the_two_walk_reference(case):
+    parts, verdict = RIGHT_MONOGAMY_CASES[case]
+    c = _cospan(*parts)
+    assert is_right_monogamous(c) == naive_scans.is_right_monogamous(c)
+    assert is_right_monogamous(c) == verdict
 
 
 def _connections(c: Cospan) -> list[Connection]:
@@ -677,6 +711,69 @@ def test_key_partition_on_random_shared_cospans(seed):
     rng = random.Random(seed)
     base = [random_shared_cospan(rng, rng.randint(2, 8)) for _ in range(40)]
     assert_same_partition(with_copies(rng, base))
+
+
+def with_a_cycle(rng: random.Random, c: Cospan) -> Cospan:
+    """c with a cycle yet still right-monogamous: an output fed back to a
+    node upstream of it, or a fresh two-node loop beside c."""
+    g = c.carrier
+    edges = dict(g.edges)
+    eid = max(edges, default=-1) + 1
+    if c.right and rng.random() < 0.7:
+        i = rng.randrange(len(c.right))
+        out = c.right[i]
+        back = rng.choice(sorted(reachable(g, [out], forward=False)))
+        edges[eid] = Edge("p", (out,), (back,))
+        right = c.right[:i] + c.right[i + 1:]
+        return Cospan(Hypergraph(g.nodes, edges), c.left, right)
+    a = max(g.nodes) + 1
+    edges[eid] = Edge("p", (a,), (a + 1,))
+    edges[eid + 1] = Edge("p", (a + 1,), (a,))
+    return Cospan(Hypergraph(g.nodes | {a, a + 1}, edges), c.left, c.right)
+
+
+def assert_key_matches_the_walk_reference(cospans) -> int:
+    """cospan_key gives the walk's structural key wherever the walk gives
+    one, and falls back exactly where the walk gives None. Returns how
+    many fell back."""
+    fallbacks = 0
+    for c in cospans:
+        expected = naive_scans.structural_key(c)
+        fallbacks += expected is None
+        if expected is None:
+            expected = ("graph",) + cospan_order_key(c)
+        assert cospan_key(c) == expected
+    return fallbacks
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_matches_the_walk_reference_on_random_cospans(seed):
+    rng = random.Random(seed)
+    one_target = [
+        random_rm_cospan(rng, rng.randint(1, 7), ONE_TARGET_LABELS)
+        for _ in range(200)
+    ]
+    shared = [random_shared_cospan(rng, rng.randint(2, 8)) for _ in range(200)]
+    assert assert_key_matches_the_walk_reference(one_target) == 0
+    assert assert_key_matches_the_walk_reference(shared) < len(shared)
+    cyclic = [with_a_cycle(rng, c) for c in one_target[:50] + shared[:50]]
+    for c in cyclic:
+        assert is_right_monogamous(c) and not is_acyclic(c.carrier)
+    spoilt = [_altered(rng, c) for c in one_target + shared]
+    spoilt = [c for c in spoilt if not naive_scans.is_right_monogamous(c)]
+    assert len(spoilt) > 100
+    for corpus in (cyclic, spoilt):
+        assert assert_key_matches_the_walk_reference(corpus) == len(corpus)
+
+
+def test_key_matches_the_walk_reference_on_explicit_cases():
+    explicit = [c for case in FOREST_CASES.values() for c in case]
+    explicit += [c for case in SHARED_CASES.values() for c in case]
+    explicit += [c for c, _ in TIE_CASES]
+    fallback = [c for case in FALLBACK_CASES.values() for c in case]
+    real_ties = sum(not structural for _, structural in TIE_CASES)
+    assert assert_key_matches_the_walk_reference(explicit) == real_ties
+    assert assert_key_matches_the_walk_reference(fallback) == len(fallback)
 
 
 # --------------------------------------------------- deep and wide structures

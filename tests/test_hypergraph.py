@@ -15,7 +15,6 @@ from cmonrw.hypergraph import (
     Homomorphism,
     Hypergraph,
     canonical_form,
-    edge_topological_order,
     find_homomorphisms,
     graph_dot_lines,
     incidence,
@@ -51,7 +50,7 @@ def test_degrees_and_terminals():
 def test_self_loop_edge_is_cyclic():
     g = Hypergraph(frozenset([0]), {0: Edge("f", (0,), (0,))})
     assert not is_acyclic(g)
-    assert edge_topological_order(g) is None
+    assert g.ranks is None
 
 
 def test_two_edge_cycle_detected():
@@ -65,7 +64,7 @@ def test_two_edge_cycle_detected():
 def test_chain_is_acyclic_with_topological_order():
     g = chain("f", "g", "f")
     assert is_acyclic(g)
-    assert edge_topological_order(g) == (0, 1, 2)
+    assert g.ranks == {0: 0, 1: 1, 2: 2}
 
 
 def random_graph(rng: random.Random) -> Hypergraph:
@@ -85,7 +84,13 @@ def random_graph(rng: random.Random) -> Hypergraph:
 @given(st.integers(0, 2**32 - 1))
 def test_acyclic_iff_edge_topological_order_exists(seed):
     g = random_graph(random.Random(seed))
-    assert is_acyclic(g) == (edge_topological_order(g) is not None)
+    assert naive_scans.is_acyclic(g) == (g.ranks is not None)
+    if g.ranks is not None:
+        assert sorted(g.ranks.values()) == list(range(len(g.edges)))
+        for eid, e in g.edges.items():
+            for t in e.targets:
+                for f, _ in g.index.outs[t]:
+                    assert g.ranks[eid] < g.ranks[f]
 
 
 @settings(max_examples=300)

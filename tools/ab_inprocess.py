@@ -7,9 +7,12 @@ every request the way the benchmark's worker does: `dpo-rewrite` and
 `oracle-compare` through `cli.run` with `--format structured`,
 `equiv-readback` by the worker's library calls on a signature parsed once
 per checkout. As in the worker, only answering is timed: readback terms
-are printed after the clock stops. Prints each pair's times,
-the median ratio change/base, how many pairs the change won, and whether
-the two checkouts' answers were byte-identical.
+are printed after the clock stops. Prints each pair's times, each side's
+quartiles of pass time, the median ratio change/base, how many pairs the
+change won, and whether the two checkouts' answers were byte-identical.
+A workload whose medians differ by less than the base's interquartile
+range is marked unresolved: the base's own passes spread wider than the
+difference, so it shows neither a gain nor a loss.
 
     python3 tools/ab_inprocess.py --workload dpo-rewrite --seed 1 \\
         --base ../parent-checkout --pairs 16
@@ -135,6 +138,8 @@ def main() -> int:
     parser.add_argument("--change", default=REPO)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.environ["PYTHONHASHSEED"] = "0"
         os.execv(sys.executable, [sys.executable, *sys.argv])
@@ -158,12 +163,15 @@ def main() -> int:
             one_pass(mods, warm, files, sigs[name])
             answers[name] = one_pass(mods, batch, files, sigs[name])[1]
         ratios, wins = [], 0
+        times: dict[str, list[float]] = {"base": [], "change": []}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             t = {
                 name: one_pass(sides[name], batch, files, sigs[name])[0]
                 for name in order
             }
+            for name in order:
+                times[name].append(t[name])
             ratios.append(t["change"] / t["base"])
             wins += t["change"] < t["base"]
             print(
@@ -171,11 +179,22 @@ def main() -> int:
                 f"{t['base']:.3f} s, change {t['change']:.3f} s, "
                 f"ratio {ratios[-1]:.3f}"
             )
+    quartiles = {}
+    for name, ts in times.items():
+        quartiles[name] = statistics.quantiles(ts, n=4)
+        q1, median, q3 = quartiles[name]
+        print(
+            f"{name:6s} pass time: q1 {q1:.3f} s, median {median:.3f} s, "
+            f"q3 {q3:.3f} s"
+        )
+    (b1, b2, b3), (_, c2, _) = quartiles["base"], quartiles["change"]
+    resolved = abs(c2 - b2) >= b3 - b1
     print(
         f"{args.workload} seed {args.seed}: median ratio change/base "
         f"{statistics.median(ratios):.3f}, change faster in {wins} of "
-        f"{args.pairs} pairs; outputs byte-identical: "
-        f"{answers['base'] == answers['change']}"
+        f"{args.pairs} pairs, {'resolved' if resolved else 'unresolved'} "
+        f"(medians {abs(c2 - b2):.3f} s apart, base IQR {b3 - b1:.3f} s); "
+        f"outputs byte-identical: {answers['base'] == answers['change']}"
     )
     return 0
 
