@@ -4,7 +4,9 @@ match enumeration, boundary complement search, and rewrite strategies."""
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -444,8 +446,13 @@ def iter_rewrites(
     yielded lazily in rewrite_all's order: each step is built only when it
     is asked for, and the host is validated when iteration starts."""
     validate_right_monogamous_acyclic(host)
+    yield from _distinct(_results(rules, host), host)
+
+
+def _distinct(results: Iterator, host: Cospan) -> Iterator[RewriteStep]:
+    """The steps of _results' output whose result keys are new."""
     seen: set[tuple] = set()
-    for rule, match, index, result in _results(rules, host):
+    for rule, match, index, result in results:
         key = cospan_key(result)
         if key not in seen:
             seen.add(key)
@@ -468,6 +475,102 @@ def _in_output_order(normals: dict[tuple, Cospan]) -> list[Cospan]:
     return forms
 
 
+def _generator_label(rule: RewriteRule) -> str | None:
+    """The label of the rule's lhs when it is a single generator with at
+    most one output: one edge whose sources are the left leg and whose
+    targets are the right leg, all distinct, no other node, and at most
+    one target. None for any other lhs."""
+    g = rule.lhs.carrier
+    if len(g.edges) != 1:
+        return None
+    (e,) = g.edges.values()
+    ends = e.sources + e.targets
+    single = (
+        (rule.lhs.left, rule.lhs.right) == (e.sources, e.targets)
+        and len(e.targets) <= 1
+        and len(set(ends)) == len(ends) == len(g.nodes)
+    )
+    return e.label if single else None
+
+
+def _persistent_prefix(
+    results: Iterator, owed: Counter, host: Cospan
+) -> Iterator:
+    """_results' output up to the shortest prefix that holds every result
+    at every host edge it rewrites, for single-generator rules: owed[label]
+    is the number of rules whose lhs has that label, and each has one
+    result at each edge with it (see normalize). Nothing after the prefix
+    is glued."""
+    waiting, rewritten = 0, set()
+    for found in results:
+        (eid,) = found[1].hom.edge_map.values()
+        if eid not in rewritten:
+            rewritten.add(eid)
+            waiting += owed[host.carrier.edges[eid].label]
+        waiting -= 1
+        yield found
+        if not waiting:
+            return
+
+
+def _bfs(
+    expand, host: Cospan, max_steps: int
+) -> tuple[dict[tuple, Cospan], list[Cospan], dict[tuple, list[tuple]]]:
+    """Breadth-first search from host to depth max_steps, where expand(c)
+    lists the steps taken from state c. Returns the normal forms by key,
+    each the first cospan reached in its class; the reducible states left
+    at depth max_steps, where the search stops; and each expanded state's
+    successor keys."""
+    host_key = cospan_key(host)
+    seen = {host_key}
+    layer = [(host_key, host)]
+    normals: dict[tuple, Cospan] = {}
+    graph: dict[tuple, list[tuple]] = {}
+    for depth in range(max_steps + 1):
+        nxt: list[tuple[tuple, Cospan]] = []
+        overflow: list[Cospan] = []
+        for key, c in layer:
+            steps = expand(c)
+            if not steps:
+                normals.setdefault(key, c)
+            elif depth == max_steps:
+                overflow.append(c)
+            else:
+                graph[key] = [s.key for s in steps]
+                for s in steps:
+                    if s.key not in seen:
+                        seen.add(s.key)
+                        nxt.append((s.key, s.result))
+        if overflow:
+            return normals, overflow, graph
+        layer = nxt
+        if not layer:
+            break
+    return normals, [], graph
+
+
+def _longest_path(graph: dict[tuple, list[tuple]]) -> float:
+    """The number of steps on the longest path through a state graph
+    (state key -> successor keys), or infinity when it has a cycle. Kahn's
+    algorithm: a state is placed once all its predecessors are."""
+    waiting = Counter(v for succ in graph.values() for v in succ)
+    states = waiting.keys() | graph.keys()
+    ready = [u for u in graph if not waiting[u]]
+    length = dict.fromkeys(ready, 0)
+    placed = 0
+    while ready:
+        u = ready.pop()
+        placed += 1
+        for v in graph.get(u, ()):
+            length[v] = max(length.get(v, 0), length[u] + 1)
+            waiting[v] -= 1
+            if not waiting[v]:
+                ready.append(v)
+    if placed < len(states):
+        return math.inf
+    return max(length.values(), default=0)
+
+
 def normalize(
     rules: list[RewriteRule],
     host: Cospan,
@@ -479,7 +582,62 @@ def normalize(
     leftmost follows the first available step, found lazily and never
     keyed, and returns one endpoint; bfs returns all iso-distinct normal
     forms reachable in at most max_steps steps, in cospan_order_key order.
-    StepBudgetExhausted reports leftover work."""
+    StepBudgetExhausted reports leftover work.
+
+    bfs expands each state's steps in rewrite_all's order and keeps the
+    first cospan it reaches in each class. Each layer is in the
+    lexicographic order of those cospans' paths of step indices, so the
+    cospan kept is the end of the least shortest path into its class.
+
+    When every rule's lhs is a single generator with at most one output
+    (see _generator_label), bfs first expands only a persistent prefix of
+    each state's steps: the shortest prefix, in rewrite_all's order, that
+    holds every step at every host edge it rewrites. Each rule has one
+    step at each edge with its lhs label and arity, and only there; an
+    edge of another arity under that label leaves the prefix open to the
+    end of the list, which is the full expansion.
+
+    - Why the prefix is persistent. Such an image is always convex in a
+      right-monogamous acyclic host: each input's only consumer is the
+      edge, so a path that leaves the image starts at the output, and one
+      that comes back to an input or to the output would close a cycle.
+      With two outputs a path from one to the other is no cycle, and a
+      step elsewhere can make one (a merge behind c : 1 -> 2), so such
+      rules take the full search. Every lhs node is an interface node,
+      so nothing dangles, and the cut has exactly one candidate: a
+      source's only copy is its c1 copy and the target's its c2 copy. The
+      result is right-monogamous (see _cut) and acyclic: a cycle through
+      the rhs would leave it at the output and re-enter at an input or
+      the output, along a host path that closes a cycle with the edge; so
+      _checked never fires on it. Steps at different edges overlap only
+      in interface nodes both keep, so they are parallel independent and
+      commute up to iso (Local Church-Rosser; Ehrig, Ehrig, Prange and
+      Taentzer, 2006). A step elsewhere keeps an edge, its label and its
+      distinct sources, so a step at e stays enabled until some step at
+      e fires. Hence a path that avoids the prefix's edges leaves all of
+      them enabled, so it ends at no normal form and a step at one of
+      them extends it; and on a path that rewrites one of them, moving
+      the first such step to the front gives a path as long, to the same
+      class, that starts in the prefix (Godefroid, LNCS 1032, 1996).
+      Every normal form stays reachable, and every path of the full
+      state graph has one at least as long in the reduced graph.
+    - Why the printed output stays byte-identical. On the least shortest
+      path into a normal form, a step outside its state's prefix could
+      be traded for a step in it, with a smaller index, on a path as
+      short. So that path stays inside the prefixes, the reduced search
+      follows it through the same cospans, and it keeps and prints the
+      same representative. A persistent set that is not a prefix keeps
+      the normal forms' classes but not that path, and so not their node
+      numbering.
+    - When to fall back to the full search. Finishing the reduced search
+      does not prove that the full search finishes. The reduced answer
+      is returned only when no state at depth max_steps is reducible,
+      the reduced state graph is acyclic, and its longest path has at
+      most max_steps steps. The full graph's longest path is then no
+      longer, so every reducible state of the full search lies above
+      depth max_steps, and both return the same forms. Otherwise the
+      full search runs, and its budget record is the one it gives
+      alone."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     validate_right_monogamous_acyclic(host)
@@ -497,34 +655,27 @@ def normalize(
                 )
             trace.append(step[-1])
     if strategy == "bfs":
-        host_key = cospan_key(host)
-        seen = {host_key}
-        layer = [(host_key, host)]
-        normals: dict[tuple, Cospan] = {}
-        for depth in range(max_steps + 1):
-            nxt: list[tuple[tuple, Cospan]] = []
-            overflow: list[Cospan] = []
-            for key, c in layer:
-                steps = rewrite_all(rules, c)
-                if not steps:
-                    normals.setdefault(key, c)
-                elif depth == max_steps:
-                    overflow.append(c)
-                else:
-                    for s in steps:
-                        if s.key not in seen:
-                            seen.add(s.key)
-                            nxt.append((s.key, s.result))
-            if overflow:
-                raise StepBudgetExhausted(
-                    f"{len(overflow)} reducible cospans left at depth "
-                    f"{max_steps}",
-                    frontier=overflow,
-                    normal_forms=_in_output_order(normals),
-                )
-            layer = nxt
-            if not layer:
-                break
+        labels = list(map(_generator_label, rules))
+        if None not in labels:
+            owed = Counter(labels)
+
+            def prefix(c: Cospan) -> list[RewriteStep]:
+                found = _persistent_prefix(_results(rules, c), owed, c)
+                return list(_distinct(found, c))
+
+            normals, overflow, graph = _bfs(prefix, host, max_steps)
+            if not overflow and _longest_path(graph) <= max_steps:
+                return _in_output_order(normals)
+        normals, overflow, _ = _bfs(
+            lambda c: rewrite_all(rules, c), host, max_steps
+        )
+        if overflow:
+            raise StepBudgetExhausted(
+                f"{len(overflow)} reducible cospans left at depth "
+                f"{max_steps}",
+                frontier=overflow,
+                normal_forms=_in_output_order(normals),
+            )
         return _in_output_order(normals)
     raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -4,9 +4,10 @@ at a boundary node picks any copy of that node, independently, so n twin
 producers feeding a node with two copies give 2^n candidates, each one
 built, validated and keyed. Also the validity check by isomorphism alone,
 which every complement boundary_complement returns must pass, leftmost
-normalisation by the first step of rewrite_all, and rewrite results glued
-into each complement by a pushout, as they were built before they came
-straight from the match's cut."""
+normalisation by the first step of rewrite_all, bfs normalisation that
+expands every step of every state, and rewrite results glued into each
+complement by a pushout, as they were built before they came straight
+from the match's cut."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from cmonrw import dpo
 from cmonrw.cospan import (
     Connection,
     Cospan,
+    cospan_key,
+    cospan_order_key,
     edge_conn,
     iface_conn,
     is_right_monogamous,
@@ -36,6 +39,7 @@ from cmonrw.errors import (
     Cyclic,
     DanglingEdge,
     ResultNotRightMonogamous,
+    StepBudgetExhausted,
     UnknownNode,
 )
 from cmonrw.hypergraph import Edge, Hypergraph, canonical_form
@@ -183,6 +187,51 @@ def leftmost_trace(
         if not steps or len(trace) - 1 == max_steps:
             return trace, bool(steps)
         trace.append(steps[0].result)
+
+
+def full_bfs(
+    rules: list[RewriteRule], host: Cospan, max_steps: int
+) -> list[Cospan]:
+    """bfs normalisation as it was before single-generator rule sets
+    expanded a persistent prefix of each state's steps: every state at
+    depth below max_steps expands all of rewrite_all, and a reducible
+    state at depth max_steps ends the search in StepBudgetExhausted."""
+
+    def in_output_order(normals: dict[tuple, Cospan]) -> list[Cospan]:
+        forms = list(normals.values())
+        if len(forms) > 1:
+            forms.sort(key=cospan_order_key)
+        return forms
+
+    host_key = cospan_key(host)
+    seen = {host_key}
+    layer = [(host_key, host)]
+    normals: dict[tuple, Cospan] = {}
+    for depth in range(max_steps + 1):
+        nxt: list[tuple[tuple, Cospan]] = []
+        overflow: list[Cospan] = []
+        for key, c in layer:
+            steps = rewrite_all(rules, c)
+            if not steps:
+                normals.setdefault(key, c)
+            elif depth == max_steps:
+                overflow.append(c)
+            else:
+                for s in steps:
+                    if s.key not in seen:
+                        seen.add(s.key)
+                        nxt.append((s.key, s.result))
+        if overflow:
+            raise StepBudgetExhausted(
+                f"{len(overflow)} reducible cospans left at depth "
+                f"{max_steps}",
+                frontier=overflow,
+                normal_forms=in_output_order(normals),
+            )
+        layer = nxt
+        if not layer:
+            break
+    return in_output_order(normals)
 
 
 def glued_results(

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import SIG3, complement_mutations, random_term
+from corpus import SIG3, complement_mutations, random_term, random_typed_term
 from cmonrw import cospan, dpo, hypergraph
 from cmonrw.cospan import (
     Cospan,
@@ -45,11 +45,12 @@ from cmonrw.errors import (
     UnknownNode,
 )
 from cmonrw.hypergraph import Edge, Hypergraph, find_homomorphisms, is_convex
-from cmonrw.sigterm import Mu, Seq, Sym, parse_term
+from cmonrw.sigterm import Mu, Seq, Sym, parse_signature, parse_term
 from cmonrw.translate import eval_term
 import naive_match
 import naive_scans
 from naive_dpo import (
+    full_bfs,
     full_product_complements,
     leftmost_trace,
     reference_complement_is_valid,
@@ -791,3 +792,192 @@ def test_rewrite_all_on_a_64_chain_within_budget(ev):
     steps = rewrite_all([rule], host)
     assert time.perf_counter() - start < 1.0
     assert len(steps) == 64
+
+
+def _bfs_outcome(search) -> list | tuple:
+    """A bfs run's normal forms as cospan documents, or its budget record:
+    the message, the frontier and the normal forms found."""
+    try:
+        return [cospan_to_document(c) for c in search()]
+    except StepBudgetExhausted as exc:
+        return (
+            str(exc),
+            [cospan_to_document(c) for c in exc.frontier],
+            [cospan_to_document(c) for c in exc.normal_forms],
+        )
+
+
+def _bfs_matches_full_search(rules, host, max_steps) -> list | tuple:
+    ref = _bfs_outcome(lambda: full_bfs(rules, host, max_steps))
+    got = _bfs_outcome(lambda: normalize(rules, host, "bfs", max_steps))
+    assert got == ref
+    return ref
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+SIG3_TYPES = {"a": (1, 1), "b": (2, 1), "c": (1, 2)}
+
+
+def _random_generator_rules(rng: random.Random) -> list[RewriteRule]:
+    """One to four rules whose lhs is a SIG3 generator, often several on
+    one label. A rhs is a generator of the lhs's type or a random term of
+    it; only the first rule, a quarter of the time, may have two
+    generators on its rhs, so that the state spaces stay small."""
+    grow = rng.random() < 0.25
+    rules = []
+    for i, label in enumerate(rng.choices("abc", k=rng.randint(1, 4))):
+        dom, cod = SIG3_TYPES[label]
+        while True:
+            rhs = _sig3(label)
+            if rng.random() >= 0.3:
+                rhs = eval_term(random_typed_term(rng, SIG3, dom, cod), SIG3)
+            if len(rhs.carrier.edges) <= 1 + (grow and i == 0):
+                break
+        rules.append(RewriteRule(_sig3(label), rhs, f"r{i}"))
+    return rules
+
+
+def test_bfs_matches_the_full_search_on_random_generator_rules(monkeypatch):
+    # rules on a and b (one output each) expand a persistent prefix;
+    # any rule on c sends bfs to the full search, and so do the
+    # fallbacks, so both paths are compared with the reference
+    rng = random.Random(230)
+    full = _count_calls(monkeypatch, dpo, "rewrite_all")
+    reduced = records = 0
+    start = time.perf_counter()
+    for _ in range(1200):
+        rules = _random_generator_rules(rng)
+        host = eval_term(random_term(rng, SIG3, max_generators=4), SIG3)
+        full.clear()
+        outcome = _bfs_matches_full_search(rules, host, rng.randint(0, 8))
+        reduced += not full
+        records += isinstance(outcome, tuple)
+    assert time.perf_counter() - start < 20.0
+    assert reduced >= 300 and records >= 50
+
+
+P_SIG = parse_signature(
+    "".join(f"gen {x} : 1 -> 1\n" for x in ("f", "g", "k", "p", "q", "r"))
+)
+
+
+def _p_rules(*pairs: str) -> list[RewriteRule]:
+    return [
+        RewriteRule(
+            eval_term(parse_term(lhs, P_SIG), P_SIG),
+            eval_term(parse_term(rhs, P_SIG), P_SIG),
+            f"{lhs}{rhs}",
+        )
+        for lhs, rhs in (pair.split(" => ") for pair in pairs)
+    ]
+
+
+def test_bfs_matches_the_full_search_on_pinned_rule_sets(
+    unary_sig, monkeypatch
+):
+    def term(sig, src):
+        return eval_term(parse_term(src, sig), sig)
+
+    def rule(sig, lhs, rhs):
+        return RewriteRule(term(sig, lhs), term(sig, rhs), f"{lhs}=>{rhs}")
+
+    prefixes = _count_calls(monkeypatch, dpo, "_persistent_prefix")
+    # the CLI's pinned budget record: f grows as fast as it normalises
+    grow = [rule(unary_sig, "f", "g"), rule(unary_sig, "f", "f ; f")]
+    record = _bfs_matches_full_search(grow, term(unary_sig, "f"), 2)
+    assert record[0] == "3 reducible cospans left at depth 2"
+    assert len(record[1]) == 3 and len(record[2]) == 1
+    # a cycle of two rules: no normal form, and every state is reducible,
+    # so budgets below 3 are exhausted
+    swap = [rule(unary_sig, "f", "g"), rule(unary_sig, "g", "f")]
+    outcomes = [
+        _bfs_matches_full_search(swap, term(unary_sig, "f ; f"), max_steps)
+        for max_steps in range(5)
+    ]
+    assert [o == [] for o in outcomes] == [False] * 3 + [True] * 2
+    # the prefix at f + p runs past p => q to reach f => k at f; the steps
+    # at f alone are persistent too, but they reach k + q along another
+    # path, which numbers its nodes differently
+    interleaved = _p_rules("f => g", "p => q", "f => k")
+    host = eval_term(parse_term("f + p", P_SIG), P_SIG)
+    assert len(_bfs_matches_full_search(interleaved, host, 4)) == 2
+    assert prefixes
+    # c : 1 -> 2 has two outputs, and its match on c ; mu merges them:
+    # the full search runs
+    sig = parse_signature(
+        "gen a : 1 -> 1\ngen b : 2 -> 1\ngen c : 1 -> 2\ngen c2 : 1 -> 2\n"
+    )
+    prefixes.clear()
+    (out,) = _bfs_matches_full_search(
+        [rule(sig, "c", "c2")], term(sig, "c ; mu"), 3
+    )
+    assert [e["label"] for e in out["edges"]] == ["c2"]
+    # and it must: b => mu merges a's target into c's second output, so a
+    # step at b makes c's image non-convex and disables every step at c
+    merge = [rule(SIG3, "b", "mu"), rule(SIG3, "c", "id_1 + eta")]
+    forms = _bfs_matches_full_search(merge, _sig3("c ; (a + id_1) ; b"), 4)
+    assert len(forms) == 2
+    # an edgeless lhs takes the full path too
+    idf = [rule(unary_sig, "id_1", "f")]
+    record = _bfs_matches_full_search(idf, term(unary_sig, "f ; g"), 2)
+    assert isinstance(record, tuple)
+    assert prefixes == []
+
+
+@pytest.mark.parametrize(
+    "rules, host, max_steps",
+    [
+        # depth budget hit: the reduced search overflows
+        (["f => g"], "f ; f ; f", 2),
+        # a cycle in the reduced graph, whose search ends at depth 1
+        (["f => g", "g => f", "p => q", "q => r"], "f + p", 2),
+        (["f => g", "g => f", "p => q", "q => r"], "f + p", 3),
+        # acyclic and finished at depth 2 with the normal form k + q, but
+        # f, g, k + p, q is a path of 3 steps
+        (["f => g", "f => k", "g => k", "p => q"], "f + p", 2),
+    ],
+    ids=["depth", "cycle", "cycle-deep", "longest-path"],
+)
+def test_bfs_falls_back_to_the_full_search(
+    rules, host, max_steps, monkeypatch
+):
+    # in each case the full search exhausts its budget where the reduced
+    # one alone would answer
+    prefixes = _count_calls(monkeypatch, dpo, "_persistent_prefix")
+    full = _count_calls(monkeypatch, dpo, "rewrite_all")
+    rules = _p_rules(*rules)
+    host = eval_term(parse_term(host, P_SIG), P_SIG)
+    record = _bfs_matches_full_search(rules, host, max_steps)
+    assert isinstance(record, tuple)
+    assert prefixes and full
+
+
+@pytest.mark.parametrize(
+    "text", [" ; ".join(["f"] * 40), " + ".join(["f"] * 12)],
+    ids=["40-chain", "12-parallel"],
+)
+def test_bfs_expands_one_step_per_state_under_f_to_g(ev, monkeypatch, text):
+    # past the full search's reach (2^12 states for 12 parallel f), bfs
+    # expands n + 1 states, glues n results, and prints what leftmost
+    # prints: the least path of step indices is leftmost's, all zeros
+    fg = RewriteRule(ev("f"), ev("g"), "fg")
+    host = ev(text)
+    (ref,) = normalize([fg], host, "leftmost", max_steps=40)
+    prefixes = _count_calls(monkeypatch, dpo, "_persistent_prefix")
+    glued = _count_calls(monkeypatch, dpo, "_glue_into_cut")
+    full = _count_calls(monkeypatch, dpo, "rewrite_all")
+    (out,) = normalize([fg], host, "bfs")
+    assert cospan_to_document(out) == cospan_to_document(ref)
+    n = len(host.carrier.edges)
+    assert (len(prefixes), len(glued), full) == (n + 1, n, [])
