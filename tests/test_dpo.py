@@ -872,45 +872,41 @@ P_SIG = parse_signature(
 )
 
 
-def _p_rules(*pairs: str) -> list[RewriteRule]:
+def _term(sig, src: str) -> Cospan:
+    return eval_term(parse_term(src, sig), sig)
+
+
+def _rules(sig, *texts: str) -> list[RewriteRule]:
+    """One rule for each "lhs => rhs" text over sig."""
+    pairs = (text.split(" => ") for text in texts)
     return [
-        RewriteRule(
-            eval_term(parse_term(lhs, P_SIG), P_SIG),
-            eval_term(parse_term(rhs, P_SIG), P_SIG),
-            f"{lhs}{rhs}",
-        )
-        for lhs, rhs in (pair.split(" => ") for pair in pairs)
+        RewriteRule(_term(sig, lhs), _term(sig, rhs), f"r{i}")
+        for i, (lhs, rhs) in enumerate(pairs)
     ]
 
 
 def test_bfs_matches_the_full_search_on_pinned_rule_sets(
     unary_sig, monkeypatch
 ):
-    def term(sig, src):
-        return eval_term(parse_term(src, sig), sig)
-
-    def rule(sig, lhs, rhs):
-        return RewriteRule(term(sig, lhs), term(sig, rhs), f"{lhs}=>{rhs}")
-
     prefixes = _count_calls(monkeypatch, dpo, "_persistent_prefix")
     # the CLI's pinned budget record: f grows as fast as it normalises
-    grow = [rule(unary_sig, "f", "g"), rule(unary_sig, "f", "f ; f")]
-    record = _bfs_matches_full_search(grow, term(unary_sig, "f"), 2)
+    grow = _rules(unary_sig, "f => g", "f => f ; f")
+    record = _bfs_matches_full_search(grow, _term(unary_sig, "f"), 2)
     assert record[0] == "3 reducible cospans left at depth 2"
     assert len(record[1]) == 3 and len(record[2]) == 1
     # a cycle of two rules: no normal form, and every state is reducible,
     # so budgets below 3 are exhausted
-    swap = [rule(unary_sig, "f", "g"), rule(unary_sig, "g", "f")]
+    swap = _rules(unary_sig, "f => g", "g => f")
     outcomes = [
-        _bfs_matches_full_search(swap, term(unary_sig, "f ; f"), max_steps)
+        _bfs_matches_full_search(swap, _term(unary_sig, "f ; f"), max_steps)
         for max_steps in range(5)
     ]
     assert [o == [] for o in outcomes] == [False] * 3 + [True] * 2
     # the prefix at f + p runs past p => q to reach f => k at f; the steps
     # at f alone are persistent too, but they reach k + q along another
     # path, which numbers its nodes differently
-    interleaved = _p_rules("f => g", "p => q", "f => k")
-    host = eval_term(parse_term("f + p", P_SIG), P_SIG)
+    interleaved = _rules(P_SIG, "f => g", "p => q", "f => k")
+    host = _term(P_SIG, "f + p")
     assert len(_bfs_matches_full_search(interleaved, host, 4)) == 2
     assert prefixes
     # c : 1 -> 2 has two outputs, and its match on c ; mu merges them:
@@ -920,17 +916,17 @@ def test_bfs_matches_the_full_search_on_pinned_rule_sets(
     )
     prefixes.clear()
     (out,) = _bfs_matches_full_search(
-        [rule(sig, "c", "c2")], term(sig, "c ; mu"), 3
+        _rules(sig, "c => c2"), _term(sig, "c ; mu"), 3
     )
     assert [e["label"] for e in out["edges"]] == ["c2"]
     # and it must: b => mu merges a's target into c's second output, so a
     # step at b makes c's image non-convex and disables every step at c
-    merge = [rule(SIG3, "b", "mu"), rule(SIG3, "c", "id_1 + eta")]
+    merge = _rules(SIG3, "b => mu", "c => id_1 + eta")
     forms = _bfs_matches_full_search(merge, _sig3("c ; (a + id_1) ; b"), 4)
     assert len(forms) == 2
     # an edgeless lhs takes the full path too
-    idf = [rule(unary_sig, "id_1", "f")]
-    record = _bfs_matches_full_search(idf, term(unary_sig, "f ; g"), 2)
+    idf = _rules(unary_sig, "id_1 => f")
+    record = _bfs_matches_full_search(idf, _term(unary_sig, "f ; g"), 2)
     assert isinstance(record, tuple)
     assert prefixes == []
 
@@ -956,8 +952,8 @@ def test_bfs_falls_back_to_the_full_search(
     # one alone would answer
     prefixes = _count_calls(monkeypatch, dpo, "_persistent_prefix")
     full = _count_calls(monkeypatch, dpo, "rewrite_all")
-    rules = _p_rules(*rules)
-    host = eval_term(parse_term(host, P_SIG), P_SIG)
+    rules = _rules(P_SIG, *rules)
+    host = _term(P_SIG, host)
     record = _bfs_matches_full_search(rules, host, max_steps)
     assert isinstance(record, tuple)
     assert prefixes and full
