@@ -106,40 +106,16 @@ class Cut:
         )
 
 
-def _cuts_by_node(cuts, error) -> dict[int, Cut]:
-    """Index cuts by node; a second cut for one node raises error."""
-    by_node: dict[int, Cut] = {}
-    for cut in cuts:
-        if cut.node in by_node:
-            raise error(f"multiple cuts for node {cut.node}")
-        by_node[cut.node] = cut
-    return by_node
-
-
-def _check_partition(cut: Cut, conns, error) -> None:
-    """The cut's blocks must be disjoint and cover exactly conns."""
-    seen: set[Connection] = set()
-    for block in cut.partition:
-        if block & seen:
-            raise error("partition blocks overlap")
-        seen |= block
-    if seen != set(conns):
-        raise error(
-            f"blocks cover {sorted(seen)} but node {cut.node} has "
-            f"{sorted(conns)}"
-        )
-
-
 def _split_terminals(
     c: Cospan, cuts: dict[int, Cut]
-) -> tuple[Cospan, FinFunction, dict[int, tuple[int, ...]]]:
+) -> tuple[Cospan, FinFunction]:
     """Split each cut node of c.right into one fresh copy per block.
 
     Copies are numbered upward from past the largest node, in right order;
     the connections in block i move to copy i and the copies take the
-    node's place in right. Returns the split cospan, the reconnect map
+    node's place in right. Returns the split cospan and the reconnect map
     sending new output positions to old ones (composing with its merge
-    undoes the split), and the copies of each cut node."""
+    undoes the split)."""
     base = max(c.carrier.nodes, default=-1) + 1
     copies_of: dict[int, tuple[int, ...]] = {}
     conn_copy: dict[Connection, int] = {}
@@ -160,16 +136,23 @@ def _split_terminals(
     nodes = c.carrier.nodes - copies_of.keys()
     nodes |= {w for copies in copies_of.values() for w in copies}
     recon = FinFunction(len(right), len(c.right), tuple(table))
-    return Cospan(Hypergraph(nodes, edges), left, right), recon, copies_of
+    return Cospan(Hypergraph(nodes, edges), left, right), recon
 
 
 def complete_cut(
     c: Cospan, cuts: list[Cut]
 ) -> tuple[Cospan, FinFunction]:
-    """Apply one cut per terminal node; reconnect maps compose blockwise."""
+    """Apply one cut per terminal node; reconnect maps compose blockwise.
+
+    Each cut's blocks must be disjoint, at least one, and cover exactly
+    the node's input connections."""
     if not c.right_monogamous:
         raise NotRightMonogamous("cospan is not right-monogamous")
-    by_node = _cuts_by_node(cuts, PartitionMismatch)
+    by_node: dict[int, Cut] = {}
+    for cut in cuts:
+        if cut.node in by_node:
+            raise PartitionMismatch(f"multiple cuts for node {cut.node}")
+        by_node[cut.node] = cut
     terms = terminal_nodes(c.carrier)
     missing = terms - by_node.keys()
     if missing:
@@ -181,9 +164,17 @@ def complete_cut(
     for v in c.right:
         if not by_node[v].partition:
             raise PartitionMismatch("cut needs at least one block")
-        _check_partition(by_node[v], conns[v], PartitionMismatch)
-    split, recon, _ = _split_terminals(c, by_node)
-    return split, recon
+        seen: set[Connection] = set()
+        for block in by_node[v].partition:
+            if block & seen:
+                raise PartitionMismatch("partition blocks overlap")
+            seen |= block
+        if seen != set(conns[v]):
+            raise PartitionMismatch(
+                f"blocks cover {sorted(seen)} but node {v} has "
+                f"{sorted(conns[v])}"
+            )
+    return _split_terminals(c, by_node)
 
 
 class WeakDecomposition(NamedTuple):
@@ -364,78 +355,60 @@ def recompose_weak(w: WeakDecomposition) -> Cospan:
     return compose(compose(w.upstream, mid), w.downstream)
 
 
-def _fill_one_cuts(c: Cospan, cuts: list[Cut]) -> list[Cut]:
-    by_node = _cuts_by_node(cuts, InvalidInOutSignature)
+def _cut_with_one_blocks(c: Cospan, cuts) -> tuple[Cospan, FinFunction]:
+    """complete_cut of c, with a one-block cut at each terminal node that
+    cuts leaves out."""
     conns = in_connections(c)
-    filled = [
-        by_node.pop(v, None) or Cut(v, (frozenset(conns[v]),))
-        for v in sorted(terminal_nodes(c.carrier))
-    ]
-    if by_node:
-        raise InvalidInOutSignature(
-            f"cuts name non-terminal nodes {sorted(by_node)}"
-        )
-    return filled
-
-
-def _apply_edge_cuts(
-    ext: Cospan, cuts: list[Cut]
-) -> tuple[Cospan, FinFunction, dict[int, tuple[int, ...]]]:
-    """Split every output node of the extracted part along its edge
-    connections only, by its cut or else by one block.
-
-    Input-boundary attachments are resolved later by the gluing map, so the
-    split cospan has an empty input boundary."""
-    by_node = _cuts_by_node(cuts, InvalidInOutSignature)
-    terms = terminal_nodes(ext.carrier)
-    edge_conns = {
-        v: frozenset(conn for conn in conns if conn.kind == EDGE)
-        for v, conns in in_connections(ext).items()
-    }
-    for v, cut in by_node.items():
-        if v not in terms:
-            raise InvalidInOutSignature(f"node {v} is not terminal")
-        if any(conn.kind != EDGE for block in cut.partition for conn in block):
-            raise InvalidInOutSignature(
-                "output-side cuts partition edge connections only"
-            )
-        _check_partition(cut, edge_conns[v], InvalidInOutSignature)
-    for v in ext.right:
-        by_node.setdefault(v, Cut(v, (edge_conns[v],)))
-    return _split_terminals(Cospan(ext.carrier, (), ext.right), by_node)
+    named = {cut.node for cut in cuts}
+    return complete_cut(
+        c,
+        list(cuts)
+        + [
+            Cut(v, (frozenset(conns[v]),))
+            for v in sorted(terminal_nodes(c.carrier) - named)
+        ],
+    )
 
 
 def _strong_parts(weak, inout):
+    """Both sides cut, and for each input position of the middle factor
+    the copies it can attach to."""
     up, k, ext, down = weak
     omega_in, omega_out = inout
-    k_nodes = set(up.right[:k])
     for cut in omega_in:
-        if cut.node in k_nodes and len(cut.partition) != 1:
+        if cut.node in up.right[:k] and len(cut.partition) != 1:
             raise InvalidInOutSignature(
                 f"node {cut.node} feeds a passthrough wire and cannot be "
                 "split"
             )
-    up_cut, recon_in = complete_cut(up, _fill_one_cuts(up, omega_in))
-    ext_cut, recon_out, copies_of = _apply_edge_cuts(ext, omega_out)
-    for q in range(len(up_cut.right)):
-        if (recon_in.table[q] < k) != (q < k):
-            raise InvalidInOutSignature(
-                "passthrough wires must stay in the leading positions"
-            )
-    return up_cut, recon_in, ext_cut, recon_out, copies_of
+    # a passthrough node keeps its one copy at its own position, so the
+    # wires stay in the leading k positions
+    up_cut, recon_in = _cut_with_one_blocks(up, omega_in)
+    # without its left leg each node's connections are its edge
+    # connections; the gluing attaches the input positions afterwards
+    ext_cut, recon_out = _cut_with_one_blocks(
+        Cospan(ext.carrier, (), ext.right), omega_out
+    )
+    copies: dict[int, list[int]] = {}
+    for w, j in zip(ext_cut.right, recon_out.table):
+        copies.setdefault(ext.right[j], []).append(w)
+    # an input node that is not an output is consumed inside, never cut
+    choices = [
+        copies.get(ext.left[j - k], [ext.left[j - k]])
+        for j in recon_in.table[k:]
+    ]
+    return up_cut, ext_cut, recon_out, choices
 
 
 def gluing_choice_points(weak, inout) -> dict[int, int]:
     """Positions in the middle factor's input boundary that need a gluing
     choice, mapped to how many copies they can attach to."""
-    up, k, ext, down = weak
-    up_cut, recon_in, _, _, copies_of = _strong_parts(weak, inout)
-    out = {}
-    for q in range(k, len(up_cut.right)):
-        copies = copies_of.get(ext.left[recon_in.table[q] - k], ())
-        if len(copies) > 1:
-            out[q - k] = len(copies)
-    return out
+    choices = _strong_parts(weak, inout)[3]
+    return {
+        pos: len(copies)
+        for pos, copies in enumerate(choices)
+        if len(copies) > 1
+    }
 
 
 def strong_decompose(
@@ -444,56 +417,44 @@ def strong_decompose(
     """Refine a weak decomposition by cutting both boundary sides.
 
     ``inout`` is a pair (input-side cuts on the upstream cospan, output-side
-    cuts on the extracted cospan); omitted terminals get trivial cuts.
-    ``gluing`` picks, per choice position, which copy of a cut node each
-    input-boundary attachment of the middle factor uses.
+    cuts on the extracted cospan's edge connections); omitted terminals get
+    one-block cuts. ``gluing`` picks, per choice position, which copy of a
+    cut node each input-boundary attachment of the middle factor uses.
     """
     up, k, ext, down = weak
     gluing = dict(gluing or {})
-    up_cut, recon_in, ext_cut, recon_out, copies_of = _strong_parts(
-        weak, inout
-    )
-    n_mid = len(up_cut.right)
+    up_cut, ext_cut, recon_out, choices = _strong_parts(weak, inout)
     for key in gluing:
-        if not 0 <= key < n_mid - k:
+        if not 0 <= key < len(choices):
             raise IncompatibleGluing(f"gluing position {key} out of range")
     wire_base = max(ext_cut.carrier.nodes, default=-1) + 1
     wires = tuple(wire_base + i for i in range(k))
     mid_left = list(wires)
-    for q in range(k, n_mid):
-        # an uncut node is its own one copy
-        lnode = ext.left[recon_in.table[q] - k]
-        copies = copies_of.get(lnode, (lnode,))
-        pos = q - k
-        if len(copies) == 1:
-            if gluing.get(pos, 0) != 0:
-                raise IncompatibleGluing(
-                    f"position {pos} has a single node to attach to"
-                )
-            mid_left.append(copies[0])
-        else:
-            if pos not in gluing:
-                raise IncompatibleGluing(
-                    f"position {pos} needs a gluing choice among "
-                    f"{len(copies)} copies"
-                )
-            idx = gluing[pos]
-            if not 0 <= idx < len(copies):
-                raise IncompatibleGluing(
-                    f"gluing index {idx} at position {pos} out of range"
-                )
-            mid_left.append(copies[idx])
-    mid_nodes = ext_cut.carrier.nodes | set(wires)
+    for pos, copies in enumerate(choices):
+        if len(copies) == 1 and gluing.get(pos, 0) != 0:
+            raise IncompatibleGluing(
+                f"position {pos} has a single node to attach to"
+            )
+        if len(copies) > 1 and pos not in gluing:
+            raise IncompatibleGluing(
+                f"position {pos} needs a gluing choice among "
+                f"{len(copies)} copies"
+            )
+        idx = gluing.get(pos, 0)
+        if not 0 <= idx < len(copies):
+            raise IncompatibleGluing(
+                f"gluing index {idx} at position {pos} out of range"
+            )
+        mid_left.append(copies[idx])
     middle = Cospan(
-        Hypergraph(mid_nodes, ext_cut.carrier.edges),
+        Hypergraph(ext_cut.carrier.nodes | set(wires), ext_cut.carrier.edges),
         tuple(mid_left),
         wires + ext_cut.right,
     )
     down_left = tuple(down.left[p] for p in range(k)) + tuple(
         down.left[k + j] for j in recon_out.table
     )
-    third = Cospan(down.carrier, down_left, down.right)
-    return up_cut, middle, third
+    return up_cut, middle, Cospan(down.carrier, down_left, down.right)
 
 
 def recompose_strong(parts: tuple[Cospan, Cospan, Cospan]) -> Cospan:

@@ -452,6 +452,20 @@ def test_export_renders_interface_rails(ws, tmp_path, capsys):
     assert "headlabel" in text
 
 
+def test_export_into_a_missing_directory_is_an_io_failure(
+    ws, tmp_path, capsys
+):
+    csp = translate_to_file(ws, "h", "h.csp")
+    dot = tmp_path / "missing" / "h.dot"
+    capsys.readouterr()
+    assert run(["export", "--cospan", csp, "--dot", str(dot)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["code"] == "io-failure"
+    assert record["location"] == str(dot)
+    assert record["message"].startswith(f"cannot write {dot}: ")
+    assert not dot.parent.exists()
+
+
 def test_usage_error_exits_two(ws):
     with pytest.raises(SystemExit) as exc:
         run(["check"])

@@ -36,7 +36,12 @@ from cmonrw.cospan import (
     validate_right_monogamous_acyclic,
 )
 from cmonrw.decompose import in_connections
-from cmonrw.errors import InterfaceMismatch, NotDiscrete, UnknownNode
+from cmonrw.errors import (
+    InterfaceMismatch,
+    NotDiscrete,
+    NotRightMonogamous,
+    UnknownNode,
+)
 from cmonrw.hypergraph import (
     Edge,
     Hypergraph,
@@ -177,6 +182,38 @@ def test_cospan_to_function_needs_discrete_carrier():
     g = Hypergraph(frozenset([0, 1]), {0: Edge("f", (0,), (1,))})
     with pytest.raises(NotDiscrete):
         cospan_to_function(Cospan(g, (0,), (1,)))
+
+
+def test_cospan_to_function_rejects_a_right_leg_that_repeats_a_node():
+    c = Cospan(Hypergraph(frozenset([0]), {}), (0,), (0, 0))
+    with pytest.raises(NotRightMonogamous) as raised:
+        cospan_to_function(c)
+    assert raised.value.code == "not-right-monogamous"
+    assert raised.value.message == (
+        "output boundary must list each carrier node exactly once"
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FinFunction(2, 2, (0,)), "table length 1 != domain 2"),
+        (
+            lambda: FinFunction(1, 2, (2,)),
+            "entry 0 maps to 2, outside codomain 2",
+        ),
+        (
+            lambda: FinFunction(1, 2, (0,)).compose(FinFunction(1, 1, (0,))),
+            "cannot compose: codomain 2 != domain 1",
+        ),
+    ],
+    ids=["short-table", "outside-codomain", "compose-mismatch"],
+)
+def test_fin_function_rejects_mismatched_interfaces(build, message):
+    with pytest.raises(InterfaceMismatch) as raised:
+        build()
+    assert raised.value.code == "interface-mismatch"
+    assert raised.value.message == message
 
 
 def test_interface_order_is_significant():

@@ -53,7 +53,13 @@ from cmonrw.decompose import (
 )
 from cmonrw.errors import (
     BadInterfaceOrder,
+    CmonrwError,
     IncompatibleGluing,
+    InvalidSignature,
+    MissingCut,
+    NotASubhypergraph,
+    NotConvex,
+    NotRightMonogamous,
     NotTerminal,
     PartitionMismatch,
 )
@@ -155,6 +161,10 @@ def test_complete_cut_recomposes(seed):
     assert iso_equal(compose(split, function_to_cospan(fn)), c)
 
 
+E00, E01, E10, E11 = (edge_conn(e, s) for e in (0, 1) for s in (0, 1))
+I0, I1, I2, I3 = (iface_conn(p) for p in range(4))
+
+
 def weak_fixture():
     c = merge_fixture()
     sub = SubHypergraph(frozenset([0, 2]), frozenset([0]))
@@ -204,6 +214,68 @@ def strong_fixture():
     return c, wd, (omega_in, omega_out)
 
 
+def test_complete_cut_rejects_a_cospan_that_is_not_right_monogamous():
+    c = merge_fixture()
+    twice = Cospan(c.carrier, c.left, (3, 3, 4))
+    with pytest.raises(NotRightMonogamous) as raised:
+        complete_cut(twice, [one_cut(c, 3), one_cut(c, 4)])
+    assert raised.value.code == "not-right-monogamous"
+    assert raised.value.message == "cospan is not right-monogamous"
+
+
+def test_complete_cut_needs_a_cut_at_every_terminal_node():
+    c = merge_fixture()
+    with pytest.raises(MissingCut) as raised:
+        complete_cut(c, [one_cut(c, 3)])
+    assert raised.value.code == "missing-cut"
+    assert raised.value.message == "no cut supplied for nodes [4]"
+
+
+def test_weak_decompose_rejects_a_sub_hypergraph_that_is_not_convex():
+    # 0 -> 2 -> 3 leaves {0, 3} at node 2 and comes back
+    c = merge_fixture()
+    with pytest.raises(NotConvex) as raised:
+        weak_decompose(c, SubHypergraph(frozenset([0, 3]), frozenset()))
+    assert raised.value.code == "not-convex"
+    assert raised.value.message == "sub-hypergraph is not convex in the carrier"
+
+
+def test_weak_decompose_rejects_a_sub_hypergraph_outside_the_carrier():
+    c = merge_fixture()
+    with pytest.raises(NotASubhypergraph) as raised:
+        weak_decompose(c, SubHypergraph(frozenset([0, 9]), frozenset()))
+    assert raised.value.code == "not-a-subhypergraph"
+    assert raised.value.message == "nodes [9] not in ambient graph"
+
+
+# (id, up-down signature, message) for the weak fixture, whose shared node
+# 2 has external inputs I1, I2, E10 and E11 and whose inner node 0 has I0
+MALFORMED_UPDOWN = [
+    ("not-shared", {4: (set(), {I3})}, "node 4 is not a shared boundary node"),
+    ("overlap", {2: ({I2}, {I1, I2, E10, E11})},
+     "upper and lower sets overlap at node 2"),
+    ("misses", {2: ({I2}, {I1, E10})},
+     "upper and lower sets at node 2 must cover exactly its external "
+     "input connections"),
+    ("upper-at-inner", {0: ({I0}, set())},
+     "node 0 is consumed inside the extracted part; all its external "
+     "inputs must be in the lower set"),
+]
+
+
+@pytest.mark.parametrize(
+    "updown, message",
+    [case[1:] for case in MALFORMED_UPDOWN],
+    ids=[case[0] for case in MALFORMED_UPDOWN],
+)
+def test_weak_decompose_rejects_malformed_updown_signatures(updown, message):
+    c, sub, _ = weak_fixture()
+    with pytest.raises(InvalidSignature) as raised:
+        weak_decompose(c, sub, updown)
+    assert raised.value.code == "invalid-updown-signature"
+    assert raised.value.message == message
+
+
 def test_strong_decomposition_frozen_gluings():
     c, wd, inout = strong_fixture()
     assert gluing_choice_points(wd, inout) == {2: 2, 3: 2}
@@ -237,6 +309,91 @@ def test_strong_decomposition_trivial_cuts():
     wd = weak_decompose(c, sub, tau)
     parts = strong_decompose(wd, ([], []), {})
     assert iso_equal(recompose_strong(parts), c)
+
+
+def _cover(v: int, blocks, has) -> str:
+    return f"blocks cover {sorted(blocks)} but node {v} has {sorted(has)}"
+
+
+# (id, side, cuts on that side, code, message) for the strong fixture. On
+# the upstream side node 6 has E10, E11 and I1, node 0 has I0, node 1 is
+# not terminal and node 4 feeds a passthrough wire. On the extracted side
+# node 2 has E00 and E01, since its interface connection I1 is the gluing's
+# to make, and node 0 is not terminal.
+MALFORMED_INOUT = [
+    ("in-duplicate", "in", [Cut(0, [{I0}]), Cut(0, [{I0}])],
+     "partition-mismatch", "multiple cuts for node 0"),
+    ("in-not-terminal", "in", [Cut(1, [{iface_conn(4)}])],
+     "not-terminal", "cut names non-terminal nodes [1]"),
+    ("in-overlap", "in", [Cut(6, [{E10, E11}, {E11, I1}])],
+     "partition-mismatch", "partition blocks overlap"),
+    ("in-misses", "in", [Cut(6, [{E10}, {I1}])],
+     "partition-mismatch", _cover(6, {E10, I1}, {E10, E11, I1})),
+    ("in-adds", "in", [Cut(0, [{I0}, {E10}])],
+     "partition-mismatch", _cover(0, {I0, E10}, {I0})),
+    ("in-empty", "in", [Cut(0, [])],
+     "partition-mismatch", "cut needs at least one block"),
+    ("in-passthrough", "in", [Cut(4, [{I3}, set()])],
+     "invalid-inout-signature",
+     "node 4 feeds a passthrough wire and cannot be split"),
+    ("out-duplicate", "out", [Cut(2, [{E00, E01}]), Cut(2, [{E00, E01}])],
+     "partition-mismatch", "multiple cuts for node 2"),
+    ("out-not-terminal", "out", [Cut(0, [set()])],
+     "not-terminal", "cut names non-terminal nodes [0]"),
+    ("out-overlap", "out", [Cut(2, [{E00}, {E00, E01}])],
+     "partition-mismatch", "partition blocks overlap"),
+    ("out-misses", "out", [Cut(2, [{E00}])],
+     "partition-mismatch", _cover(2, {E00}, {E00, E01})),
+    ("out-adds-interface", "out", [Cut(2, [{E00}, {E01, I1}])],
+     "partition-mismatch", _cover(2, {E00, E01, I1}, {E00, E01})),
+    ("out-empty", "out", [Cut(2, [])],
+     "partition-mismatch", "cut needs at least one block"),
+]
+
+
+def _strong_with_a_gluing(wd, inout):
+    return strong_decompose(wd, inout, {2: 0, 3: 0})
+
+
+@pytest.mark.parametrize(
+    "run_strong",
+    [_strong_with_a_gluing, gluing_choice_points],
+    ids=["strong_decompose", "gluing_choice_points"],
+)
+@pytest.mark.parametrize(
+    "side, cuts, code, message",
+    [case[1:] for case in MALFORMED_INOUT],
+    ids=[case[0] for case in MALFORMED_INOUT],
+)
+def test_strong_decomposition_rejects_malformed_cuts(
+    run_strong, side, cuts, code, message
+):
+    _, wd, (omega_in, omega_out) = strong_fixture()
+    inout = (cuts, omega_out) if side == "in" else (omega_in, cuts)
+    with pytest.raises(CmonrwError) as raised:
+        run_strong(wd, inout)
+    assert raised.value.code == code
+    assert raised.value.message == message
+
+
+@pytest.mark.parametrize(
+    "run_strong",
+    [lambda wd, inout: strong_decompose(wd, inout, {}), gluing_choice_points],
+    ids=["strong_decompose", "gluing_choice_points"],
+)
+def test_an_empty_cut_of_a_node_without_edge_inputs_is_a_partition_fault(
+    run_strong,
+):
+    # node 1 of f ; g, extracted on its own, has no edge input on the
+    # extracted side: cutting it into no blocks would leave its middle
+    # input position nothing to attach to, which no gluing can mend
+    sig = parse_signature("gen f : 1 -> 1\ngen g : 1 -> 1\n")
+    c = eval_term(parse_term("f ; g", sig), sig)
+    wd = weak_decompose(c, SubHypergraph(frozenset({1}), frozenset()))
+    with pytest.raises(PartitionMismatch) as raised:
+        run_strong(wd, ([], [Cut(1, ())]))
+    assert raised.value.code == "partition-mismatch"
+    assert raised.value.message == "cut needs at least one block"
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,6 +464,13 @@ def test_level0_rejects_misordered_outputs():
     c = merge_fixture()
     with pytest.raises(BadInterfaceOrder):
         level0_decompose(c)
+
+
+def test_perm_term_rejects_a_map_that_is_not_a_permutation():
+    with pytest.raises(PartitionMismatch) as raised:
+        perm_term(FinFunction(2, 2, (0, 0)))
+    assert raised.value.code == "partition-mismatch"
+    assert raised.value.message == "not a permutation"
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import random_rm_cospan
 from cmonrw import hypergraph
-from cmonrw.errors import NotASubhypergraph
+from cmonrw.errors import NotASubhypergraph, UnknownNode
 from cmonrw.hypergraph import (
     Edge,
     Homomorphism,
     Hypergraph,
+    SubHypergraph,
     canonical_form,
     find_homomorphisms,
     graph_dot_lines,
@@ -121,6 +122,46 @@ def test_homomorphism_validates_structure():
     g = chain("f")
     with pytest.raises(NotASubhypergraph):
         Homomorphism(g, g, {0: 0, 1: 0}, {0: 0})
+
+
+@pytest.mark.parametrize(
+    "node_map, edge_map, message",
+    [
+        ({0: 0}, {0: 0}, "node 1 has no image"),
+        ({0: 0, 1: 7}, {0: 0}, "image of node 1 does not exist"),
+        ({0: 0, 1: 1}, {}, "edge 0 has no image"),
+        ({0: 0, 1: 1}, {0: 4}, "image of edge 0 does not exist"),
+    ],
+    ids=["node-unmapped", "node-image-missing", "edge-unmapped",
+         "edge-image-missing"],
+)
+def test_homomorphism_needs_an_existing_image_of_everything(
+    node_map, edge_map, message
+):
+    g = chain("f")
+    with pytest.raises(NotASubhypergraph) as raised:
+        Homomorphism(g, g, node_map, edge_map)
+    assert raised.value.code == "not-a-subhypergraph"
+    assert raised.value.message == message
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        (SubHypergraph(frozenset([0, 5]), frozenset()),
+         "nodes [5] not in ambient graph"),
+        (SubHypergraph(frozenset([0, 1]), frozenset([3])),
+         "edge 3 not in ambient graph"),
+        (SubHypergraph(frozenset([0]), frozenset([0])),
+         "edge 0 endpoints [1] missing from sub-hypergraph"),
+    ],
+    ids=["node-outside", "edge-outside", "loose-endpoint"],
+)
+def test_sub_hypergraph_must_lie_in_its_graph(sub, message):
+    with pytest.raises(NotASubhypergraph) as raised:
+        sub.validate_in(chain("f"))
+    assert raised.value.code == "not-a-subhypergraph"
+    assert raised.value.message == message
 
 
 def test_empty_pattern_has_exactly_one_homomorphism():
@@ -319,6 +360,13 @@ def test_canonical_form_invariant_under_relabeling():
         {3: Edge("f", (9,), (5,)), 8: Edge("g", (5,), (7,))},
     )
     assert canonical_form(g) == canonical_form(relabeled)
+
+
+def test_canonical_form_rejects_a_pin_outside_the_graph():
+    with pytest.raises(UnknownNode) as raised:
+        canonical_form(chain("f"), pins=(0, 9))
+    assert raised.value.code == "unknown-node"
+    assert raised.value.message == "pinned node 9 not in graph"
 
 
 def test_canonical_form_distinguishes_labels():

@@ -42,6 +42,20 @@ def test_signature_rejects_reserved_and_duplicate_names():
         Signature((("f", -1, 0),))
 
 
+def test_signature_rejects_a_bad_generator_name():
+    with pytest.raises(TermSyntaxError) as raised:
+        Signature((("2f", 1, 1),))
+    assert raised.value.code == "syntax-error"
+    assert raised.value.message == "bad generator name '2f'"
+
+
+def test_arity_of_an_undeclared_generator():
+    with pytest.raises(UnknownGenerator) as raised:
+        parse_signature("gen f : 1 -> 1\n").arity("g")
+    assert raised.value.code == "unknown-generator"
+    assert raised.value.message == "generator 'g' not declared"
+
+
 def test_signature_bad_line_reports_location():
     with pytest.raises(TermSyntaxError) as err:
         parse_signature("gen f 1 -> 1\n")
@@ -104,6 +118,13 @@ def test_pretty_print_parse_roundtrip(seed):
     rng = random.Random(seed)
     t = random_term(rng, SIG3)
     assert parse_term(pretty_print(t), SIG3) == t
+
+
+def test_pretty_print_rejects_an_operand_that_is_not_a_term():
+    with pytest.raises(TypeMismatch) as raised:
+        pretty_print(Seq(Id(1), "x"))
+    assert raised.value.code == "type-mismatch"
+    assert raised.value.message == "not a term: 'x'"
 
 
 def test_pretty_print_examples():
