@@ -99,18 +99,23 @@ def _load_term(text: str | None, path: str | None, sig: Signature) -> Term:
     return parse_term(text if path is None else _read_file(path), sig)
 
 
-def _doc_json(doc: dict) -> str:
-    return _json(doc, "\n") + "\n"
+def _doc_json(value) -> str:
+    return _json(value, "\n") + "\n"
 
 
 def _json(value, newline: str) -> str:
     """json.dumps(value, indent=2) byte for byte, newline carrying the
-    indent. json drops its C encoder when it indents, so it is left only
-    empty containers and scalars other than ints and strings."""
+    indent, where a Cospan stands for its cospan_to_document. This is the
+    one indenter of structured output. json drops its C encoder when it
+    indents, so it is left only empty containers and scalars other than
+    ints and strings; ints go through str, which refuses more digits than
+    int() reads, as json.dumps does."""
     if type(value) is int:
         return str(value)
     if isinstance(value, str):
         return _quote(value)
+    if isinstance(value, Cospan):
+        return _cospan_json(value, newline)
     if not value or not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     inner = newline + "  "
@@ -122,9 +127,42 @@ def _json(value, newline: str) -> str:
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    ints = all(type(v) is int for v in value)
-    items = map(str, value) if ints else [_json(v, inner) for v in value]
+    if all(type(v) is int for v in value):
+        return _ints(value, newline)
+    items = [_json(v, inner) for v in value]
     return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _ints(values, newline: str) -> str:
+    """_json(list(values), newline) for ints."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]"
+
+
+def _cospan_json(c: Cospan, newline: str) -> str:
+    """_json(cospan_to_document(c), newline), written in one walk of the
+    carrier's edges in id order with no document built."""
+    i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
+    fields = ("id", "label", "sources", "targets")
+    edge = "{" + ",".join(f'{i3}"{k}": %s' for k in fields) + i2 + "}"
+    first, sep, last = "[" + i4, "," + i4, i3 + "]"
+
+    def ends(values: tuple[int, ...]) -> str:
+        return first + sep.join(map(str, values)) + last if values else "[]"
+
+    edges = [
+        edge % (eid, _quote(e.label), ends(e.sources), ends(e.targets))
+        for eid, e in sorted(c.carrier.edges.items())
+    ]
+    return (
+        "{" + i1 + '"nodes": ' + _ints(sorted(c.carrier.nodes), i1)
+        + "," + i1 + '"edges": '
+        + ("[" + i2 + ("," + i2).join(edges) + i1 + "]" if edges else "[]")
+        + "," + i1 + '"left": ' + _ints(c.left, i1)
+        + "," + i1 + '"right": ' + _ints(c.right, i1) + newline + "}"
+    )
 
 
 def _emit(text: str, out_path: str | None = None) -> None:
@@ -153,7 +191,7 @@ def _cmd_translate(args) -> int:
     t = _load_term(args.term, args.term_file, sig)
     c = eval_term(t, sig)
     # the cospan document is already the text interchange format
-    _emit(_doc_json(cospan_to_document(c)), args.out)
+    _emit(_doc_json(c), args.out)
     if args.dot:
         _atomic_write(args.dot, cospan_to_dot(c))
     return 0
@@ -162,17 +200,11 @@ def _cmd_translate(args) -> int:
 def _cmd_factorize(args) -> int:
     c = _load_cospan(args.cospan)
     lf = factorise_into_levels(c)
-    payload = {
-        "factors": [
-            {
-                "slice": cospan_to_document(f.slice),
-                "passthrough": f.passthrough,
-                "merges": cospan_to_document(f.merges),
-            }
-            for f in lf.factors
-        ],
-        "perm": list(lf.perm.table),
-    }
+    factors = [
+        {"slice": f.slice, "passthrough": f.passthrough, "merges": f.merges}
+        for f in lf.factors
+    ]
+    payload = {"factors": factors, "perm": list(lf.perm.table)}
     if args.format == "structured":
         _emit(_doc_json(payload), args.out)
     else:
@@ -262,16 +294,8 @@ def _cmd_rewrite(args) -> int:
         if args.dot_dir:
             _write_dot_series(args.dot_dir, results, "result")
         if args.format == "structured":
-            payload = {
-                "steps": [
-                    {
-                        "rule": s.rule.name,
-                        "result": cospan_to_document(s.result),
-                    }
-                    for s in steps
-                ]
-            }
-            _emit(_doc_json(payload))
+            rows = [{"rule": s.rule.name, "result": s.result} for s in steps]
+            _emit(_doc_json({"steps": rows}))
         else:
             lines = [f"steps: {len(steps)}"]
             for s in steps:
@@ -286,13 +310,12 @@ def _cmd_rewrite(args) -> int:
     )
     if args.dot_dir:
         _write_dot_series(args.dot_dir, list(outcome), "normal")
-    docs = [cospan_to_document(c) for c in outcome]
     if args.format == "structured":
-        _emit(_doc_json({"normal-forms": docs}))
+        _emit(_doc_json({"normal-forms": outcome}))
     else:
-        lines = [f"normal forms: {len(docs)}"]
-        for d in docs:
-            lines.append(json.dumps(d))
+        lines = [f"normal forms: {len(outcome)}"]
+        for c in outcome:
+            lines.append(json.dumps(cospan_to_document(c)))
         _emit("\n".join(lines) + "\n")
     return 0
 
@@ -373,9 +396,9 @@ def _cmd_oracle_compare(args) -> int:
     if args.format == "structured":
         payload = {
             "oracle": [pretty_print(oracle_reps[k]) for k in okeys],
-            "dpo": [cospan_to_document(dpo_reps[k]) for k in dkeys],
+            "dpo": [dpo_reps[k] for k in dkeys],
             "only-oracle": [pretty_print(oracle_reps[k]) for k in only_oracle],
-            "only-dpo": [cospan_to_document(dpo_reps[k]) for k in only_dpo],
+            "only-dpo": [dpo_reps[k] for k in only_dpo],
             "agree": ok,
         }
         _emit(_doc_json(payload))

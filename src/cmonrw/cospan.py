@@ -26,6 +26,7 @@ from .hypergraph import (
     Hypergraph,
     UnionFind,
     canonical_form,
+    dot_id,
     graph_dot_lines,
     is_acyclic,
     renamed_edges,
@@ -482,9 +483,10 @@ def cospan_to_dot(c: Cospan) -> str:
             lines.append(f"    {chain} [style=invis];")
         lines.append("  }")
     lines.extend(graph_dot_lines(c.carrier))
+    dashed = "[style=dashed, arrowhead=none];"
     for i, v in enumerate(c.left):
-        lines.append(f"  l{i} -> n{v} [style=dashed, arrowhead=none];")
+        lines.append(f"  l{i} -> {dot_id('n', v)} {dashed}")
     for i, v in enumerate(c.right):
-        lines.append(f"  n{v} -> r{i} [style=dashed, arrowhead=none];")
+        lines.append(f"  {dot_id('n', v)} -> r{i} {dashed}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import itertools
 import math
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -449,7 +449,7 @@ def iter_rewrites(
     yield from _distinct(_results(rules, host), host)
 
 
-def _distinct(results: Iterator, host: Cospan) -> Iterator[RewriteStep]:
+def _distinct(results: Iterable, host: Cospan) -> Iterator[RewriteStep]:
     """The steps of _results' output whose result keys are new."""
     seen: set[tuple] = set()
     for rule, match, index, result in results:
@@ -495,22 +495,25 @@ def _generator_label(rule: RewriteRule) -> str | None:
 
 def _persistent_prefix(
     results: Iterator, owed: Counter, host: Cospan
-) -> Iterator:
+) -> tuple[list, bool]:
     """_results' output up to the shortest prefix that holds every result
     at every host edge it rewrites, for single-generator rules: owed[label]
     is the number of rules whose lhs has that label, and each has one
     result at each edge with it (see normalize). Nothing after the prefix
-    is glued."""
-    waiting, rewritten = 0, set()
+    is glued. Also whether the prefix may stop short of the full output:
+    whether some edge under an owed label has no result in it."""
+    waiting, rewritten, prefix = 0, set(), []
     for found in results:
         (eid,) = found[1].hom.edge_map.values()
         if eid not in rewritten:
             rewritten.add(eid)
             waiting += owed[host.carrier.edges[eid].label]
         waiting -= 1
-        yield found
+        prefix.append(found)
         if not waiting:
-            return
+            break
+    edges = host.carrier.edges.items()
+    return prefix, any(owed[e.label] and v not in rewritten for v, e in edges)
 
 
 def _bfs(
@@ -637,7 +640,10 @@ def normalize(
       longer, so every reducible state of the full search lies above
       depth max_steps, and both return the same forms. Otherwise the
       full search runs, and its budget record is the one it gives
-      alone."""
+      alone. But when every state's prefix holds a step at each of its
+      edges under an lhs label, as with two rules on one label, no prefix
+      stopped short of its state's steps: the reduced search was the full
+      search, and its answer or budget record stands."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     validate_right_monogamous_acyclic(host)
@@ -655,18 +661,22 @@ def normalize(
                 )
             trace.append(step[-1])
     if strategy == "bfs":
-        labels = list(map(_generator_label, rules))
+        labels, search = list(map(_generator_label, rules)), None
         if None not in labels:
-            owed = Counter(labels)
+            owed, short = Counter(labels), False
 
             def prefix(c: Cospan) -> list[RewriteStep]:
-                found = _persistent_prefix(_results(rules, c), owed, c)
+                nonlocal short
+                results = _results(rules, c)
+                found, stopped = _persistent_prefix(results, owed, c)
+                short = short or stopped
                 return list(_distinct(found, c))
 
-            normals, overflow, graph = _bfs(prefix, host, max_steps)
-            if not overflow and _longest_path(graph) <= max_steps:
-                return _in_output_order(normals)
-        normals, overflow, _ = _bfs(
+            search = _bfs(prefix, host, max_steps)
+            normals, overflow, graph = search
+            if short and (overflow or _longest_path(graph) > max_steps):
+                search = None
+        normals, overflow, _ = search or _bfs(
             lambda c: rewrite_all(rules, c), host, max_steps
         )
         if overflow:

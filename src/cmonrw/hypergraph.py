@@ -469,16 +469,25 @@ def canonical_form(g: Hypergraph, pins=()) -> tuple:
     return _canon(g, init, pins)
 
 
+def dot_id(kind: str, i: int) -> str:
+    """The DOT ID of node (kind n) or edge (kind e) i, quoted when i is
+    negative: DOT reads n-1 as the ID n followed by the numeral -1."""
+    return f"{kind}{i}" if i >= 0 else f'"{kind}{i}"'
+
+
 def graph_dot_lines(g: Hypergraph) -> list[str]:
     """DOT body: nodes as points, hyperedges as labelled boxes whose
     tentacles carry the endpoint position on the arrowhead."""
     lines = []
     for v in sorted(g.nodes):
-        lines.append(f'  n{v} [shape=point, xlabel="{v}"];')
+        lines.append(f'  {dot_id("n", v)} [shape=point, xlabel="{v}"];')
     for eid, e in sorted(g.edges.items()):
-        lines.append(f'  e{eid} [shape=box, label="{e.label}"];')
+        box = dot_id("e", eid)
+        text = e.label.replace("\\", "\\\\").replace('"', '\\"')
+        text = text.replace("\n", "\\n")
+        lines.append(f'  {box} [shape=box, label="{text}"];')
         for i, v in enumerate(e.sources):
-            lines.append(f'  n{v} -> e{eid} [headlabel="{i}"];')
+            lines.append(f'  {dot_id("n", v)} -> {box} [headlabel="{i}"];')
         for i, v in enumerate(e.targets):
-            lines.append(f'  e{eid} -> n{v} [headlabel="{i}"];')
+            lines.append(f'  {box} -> {dot_id("n", v)} [headlabel="{i}"];')
     return lines

@@ -452,6 +452,29 @@ def test_export_renders_interface_rails(ws, tmp_path, capsys):
     assert "headlabel" in text
 
 
+def test_export_escapes_labels_and_quotes_negative_ids(ws, tmp_path):
+    # a label holding a quote, a backslash and a newline stays one DOT
+    # string; n-1 would read as the ID n and the numeral -1, so negative
+    # ids are quoted, and ids of 0 and up are left as they were
+    csp = tmp_path / "bad.csp"
+    edge = _edge(id=-2, label='a"b\\\nc', sources=[-1], targets=[0])
+    csp.write_text(json.dumps(_doc(nodes=[-1, 0], edges=[edge], left=[-1],
+                                   right=[0])))
+    dot = tmp_path / "bad.dot"
+    assert run(["export", "--cospan", str(csp), "--dot", str(dot)]) == 0
+    lines = dot.read_text().splitlines()
+    assert lines[-8:] == [
+        '  "n-1" [shape=point, xlabel="-1"];',
+        '  n0 [shape=point, xlabel="0"];',
+        '  "e-2" [shape=box, label="a\\"b\\\\\\nc"];',
+        '  "n-1" -> "e-2" [headlabel="0"];',
+        '  "e-2" -> n0 [headlabel="0"];',
+        '  l0 -> "n-1" [style=dashed, arrowhead=none];',
+        '  n0 -> r0 [style=dashed, arrowhead=none];',
+        "}",
+    ]
+
+
 def test_export_into_a_missing_directory_is_an_io_failure(
     ws, tmp_path, capsys
 ):
@@ -543,6 +566,115 @@ def test_document_writer_on_chosen_documents():
     ]
     for doc in docs:
         assert cli._doc_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# ids: small, negative, and of about 4,000 digits, under int()'s limit
+WRITER_IDS = st.integers(-3, 6) | st.integers(10**3999, 10**4000).map(
+    lambda n: n * (-1) ** (n % 2)
+)
+
+
+@st.composite
+def writer_cospans(draw) -> cospan.Cospan:
+    """A cospan read from a document: possibly no nodes or no edges,
+    edges with no sources or no targets, interface lists that repeat
+    nodes, and any label text, non-ASCII and escaped characters
+    included."""
+    nodes = draw(st.lists(WRITER_IDS, max_size=5, unique=True))
+    node = st.sampled_from(nodes) if nodes else st.nothing()
+    ends = st.lists(node, max_size=3) if nodes else st.just([])
+    edges = [
+        _edge(id=eid, label=draw(st.text(max_size=6)),
+              sources=draw(ends), targets=draw(ends))
+        for eid in draw(st.lists(WRITER_IDS, max_size=4, unique=True))
+    ]
+    doc = _doc(nodes=nodes, edges=edges, left=draw(ends), right=draw(ends))
+    return cospan_from_document(json.loads(json.dumps(doc)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_cospans(), st.integers(0, 3))
+def test_cospan_writer_matches_the_document_writer(c, depth):
+    # a cospan is written straight from its carrier, byte for byte as its
+    # document is at the same nesting depth
+    newline = "\n" + "  " * depth
+    doc = cospan.cospan_to_document(c)
+    assert cli._json(c, newline) == cli._json(doc, newline)
+
+
+def test_cospan_writer_on_chosen_cospans():
+    big = 10**3999
+    docs = [
+        _doc(nodes=[], left=[], right=[]),
+        _doc(),
+        _doc(nodes=[0], edges=[_edge(sources=[], targets=[0])], left=[0, 0],
+             right=[]),
+        _doc(nodes=[-1, big], edges=[_edge(id=-2, label='a"b\\\n\u00e9',
+                                           sources=[-1], targets=[big])],
+             left=[-1], right=[big, big]),
+    ]
+    for doc in docs:
+        c = cospan_from_document(doc)
+        for depth in range(4):
+            newline = "\n" + "  " * depth
+            assert cli._json(c, newline) == cli._json(doc, newline)
+        assert cli._doc_json(c) == json.dumps(doc, indent=2) + "\n"
+
+
+def _as_documents(value):
+    """value with every cospan in it replaced by its document."""
+    if isinstance(value, cospan.Cospan):
+        return cospan.cospan_to_document(value)
+    if isinstance(value, dict):
+        return {k: _as_documents(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_documents(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "host", ["f ; f", "(s + s) ; h ; f", "(f + g) ; mu ; f"]
+)
+def test_structured_output_is_json_dumps_of_the_documents(
+    ws, tmp_path, host, monkeypatch
+):
+    # each command's stdout and --out file, written from the cospans,
+    # equals json.dumps(indent=2) of the payload built from documents
+    _, sig, _ = ws
+    rules = tmp_path / "both.txt"
+    rules.write_text("rule fg : f => g\nrule hm : h => mu\n")
+    csp = tmp_path / "host.csp"
+    translate = ["translate", "--sig", sig, "--term", host]
+    assert run(translate + ["--out", str(csp)]) == 0
+    on_host = ["--rules", str(rules), "--sig", sig, "--host", host]
+    commands = [
+        translate,
+        translate + ["--out", "OUT"],
+        ["factorize", "--cospan", str(csp)],
+        ["factorize", "--cospan", str(csp), "--out", "OUT"],
+        ["rewrite", *on_host, "--all"],
+        ["rewrite", *on_host, "--strategy", "bfs"],
+        ["rewrite", *on_host, "--strategy", "leftmost"],
+        ["oracle-compare", *on_host, "--bound", "9"],
+    ]
+
+    def answers(argv):
+        out = tmp_path / "out.json"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(argv + ["--format", "structured"])
+        text = out.read_text() if "--out" in argv else ""
+        return code, stdout.getvalue(), text
+
+    got = [answers(argv) for argv in commands]
+    monkeypatch.setattr(
+        cli, "_doc_json",
+        lambda v: json.dumps(_as_documents(v), indent=2) + "\n",
+    )
+    for argv, answer in zip(commands, got):
+        assert answer == answers(argv), argv
+        assert answer[1] or answer[2], argv
 
 
 def test_negative_max_steps_is_usage_error(ws, capsys):

@@ -960,6 +960,28 @@ def test_bfs_falls_back_to_the_full_search(
 
 
 @pytest.mark.parametrize(
+    "rules, host, max_steps",
+    [
+        # f grows as fast as it normalises: budget records at every depth
+        *((["f => g", "f => f ; f"], "f", d) for d in range(7)),
+        # a cycle: nothing overflows, but the longest-path check fails
+        *((["f => g", "g => f"], "f", d) for d in (2, 5)),
+    ],
+)
+def test_bfs_does_not_rerun_a_search_whose_prefixes_were_full(
+    rules, host, max_steps, monkeypatch
+):
+    # with two rules on one label every prefix holds every step, so the
+    # reduced search was the full search: its answer or budget record is
+    # the full search's, and rewrite_all never runs
+    prefixes = _count_calls(monkeypatch, dpo, "_persistent_prefix")
+    full = _count_calls(monkeypatch, dpo, "rewrite_all")
+    rules = _rules(P_SIG, *rules)
+    _bfs_matches_full_search(rules, _term(P_SIG, host), max_steps)
+    assert prefixes and full == []
+
+
+@pytest.mark.parametrize(
     "text", [" ; ".join(["f"] * 40), " + ".join(["f"] * 12)],
     ids=["40-chain", "12-parallel"],
 )

@@ -10,6 +10,13 @@ per checkout. As in the worker, only answering is timed: readback terms
 are printed after the clock stops. Prints each pair's times, each side's
 quartiles of pass time, the median ratio change/base, how many pairs the
 change won, and whether the two checkouts' answers were byte-identical.
+It also prints each side's median and 90th-percentile request latency,
+taken over each request's median latency across the pairs, and their
+ratios change/base, since they can move unlike pass time. The benchmark's
+`request_p50_ms` and `request_tail_ms` come from the same per-request
+medians, but by a Harrell-Davis estimate and with the tail at a
+percentile set by the request count, so they track these figures without
+equalling them.
 A workload whose medians differ by less than the base's interquartile
 range is marked unresolved: the base's own passes spread wider than the
 difference, so it shows neither a gain nor a loss.
@@ -116,14 +123,24 @@ def as_text(mods: dict, result: tuple) -> str:
     return json.dumps(list(result))
 
 
-def one_pass(mods, batch, files, sig) -> tuple[float, list[str]]:
-    """The time to answer every request of batch, then the answers as
-    text, printed after the clock stops."""
+def one_pass(mods, batch, files, sig) -> tuple[list[float], list[str]]:
+    """The time to answer each request of batch, in request order, then
+    the answers as text, printed after the clock stops."""
     bind(mods)
-    t0 = time.perf_counter()
-    results = [answer(mods, r, files, sig) for r in batch]
-    elapsed = time.perf_counter() - t0
-    return elapsed, [as_text(mods, r) for r in results]
+    latencies, results = [], []
+    for r in batch:
+        t0 = time.perf_counter()
+        results.append(answer(mods, r, files, sig))
+        latencies.append(time.perf_counter() - t0)
+    return latencies, [as_text(mods, r) for r in results]
+
+
+def request_quantiles(passes: list[list[float]]) -> tuple[float, float]:
+    """The median and 90th percentile, in ms, of each request's median
+    latency over passes."""
+    medians = [statistics.median(xs) for xs in zip(*passes)]
+    deciles = statistics.quantiles(medians, n=10, method="inclusive")
+    return 1000 * statistics.median(medians), 1000 * deciles[8]
 
 
 def main() -> int:
@@ -164,14 +181,14 @@ def main() -> int:
             answers[name] = one_pass(mods, batch, files, sigs[name])[1]
         ratios, wins = [], 0
         times: dict[str, list[float]] = {"base": [], "change": []}
+        latencies: dict[str, list[list[float]]] = {"base": [], "change": []}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            t = {
-                name: one_pass(sides[name], batch, files, sigs[name])[0]
-                for name in order
-            }
             for name in order:
-                times[name].append(t[name])
+                lat = one_pass(sides[name], batch, files, sigs[name])[0]
+                latencies[name].append(lat)
+                times[name].append(sum(lat))
+            t = {name: times[name][-1] for name in order}
             ratios.append(t["change"] / t["base"])
             wins += t["change"] < t["base"]
             print(
@@ -187,6 +204,14 @@ def main() -> int:
             f"{name:6s} pass time: q1 {q1:.3f} s, median {median:.3f} s, "
             f"q3 {q3:.3f} s"
         )
+    requests = {name: request_quantiles(ls) for name, ls in latencies.items()}
+    for name, (p50, p90) in requests.items():
+        print(f"{name:6s} request latency: p50 {p50:.3f} ms, p90 {p90:.3f} ms")
+    (b50, b90), (c50, c90) = requests["base"], requests["change"]
+    print(
+        f"request ratios change/base: p50 {c50 / b50:.3f}, "
+        f"p90 {c90 / b90:.3f}"
+    )
     (b1, b2, b3), (_, c2, _) = quartiles["base"], quartiles["change"]
     resolved = abs(c2 - b2) >= b3 - b1
     print(
